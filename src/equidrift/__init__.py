@@ -48,6 +48,7 @@ from .simulate import (
     optimal_wealth_moments,
     replay_wealth,
     simulate_paths,
+    simulate_terminal_wealth,
 )
 from .stats import JKTestResult, SharpeResult, jobson_korkie_memmel, normal_upper_tail, sharpe
 from .strategy import (
@@ -90,6 +91,7 @@ __all__ = [
     "WealthLaw",
     "simulate_paths",
     "replay_wealth",
+    "simulate_terminal_wealth",
     "optimal_wealth_moments",
     "optimal_wealth_density",
     "SharpeResult",

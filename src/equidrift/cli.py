@@ -71,9 +71,12 @@ from .simulate import (
     WealthLaw,
     optimal_wealth_density,
     optimal_wealth_moments,
-    replay_wealth,
-    simulate_paths,
+    simulate_terminal_wealth,
 )
+
+# Unused by the CLI; bound because bench/workloads.py's traced mc-wealth run
+# looks these names up on this module.
+from .simulate import replay_wealth, simulate_paths  # noqa: F401
 from .stats import jobson_korkie_memmel
 from .strategy import brownian_exposures, pi_star, pi_star_fully_invested
 
@@ -208,6 +211,8 @@ def _cmd_weights(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    if args.paths < 2:
+        raise ValueError("--paths must be at least 2: the sample variance needs two paths")
     if args.vol is not None:
         sigma = VolMatrix(read_matrix_csv(args.vol))
         n = sigma.dim
@@ -222,10 +227,11 @@ def _cmd_simulate(args) -> int:
     kappa = (args.lam - args.r) / (args.mu - args.r)
     wv = pi_star(sigma, kappa)
 
-    paths = simulate_paths(params, args.horizon, args.steps, args.paths, args.seed)
-    wealth = replay_wealth(paths, wv, params, args.w0)
     law = WealthLaw(w=args.w0, lam=args.lam, kappa=kappa, n=n, t=args.horizon)
     mean_th, var_th = optimal_wealth_moments(law)
+    wealth = simulate_terminal_wealth(
+        params, wv, args.horizon, args.steps, args.paths, args.seed, args.w0
+    )
     mc_mean = float(wealth.mean())
     mc_var = float(wealth.var(ddof=1))
     se = float(wealth.std(ddof=1) / math.sqrt(args.paths))

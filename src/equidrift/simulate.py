@@ -1,10 +1,20 @@
 """Monte Carlo simulation of the stock model and the optimal-wealth law.
 
 Stock paths are sampled from the exact lognormal transition of the model
-(no Euler bias), and wealth processes are replayed through the exact
-exponential wealth equation with piecewise-constant driver exposures, using
-the same retained Brownian increments, so competing strategies are always
-compared on common noise.
+(no Euler bias), and wealth follows the exact exponential wealth equation
+with piecewise-constant driver exposures. There are two entry points:
+
+- ``simulate_paths`` keeps the prices and the Brownian increments of every
+  path in a ``PathSet``; ``replay_wealth`` folds a policy over those
+  retained increments, so competing strategies are compared on common
+  noise. Memory is O(paths x steps x assets).
+- ``simulate_terminal_wealth`` streams the paths in blocks and keeps only
+  terminal wealth. Memory is O(block) plus the wealth vector.
+
+Both share one noise kernel, in which path i's increments depend only on
+(seed, i), and one wealth fold whose per-path result does not depend on
+the block size. So for the same arguments ``simulate_terminal_wealth`` is
+bitwise equal to ``replay_wealth(simulate_paths(...))``.
 
 The closed-form law of the optimal wealth is lognormal:
 ``log W(t) ~ Normal(log w + (lambda - kappa^2 / (2n)) t, kappa^2 t / n)``.
@@ -26,6 +36,7 @@ __all__ = [
     "WealthLaw",
     "simulate_paths",
     "replay_wealth",
+    "simulate_terminal_wealth",
     "optimal_wealth_moments",
     "optimal_wealth_density",
 ]
@@ -72,20 +83,48 @@ class PathSet:
         return float(self.times[1] - self.times[0])
 
 
-def _per_path_increments(seed: int, n_paths: int, steps: int, n: int, dt: float) -> np.ndarray:
-    """Brownian increments, one dedicated substream per path.
+#: numpy's ``PCG64.jumped`` step, (phi - 1) * 2**128 rounded up to an odd
+#: number: ``advance(_JUMP * i)`` from the seed state is ``jumped(i)``.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+#: Bytes of working memory per block of paths.
+_BLOCK_BYTES = 8 << 20
+
+
+def _block_rows(steps: int, n: int) -> int:
+    """Paths per block: a block of increments plus two (paths, steps)
+    temporaries fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * steps * (n + 2)))
+
+
+def _per_path_increments(seed: int, start: int, out: np.ndarray, dt: float) -> None:
+    """Fill ``out`` with the Brownian increments of paths ``start``,
+    ``start + 1``, ... (one path per leading row), one substream per path.
 
     Path i draws from the seed stream jumped i times, so path i's noise
-    depends only on (seed, i): results do not change if path generation is
-    later partitioned across workers.
+    depends only on (seed, i): results do not change however the paths are
+    split into blocks.
     """
-    base = np.random.PCG64(seed)
-    out = np.empty((n_paths, steps, n))
-    scale = math.sqrt(dt)
-    for i in range(n_paths):
-        gen = np.random.Generator(base.jumped(i))
-        out[i] = scale * gen.standard_normal((steps, n))
-    return out
+    bit_gen = np.random.PCG64(seed)
+    gen = np.random.Generator(bit_gen)
+    origin = bit_gen.state
+    for i, row in enumerate(out, start):
+        bit_gen.state = origin
+        bit_gen.advance(_JUMP * i)
+        gen.standard_normal(out=row)
+    out *= math.sqrt(dt)
+
+
+def _check_run(horizon: float, steps: int, n_paths: int) -> None:
+    if not horizon > 0.0:
+        raise ValueError("horizon must be positive")
+    if steps < 1 or n_paths < 1:
+        raise ValueError("steps and n_paths must be >= 1")
+
+
+def _check_w0(w0: float) -> None:
+    if not w0 > 0.0:
+        raise ValueError("initial wealth must be positive")
 
 
 def simulate_paths(
@@ -102,10 +141,7 @@ def simulate_paths(
     + sum_j sigma_ij dB_j``, so moment tests carry no discretization bias.
     Deterministic for a fixed seed.
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if steps < 1 or n_paths < 1:
-        raise ValueError("steps and n_paths must be >= 1")
+    _check_run(horizon, steps, n_paths)
     sig = params.sigma.entries
     n = params.n
     dt = horizon / steps
@@ -115,15 +151,22 @@ def simulate_paths(
     row_sum = sig.sum(axis=1)
     drift = (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
 
-    increments = _per_path_increments(seed, n_paths, steps, n, dt)
-    log_steps = increments @ sig.T + drift
-    log_paths = np.cumsum(log_steps, axis=1)
-    log_prices = np.concatenate(
-        [np.zeros((n_paths, 1, n)), log_paths], axis=1
-    ) + np.log(params.s0)
+    increments = np.empty((n_paths, steps, n))
+    _per_path_increments(seed, 0, increments, dt)
+    # Log-prices are built in place a block of paths at a time, so the only
+    # temporary is one block of log increments.
+    log_prices = np.empty((n_paths, steps + 1, n))
+    log_prices[:, 0] = 0.0
+    rows = _block_rows(steps, n)
+    for start in range(0, n_paths, rows):
+        block = slice(start, start + rows)
+        log_steps = increments[block] @ sig.T
+        log_steps += drift
+        np.cumsum(log_steps, axis=1, out=log_prices[block, 1:])
+    log_prices += np.log(params.s0)
     return PathSet(
         times=times,
-        prices=np.exp(log_prices),
+        prices=np.exp(log_prices, out=log_prices),
         driver_increments=increments,
         seed=seed,
     )
@@ -140,6 +183,42 @@ def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:
     return pi.weights
 
 
+def _step_exposures(
+    policy: PolicySource, params: ModelParams, steps: int, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step driver exposures ``p_k = sigma' pi_k`` (steps, n) and the
+    log-wealth drift of each step; the policy is called once per step."""
+    sig = params.sigma.entries
+    excess = params.mu - params.r
+    exposures = np.empty((steps, params.n))
+    drifts = np.empty(steps)
+    for k in range(steps):
+        p = sig.T @ _policy_weights(policy, k, params.n)
+        exposures[k] = p
+        drifts[k] = (p.sum() * excess - 0.5 * (p ** 2).sum() + params.r) * dt
+    return exposures, drifts
+
+
+def _fold_wealth(
+    log_w: np.ndarray,
+    increments: np.ndarray,
+    exposures: np.ndarray,
+    drifts: np.ndarray,
+) -> None:
+    """Add each step's log-wealth change to ``log_w``, one row per path.
+
+    The driver sum is an elementwise multiply-accumulate rather than a
+    matrix product, whose rounding can depend on the row count, so every
+    row's result is independent of how paths are split into blocks.
+    """
+    step_sums = increments[:, :, 0] * exposures[:, 0]
+    for j in range(1, increments.shape[2]):
+        step_sums += increments[:, :, j] * exposures[:, j]
+    for k, drift in enumerate(drifts):
+        log_w += drift
+        log_w += step_sums[:, k]
+
+
 def replay_wealth(
     paths: PathSet,
     policy: PolicySource,
@@ -153,22 +232,49 @@ def replay_wealth(
     path set's retained increments; every terminal wealth is therefore
     strictly positive.
     """
-    if w0 <= 0.0:
-        raise ValueError("initial wealth must be positive")
-    sig = params.sigma.entries
+    _check_w0(w0)
     n = params.n
     if paths.n_assets != n:
         raise DimensionMismatch(
             f"path set has {paths.n_assets} assets but parameters have {n}"
         )
-    dt = paths.dt
-    excess = params.mu - params.r
-
+    exposures, drifts = _step_exposures(policy, params, paths.n_steps, paths.dt)
     log_w = np.zeros(paths.n_paths)
-    for k in range(paths.n_steps):
-        p = sig.T @ _policy_weights(policy, k, n)
-        log_w += (p.sum() * excess - 0.5 * (p ** 2).sum() + params.r) * dt
-        log_w += paths.driver_increments[:, k, :] @ p
+    rows = _block_rows(paths.n_steps, n)
+    for start in range(0, paths.n_paths, rows):
+        block = slice(start, start + rows)
+        _fold_wealth(log_w[block], paths.driver_increments[block], exposures, drifts)
+    return w0 * np.exp(log_w)
+
+
+def simulate_terminal_wealth(
+    params: ModelParams,
+    policy: PolicySource,
+    horizon: float,
+    steps: int,
+    n_paths: int,
+    seed: int,
+    w0: float,
+) -> np.ndarray:
+    """Terminal wealth per path, streamed in blocks of paths.
+
+    Bitwise equal to ``replay_wealth(simulate_paths(params, horizon, steps,
+    n_paths, seed), policy, params, w0)``, but no price path or full
+    increment tensor is kept: each block's noise is drawn into one reused
+    buffer and folded straight into log-wealth, so memory is O(block) plus
+    the wealth vector.
+    """
+    _check_run(horizon, steps, n_paths)
+    _check_w0(w0)
+    dt = horizon / steps
+    exposures, drifts = _step_exposures(policy, params, steps, dt)
+    rows = min(n_paths, _block_rows(steps, params.n))
+    buffer = np.empty((rows, steps, params.n))
+    log_w = np.zeros(n_paths)
+    for start in range(0, n_paths, rows):
+        block = buffer[:min(rows, n_paths - start)]
+        _per_path_increments(seed, start, block, dt)
+        _fold_wealth(log_w[start:start + rows], block, exposures, drifts)
     return w0 * np.exp(log_w)
 
 

@@ -296,6 +296,17 @@ class TestSimulateCommand:
         assert lines[0] == "path,wealth"
         assert len(lines) == 201
 
+    def test_rejects_fewer_than_two_paths(self, capsys):
+        args = [a if a != "200" else "1" for a in self.ARGS]
+        code, stdout, err = run(capsys, args)
+        assert code == 2
+        assert "--paths" in err
+        assert "nan" not in stdout
+
+    def test_rejects_nonpositive_initial_wealth(self, capsys):
+        code, _, _ = run(capsys, self.ARGS + ["--w0", "0"])
+        assert code == 2
+
 
 class TestCompareCommand:
     def test_identical_series(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from equidrift import (
     pi_star,
     replay_wealth,
     simulate_paths,
+    simulate_terminal_wealth,
     sym_sqrt,
 )
+from equidrift import simulate
 from equidrift.errors import DimensionMismatch, NonPositiveGridPoint
 
 FIG_LEFT = dict(w=1.0, lam=0.1, mu=0.2, r=0.03, t=1.0)
@@ -71,17 +74,38 @@ class TestSimulatePaths:
         paths = simulate_paths(params, 1.0, 3, 2, seed=0)
         np.testing.assert_allclose(paths.prices[:, 0, :], [[5.0, 7.0]] * 2, rtol=1e-15)
 
+    @pytest.mark.parametrize("rows", [1, 7, 23, 30])
+    def test_prices_match_whole_tensor_build(self, monkeypatch, rows):
+        # Prices are built a block of paths at a time; the reference is the
+        # whole-tensor formula applied to the returned increments.
+        sigma = sym_sqrt(random_cov(np.random.default_rng(2), 4, scale=0.05))
+        params = ModelParams(sigma=sigma, mu=0.2, r=0.03, s0=[1.0, 2.0, 30.0, 0.5])
+        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
+        paths = simulate_paths(params, 1.5, 9, 23, seed=5)
+        sig = sigma.entries
+        excess = params.mu - params.r
+        drift = (params.r - 0.5 * (sig ** 2).sum(axis=1) + excess * sig.sum(axis=1)) * (1.5 / 9)
+        log_paths = np.cumsum(paths.driver_increments @ sig.T + drift, axis=1)
+        want = np.exp(np.concatenate([np.zeros((23, 1, 4)), log_paths], axis=1) + np.log(params.s0))
+        assert paths.prices.tobytes() == want.tobytes()
+
     def test_prices_strictly_positive(self):
         params = ModelParams(sigma=VolMatrix(2.0 * np.eye(2)), mu=0.2, r=0.03)
         paths = simulate_paths(params, 5.0, 50, 200, seed=8)
         assert np.all(paths.prices > 0.0)
 
-    def test_rejects_bad_grid(self):
+    def test_rejects_bad_grid(self, monkeypatch):
+        def no_noise(*args):
+            raise AssertionError("noise drawn before the inputs were checked")
+
+        monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        with pytest.raises(ValueError):
-            simulate_paths(params, horizon=0.0, steps=2, n_paths=2, seed=0)
-        with pytest.raises(ValueError):
-            simulate_paths(params, horizon=1.0, steps=0, n_paths=2, seed=0)
+        cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
+        for horizon, steps, n_paths in ((0.0, 2, 2), (math.nan, 2, 2), (1.0, 0, 2), (1.0, 2, 0)):
+            with pytest.raises(ValueError):
+                simulate_paths(params, horizon, steps, n_paths, seed=0)
+            with pytest.raises(ValueError):
+                simulate_terminal_wealth(params, cash, horizon, steps, n_paths, 0, 1.0)
 
 
 class TestReplayWealth:
@@ -160,11 +184,95 @@ class TestReplayWealth:
             )
             assert var_hat >= var_opt - 2 * se_var
 
-    def test_rejects_nonpositive_initial_wealth(self):
+    def test_rejects_nonpositive_initial_wealth(self, monkeypatch):
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         paths = simulate_paths(params, 1.0, 2, 2, seed=0)
         with pytest.raises(ValueError):
             replay_wealth(paths, WeightVector([0.5, 0.5], None, 1.0), params, 0.0)
+
+        def no_noise(*args):
+            raise AssertionError("noise drawn before the inputs were checked")
+
+        monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
+        with pytest.raises(ValueError):
+            simulate_terminal_wealth(params, WeightVector([0.5, 0.5], None, 1.0), 1.0, 2, 2, 0, 0.0)
+
+
+def _engine_case(n: int):
+    """Model, constant policy and per-step policy on an n-asset random vol."""
+    sigma = sym_sqrt(random_cov(np.random.default_rng(n), n, scale=0.05))
+    params = ModelParams(sigma=sigma, mu=0.2, r=0.03)
+    base = pi_star(sigma, 0.4)
+
+    def per_step(step):
+        w = base.weights * (1.0 + 0.25 * math.sin(step))
+        return WeightVector(weights=w, kappa=None, exposure=float(w.sum()))
+
+    return params, base, per_step
+
+
+class TestTerminalWealthEngine:
+    STEPS, PATHS = 9, 23
+
+    @pytest.mark.parametrize("n", [5, 47])
+    @pytest.mark.parametrize("policy_kind", ["constant", "per_step"])
+    @pytest.mark.parametrize("rows", [1, 7, "budget", PATHS, PATHS + 5])
+    def test_bitwise_equal_to_replay(self, monkeypatch, n, policy_kind, rows):
+        params, constant, per_step = _engine_case(n)
+        policy = constant if policy_kind == "constant" else per_step
+        paths = simulate_paths(params, 1.5, self.STEPS, self.PATHS, seed=31)
+        expected = replay_wealth(paths, policy, params, 2.0)
+
+        if rows == "budget":
+            # The real row formula, on a budget small enough to split the paths.
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", 12 * 8 * self.STEPS * (n + 1))
+            assert 1 < simulate._block_rows(self.STEPS, n) < self.PATHS
+        else:
+            monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
+        got = simulate_terminal_wealth(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
+        assert got.tobytes() == expected.tobytes()
+        # replay_wealth folds in blocks of the same size; its rows must not move either.
+        assert replay_wealth(paths, policy, params, 2.0).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 1, 2, 19_999, 10**6, 2**40 + 3])
+    def test_noise_kernel_matches_jumped_substreams(self, start):
+        steps, n, dt = 6, 3, 0.25
+        out = np.empty((2, steps, n))
+        simulate._per_path_increments(1234, start, out, dt)
+        for row, i in enumerate((start, start + 1)):
+            gen = np.random.Generator(np.random.PCG64(1234).jumped(i))
+            want = math.sqrt(dt) * gen.standard_normal((steps, n))
+            assert out[row].tobytes() == want.tobytes()
+
+    def test_policy_called_once_per_step(self, monkeypatch):
+        params, _, per_step = _engine_case(5)
+        calls = []
+
+        def counted(step):
+            calls.append(step)
+            return per_step(step)
+
+        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
+        simulate_terminal_wealth(params, counted, 1.0, self.STEPS, self.PATHS, 0, 1.0)
+        assert calls == list(range(self.STEPS))
+        calls.clear()
+        replay_wealth(simulate_paths(params, 1.0, self.STEPS, self.PATHS, 0), counted, params, 1.0)
+        assert calls == list(range(self.STEPS))
+
+    def test_memory_stays_within_block_budget(self):
+        # The full increment tensor at this size would be 50 MB. Besides the
+        # block and the wealth vector the engine holds only things of fixed
+        # size: the per-step tables (12 kB here), numpy's ufunc iteration
+        # buffer (64 KiB) and interpreter objects.
+        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
+        policy = pi_star(params.sigma, 0.4)
+        tracemalloc.start()
+        try:
+            wealth = simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= simulate._BLOCK_BYTES + wealth.nbytes + (128 << 10)
 
 
 class TestWealthLaw:
