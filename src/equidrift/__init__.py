@@ -33,6 +33,7 @@ from .factorization import (
     TargetMatrix,
     VolMatrix,
     cholesky,
+    factor_covariance,
     procrustes_rotate,
     random_rotation,
     read_matrix_csv,
@@ -73,6 +74,7 @@ __all__ = [
     "cholesky",
     "sym_sqrt",
     "procrustes_rotate",
+    "factor_covariance",
     "recover_cholesky",
     "random_rotation",
     "read_matrix_csv",

@@ -6,12 +6,23 @@ which apply to estimation only), factors it, and computes the optimal and
 equal-weight target vectors. Weights are re-fixed to the target every day;
 day-t returns use only data through day t-1. Accounting always runs on the
 full return series, including excluded dates.
+
+Each rebalance depends only on its own estimation window, so long runs
+compute contiguous chunks of rebalances in forked worker processes, one per
+CPU the process may run on. Every chunk runs the same public chain, so the
+results are bitwise identical at any worker count, and errors and warnings
+reach the caller as in a serial run.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, field
+from types import ModuleType
 
 import numpy as np
 
@@ -25,13 +36,7 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .factorization import (
-    CovMatrix,
-    TargetMatrix,
-    cholesky,
-    procrustes_rotate,
-    sym_sqrt,
-)
+from .factorization import FACTORIZATIONS, CovMatrix, TargetMatrix, factor_covariance
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel, sharpe
 from .strategy import one_over_n, pi_star_fully_invested
@@ -45,7 +50,12 @@ __all__ = [
     "rolling_backtest",
 ]
 
-FACTORIZATIONS = ("cholesky", "sym_sqrt", "rotate")
+#: Fewest rebalances worth a worker process of their own. Forking a worker
+#: and collecting its weights took 6-28 ms on a 2-CPU Linux host, and the
+#: whole fan-out cost 12-63 ms over half the serial time; a rebalance took
+#: 0.8 ms at 10 assets and 1.4 ms at 47. At 128 rebalances, the fewest that
+#: fork on 2 CPUs, the weights took 65 ms instead of 107 ms at 10 assets.
+_MIN_CHUNK = 64
 
 #: Week of 1987-10-19, excluded from covariance estimation by default. A
 #: no-op for panels that do not span it.
@@ -185,21 +195,155 @@ def estimation_window(panel: ReturnPanel, end_row: int, config: BacktestConfig) 
         keep &= ~((window.dates >= rng.start) & (window.dates <= rng.end))
     if np.all(keep):
         return window
-    return ReturnPanel(
-        dates=window.dates[keep],
-        assets=window.assets,
-        returns=window.returns[keep],
-        missing_mask=window.missing_mask[keep],
-    )
+    return window._rows(keep)
 
 
-def _factor(cov: CovMatrix, config: BacktestConfig):
-    if config.factorization == "cholesky":
-        return cholesky(cov)
-    if config.factorization == "sym_sqrt":
-        return sym_sqrt(cov)
-    rotated, _ = procrustes_rotate(cholesky(cov), TargetMatrix(config.rotation_target))
-    return rotated
+def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
+    """Yield the weights taking effect at each of ``rows``, in order.
+
+    Each comes from the public chain ``estimation_window`` ->
+    ``estimate_covariance`` -> ``factor_covariance`` ->
+    ``pi_star_fully_invested``, so callers can reproduce it exactly.
+    """
+    target = None
+    if config.factorization == "rotate":
+        target = TargetMatrix(config.rotation_target)
+    for t in rows:
+        sample = estimation_window(panel, t, config)
+        try:
+            cov = estimate_covariance(sample, shrinkage=config.shrinkage)
+        except NotPositiveDefinite as exc:
+            raise SingularCovariance(
+                f"estimation window ending before date {int(panel.dates[t])} "
+                f"is not factorable: {exc}"
+            ) from exc
+        vol = factor_covariance(cov, config.factorization, target)
+        yield pi_star_fully_invested(vol, exposure=config.exposure).weights
+
+
+def _weight_block(panel: ReturnPanel, rows, config: BacktestConfig) -> np.ndarray:
+    block = np.empty((len(rows), panel.n_assets))
+    for k, weights in enumerate(_rebalance_weights(panel, rows, config)):
+        block[k] = weights
+    return block
+
+
+def _cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> None:
+    """Forked-process body: send back the weights of ``rows`` and the
+    warnings they raised.
+
+    It stops at the first rebalance that raises and sends only what came
+    before, so the parent recomputes that rebalance itself and the exception
+    arises in the caller's process with its cause and traceback.
+    """
+    block = np.empty((len(rows), panel.n_assets))
+    done = kept = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for weights in _rebalance_weights(panel, rows, config):
+                block[done] = weights
+                done += 1
+                kept = len(caught)
+        except Exception:  # the parent raises it again from its own process
+            pass
+    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught[:kept]]
+    writer.send((block[:done], warned))
+    writer.close()
+
+
+def _reissue(warned) -> None:
+    """Issue warnings a worker recorded, in order, as if raised here.
+
+    The module that issued each one is looked up by file so that its
+    once-per-location registry and the caller's filters apply as in a
+    serial run.
+    """
+    homes = {
+        m.__file__: vars(m)
+        for m in list(sys.modules.values())
+        if isinstance(m, ModuleType) and getattr(m, "__file__", None)
+    }
+    for message, category, filename, lineno in warned:
+        home = homes.get(filename)
+        if home is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            warnings.warn_explicit(
+                message,
+                category,
+                filename,
+                lineno,
+                module=home["__name__"],
+                registry=home.setdefault("__warningregistry__", {}),
+                module_globals=home,
+            )
+
+
+def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
+    """Weights for every rebalance in ``rows``, one row each.
+
+    Contiguous chunks of at least ``_MIN_CHUNK`` rebalances run in parallel,
+    one per CPU: this process computes the first and a forked worker each
+    of the rest. Forking is skipped where it is unavailable, in a daemonic
+    process (which may not have children) and where other threads run,
+    since a thread holding a lock at fork time can deadlock the child.
+    Whatever a worker did not finish, this process computes, so
+    the earliest failing rebalance raises here exactly as in a serial run.
+    """
+    import multiprocessing  # here, so that other commands skip its import time
+
+    lanes = min(_cpus(), len(rows) // _MIN_CHUNK)
+    if (
+        lanes < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        or threading.active_count() > 1
+    ):
+        return _weight_block(panel, rows, config)
+    ctx = multiprocessing.get_context("fork")
+    edges = [len(rows) * k // lanes for k in range(lanes + 1)]
+    chunks = [rows[a:b] for a, b in zip(edges, edges[1:])]
+    procs, readers = [], []
+    try:
+        for chunk in chunks[1:]:
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            proc = ctx.Process(
+                target=_chunk_worker, args=(writer, panel, chunk, config), daemon=True
+            )
+            try:
+                proc.start()
+                procs.append(proc)
+            except OSError:  # no process to spare; the chunk is computed here
+                pass
+            writer.close()
+        blocks = [_weight_block(panel, chunks[0], config)]
+        for reader, chunk in zip(readers, chunks[1:]):
+            try:
+                block, warned = reader.recv()
+            except EOFError:  # no worker, or it died before sending anything
+                block, warned = np.empty((0, panel.n_assets)), []
+            _reissue(warned)
+            if len(block) < len(chunk):
+                rest = _weight_block(panel, chunk[len(block):], config)
+                block = np.concatenate([block, rest])
+            blocks.append(block)
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for reader in readers:
+            reader.close()
+        for proc in procs:
+            proc.join()
+    return np.concatenate(blocks)
 
 
 def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -> BacktestReport:
@@ -214,49 +358,32 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
             f"(window {config.window_days} + cadence {config.reestimate_every})"
         )
 
-    n = panel.n_assets
+    start, every = config.window_days, config.reestimate_every
+    rows = range(start, panel.n_dates, every)
+    masked = np.flatnonzero(np.any(panel.missing_mask[start:], axis=1))
+    if masked.size:
+        # A serial run fails at the earliest bad row, and a rebalance on a
+        # row comes before that row's accounting.
+        t = start + int(masked[0])
+        _all_weights(panel, rows[: (t - start) // every + 1], config)
+        j = int(np.flatnonzero(panel.missing_mask[t])[0])
+        raise MissingData(
+            f"masked return on accounting date {int(panel.dates[t])}, "
+            f"asset {panel.assets[j]}",
+            date=int(panel.dates[t]),
+            asset=panel.assets[j],
+        )
+    weight_history = _all_weights(panel, rows, config)
+
     rf_daily = config.rf_daily
-    bench = one_over_n(n, exposure=config.exposure).weights
-    bench_cash = 1.0 - float(bench.sum())
-
-    strat_returns: list[float] = []
-    bench_returns: list[float] = []
-    rebal_dates: list[int] = []
-    weight_rows: list[np.ndarray] = []
-    weights: np.ndarray | None = None
-    cash = 0.0
-
-    for t in range(config.window_days, panel.n_dates):
-        if (t - config.window_days) % config.reestimate_every == 0:
-            sample = estimation_window(panel, t, config)
-            try:
-                cov = estimate_covariance(sample, shrinkage=config.shrinkage)
-            except NotPositiveDefinite as exc:
-                raise SingularCovariance(
-                    f"estimation window ending before date {int(panel.dates[t])} "
-                    f"is not factorable: {exc}"
-                ) from exc
-            vol = _factor(cov, config)
-            weights = pi_star_fully_invested(vol, exposure=config.exposure).weights
-            cash = 1.0 - float(weights.sum())
-            rebal_dates.append(int(panel.dates[t]))
-            weight_rows.append(weights)
-
-        row = panel.returns[t]
-        if np.any(panel.missing_mask[t]):
-            j = int(np.flatnonzero(panel.missing_mask[t])[0])
-            raise MissingData(
-                f"masked return on accounting date {int(panel.dates[t])}, "
-                f"asset {panel.assets[j]}",
-                date=int(panel.dates[t]),
-                asset=panel.assets[j],
-            )
-        strat_returns.append(float(weights @ row) + cash * rf_daily)
-        bench_returns.append(float(bench @ row) + bench_cash * rf_daily)
-
-    strat = np.array(strat_returns)
-    bench_series = np.array(bench_returns)
-    dates = panel.dates[config.window_days:]
+    held = panel.returns[start:]
+    strat = np.empty(held.shape[0])
+    for weights, t0 in zip(weight_history, range(0, held.shape[0], every)):
+        cash = 1.0 - float(weights.sum())
+        strat[t0 : t0 + every] = held[t0 : t0 + every] @ weights + cash * rf_daily
+    bench = one_over_n(panel.n_assets, exposure=config.exposure).weights
+    bench_series = held @ bench + (1.0 - float(bench.sum())) * rf_daily
+    dates = panel.dates[start:]
 
     stats_error = None
     s_strat = s_bench = jk_z = jk_p = math.nan
@@ -278,8 +405,8 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
         dates=dates,
         strategy_returns=strat,
         benchmark_returns=bench_series,
-        rebalance_dates=np.array(rebal_dates, dtype=np.int64),
-        weight_history=np.array(weight_rows),
+        rebalance_dates=panel.dates[start::every],
+        weight_history=weight_history,
         assets=panel.assets,
         exposure=config.exposure,
         sharpe_strategy=s_strat,

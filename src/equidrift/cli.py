@@ -60,10 +60,8 @@ from .factorization import (
     CovMatrix,
     TargetMatrix,
     VolMatrix,
-    cholesky,
-    procrustes_rotate,
+    factor_covariance,
     read_matrix_csv,
-    sym_sqrt,
     write_matrix_csv,
 )
 from .model import ModelParams
@@ -140,17 +138,12 @@ def _load_vol(path, method: str, target_path, is_vol: bool, shrinkage):
         return VolMatrix(entries)
     cov = CovMatrix(entries, shrinkage=shrinkage)
     method = _normalize_method(method)
-    if method == "cholesky":
-        return cholesky(cov)
-    if method == "sym_sqrt":
-        return sym_sqrt(cov)
+    target = None
     if method == "rotate":
         if target_path is None:
             raise ValueError("--method rotate requires --target")
         target = TargetMatrix(read_matrix_csv(target_path))
-        rotated, _ = procrustes_rotate(cholesky(cov), target)
-        return rotated
-    raise ValueError(f"unknown method {method!r}")
+    return factor_covariance(cov, method, target)
 
 
 def _write_lines(path: Path, lines) -> None:
@@ -213,6 +206,12 @@ def _cmd_weights(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.paths < 2:
         raise ValueError("--paths must be at least 2: the sample variance needs two paths")
+    if args.steps < 1:
+        raise ValueError("--steps must be at least 1")
+    if not args.horizon > 0.0:
+        raise ValueError("--horizon must be positive")
+    if not args.w0 > 0.0:
+        raise ValueError("--w0 must be positive")
     if args.vol is not None:
         sigma = VolMatrix(read_matrix_csv(args.vol))
         n = sigma.dim

@@ -14,6 +14,7 @@ returns in decimal form.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,23 +131,34 @@ class ReturnPanel:
             raise EmptyPanel(
                 f"no panel dates in {date_range.start}-{date_range.end}"
             )
-        return ReturnPanel(
-            dates=self.dates[keep],
-            assets=self.assets,
-            returns=self.returns[keep],
-            missing_mask=self.missing_mask[keep],
-        )
+        return self._rows(keep)
 
     def take_rows(self, start: int, stop: int) -> "ReturnPanel":
         """Positional row slice [start, stop), mirroring numpy indexing."""
         if not 0 <= start < stop <= self.n_dates:
             raise ValueError(f"bad row slice [{start}, {stop})")
-        return ReturnPanel(
-            dates=self.dates[start:stop],
-            assets=self.assets,
-            returns=self.returns[start:stop],
-            missing_mask=self.missing_mask[start:stop],
-        )
+        return self._rows(slice(start, stop))
+
+    def _rows(self, index) -> "ReturnPanel":
+        """The rows selected by a slice or boolean mask, without re-validation.
+
+        A row subset of a validated panel is valid: dates stay increasing,
+        shapes match and unmasked cells stay finite. Only emptiness can
+        arise, and it raises EmptyPanel as the constructor would.
+        """
+        dates = self.dates[index]
+        if dates.size == 0:
+            raise EmptyPanel("panel has no rows or no assets")
+        panel = object.__new__(ReturnPanel)
+        for name, arr in (
+            ("dates", dates),
+            ("returns", self.returns[index]),
+            ("missing_mask", self.missing_mask[index]),
+        ):
+            arr.setflags(write=False)
+            object.__setattr__(panel, name, arr)
+        object.__setattr__(panel, "assets", self.assets)
+        return panel
 
     def drop_assets(self, names) -> "ReturnPanel":
         """Remove the named assets, preserving the order of the rest."""
@@ -186,6 +198,8 @@ def _parse_data_row(
             val = float(tok)
         except ValueError:
             raise ParseError(f"cannot parse return value {tok!r}", line_no) from None
+        if not math.isfinite(val):
+            raise ParseError(f"non-finite return value {tok!r}", line_no)
         if val in MISSING_CODES:
             values.append(float("nan"))
             mask.append(True)
@@ -299,9 +313,12 @@ def load_csv(path) -> ReturnPanel:
                 mask.append(True)
                 continue
             try:
-                values.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise ParseError(f"cannot parse return value {cell!r}", idx) from None
+            if not math.isfinite(value):
+                raise ParseError(f"non-finite return value {cell!r}", idx)
+            values.append(value)
             mask.append(False)
         dates.append(int(cells[0]))
         rows.append(values)

@@ -20,9 +20,11 @@ __all__ = [
     "VolMatrix",
     "TargetMatrix",
     "RotationMatrix",
+    "FACTORIZATIONS",
     "cholesky",
     "sym_sqrt",
     "procrustes_rotate",
+    "factor_covariance",
     "recover_cholesky",
     "random_rotation",
     "read_matrix_csv",
@@ -39,6 +41,9 @@ DEFAULT_SHRINKAGE = 1e-6
 FACTOR_RTOL = 1e-9
 
 _PROVENANCES = ("cholesky", "sym_sqrt", "rotated", "user")
+
+#: Methods :func:`factor_covariance` accepts.
+FACTORIZATIONS = ("cholesky", "sym_sqrt", "rotate")
 
 
 def _as_square(entries, name: str) -> np.ndarray:
@@ -61,16 +66,20 @@ class CovMatrix:
     ``shrinkage * mean(diag(C))`` to the diagonal before re-checking (plain
     ``shrinkage`` when the diagonal is identically zero, so an all-zero
     sample covariance still gets a usable repair).
+
+    The eigendecomposition behind the positive-definiteness verdict is kept
+    for :func:`sym_sqrt`, so a matrix is decomposed once.
     """
 
-    __slots__ = ("entries", "dim")
+    __slots__ = ("entries", "dim", "_eig")
 
     def __init__(self, entries, shrinkage: float | None = None):
         a = _as_square(entries, "covariance matrix")
         scale = np.abs(a).max()
         if scale > 0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
             raise ValueError("covariance matrix is not symmetric within tolerance")
-        if np.linalg.eigvalsh(a).min() <= 0.0:
+        w, v = np.linalg.eigh(a)
+        if w[0] <= 0.0:
             if shrinkage is None:
                 raise NotPositiveDefinite(
                     "covariance matrix has a non-positive eigenvalue"
@@ -78,15 +87,19 @@ class CovMatrix:
             mean_var = float(np.diag(a).mean())
             bump = shrinkage * mean_var if mean_var > 0.0 else shrinkage
             repaired = a + bump * np.eye(a.shape[0])
-            if np.linalg.eigvalsh(repaired).min() <= 0.0:
+            w, v = np.linalg.eigh(repaired)
+            if w[0] <= 0.0:
                 raise NotPositiveDefinite(
                     "covariance matrix is not positive-definite even after "
                     f"diagonal shrinkage (delta={shrinkage})"
                 )
             repaired.setflags(write=False)
             a = repaired
+        w.setflags(write=False)
+        v.setflags(write=False)
         self.entries = a
         self.dim = a.shape[0]
+        self._eig = (w, v)
 
     def __repr__(self):
         return f"CovMatrix(dim={self.dim})"
@@ -107,8 +120,17 @@ class VolMatrix:
         a = _as_square(entries, "volatility matrix")
         if provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
+        self._check(a, provenance, source, np.linalg.svd(a, compute_uv=False))
+
+    @classmethod
+    def _with_singular_values(cls, entries, provenance: str, source: np.ndarray, svals: np.ndarray):
+        """A factor whose singular values (descending) the caller already has."""
+        vol = cls.__new__(cls)
+        vol._check(_as_square(entries, "volatility matrix"), provenance, source, svals)
+        return vol
+
+    def _check(self, a: np.ndarray, provenance: str, source, svals: np.ndarray) -> None:
         n = a.shape[0]
-        svals = np.linalg.svd(a, compute_uv=False)
         if svals[0] == 0.0 or svals[-1] <= n * 1e-13 * svals[0]:
             raise SingularMatrix("volatility matrix is singular within tolerance")
         if provenance != "user" and source is not None:
@@ -168,22 +190,26 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
     Raises
     ------
     NotPositiveDefinite
-        If an elimination pivot falls at or below ``dim * 1e-14 * max|C|``.
+        If LAPACK's factorization fails, or if an elimination pivot
+        ``L[j, j]**2`` falls at or below ``dim * 1e-14 * max|C|``; the
+        message names the first such column.
     """
     a = cov.entries
-    n = cov.dim
-    pivot_floor = n * 1e-14 * np.abs(a).max()
-    lower = np.zeros((n, n))
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot <= pivot_floor:
-            raise NotPositiveDefinite(
-                f"elimination pivot {pivot:.3e} at column {j} is below the "
-                f"positive-definiteness floor {pivot_floor:.3e}"
-            )
-        lower[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / lower[j, j]
+    pivot_floor = cov.dim * 1e-14 * np.abs(a).max()
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"covariance matrix is not positive-definite to working precision: {exc}"
+        ) from exc
+    pivots = np.diag(lower) ** 2
+    low = np.flatnonzero(pivots <= pivot_floor)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"elimination pivot {pivots[j]:.3e} at column {j} is below the "
+            f"positive-definiteness floor {pivot_floor:.3e}"
+        )
     return VolMatrix(lower, "cholesky", source=a)
 
 
@@ -192,9 +218,11 @@ def sym_sqrt(cov: CovMatrix) -> VolMatrix:
 
     Eigenvalues in ``[-dim * 1e-12 * lambda_max, 0]`` are treated as
     numerical noise and clamped to zero; the resulting singular factor is
-    then rejected by the VolMatrix non-singularity check.
+    then rejected by the VolMatrix non-singularity check, which reads the
+    singular values of S as ``sqrt(w)``: for a symmetric positive
+    semi-definite matrix they coincide.
     """
-    w, v = np.linalg.eigh(cov.entries)
+    w, v = cov._eig
     lam_max = w[-1]
     if lam_max <= 0.0:
         raise NotPositiveDefinite("covariance matrix has no positive eigenvalue")
@@ -203,10 +231,10 @@ def sym_sqrt(cov: CovMatrix) -> VolMatrix:
         raise NotPositiveDefinite(
             f"covariance matrix has eigenvalue {w[0]:.3e} below -{tol:.3e}"
         )
-    w = np.clip(w, 0.0, None)
-    s = (v * np.sqrt(w)) @ v.T
+    root = np.sqrt(np.clip(w, 0.0, None))
+    s = (v * root) @ v.T
     s = 0.5 * (s + s.T)
-    return VolMatrix(s, "sym_sqrt", source=cov.entries)
+    return VolMatrix._with_singular_values(s, "sym_sqrt", cov.entries, root[::-1])
 
 
 def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatrix, RotationMatrix]:
@@ -226,6 +254,26 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
     rotated = factor.entries @ q
     source = factor.entries @ factor.entries.T
     return VolMatrix(rotated, "rotated", source=source), RotationMatrix(q)
+
+
+def factor_covariance(
+    cov: CovMatrix, method: str, target: TargetMatrix | None = None
+) -> VolMatrix:
+    """Factor a covariance matrix by one of :data:`FACTORIZATIONS`.
+
+    'cholesky' and 'sym_sqrt' call the function of that name; 'rotate'
+    rotates the Cholesky factor toward ``target`` with
+    :func:`procrustes_rotate`.
+    """
+    if method == "cholesky":
+        return cholesky(cov)
+    if method == "sym_sqrt":
+        return sym_sqrt(cov)
+    if method == "rotate":
+        if target is None:
+            raise ValueError("factorization 'rotate' needs a target matrix")
+        return procrustes_rotate(cholesky(cov), target)[0]
+    raise ValueError(f"factorization must be one of {FACTORIZATIONS}, got {method!r}")
 
 
 def recover_cholesky(vol: VolMatrix) -> VolMatrix:

@@ -1,4 +1,9 @@
+import errno
 import math
+import multiprocessing
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -6,18 +11,23 @@ import pytest
 from equidrift import (
     BacktestConfig,
     DateRange,
+    EquidriftError,
     ModelParams,
     ReturnPanel,
+    TargetMatrix,
     VolMatrix,
     estimate_covariance,
     estimation_window,
+    factor_covariance,
     pi_star_fully_invested,
     rolling_backtest,
     sym_sqrt,
     synthetic_panel,
 )
-from equidrift.backtest import BLACK_MONDAY_WEEK, _factor
+from equidrift import backtest
+from equidrift.backtest import BLACK_MONDAY_WEEK
 from equidrift.errors import (
+    EmptyPanel,
     InsufficientHistory,
     InsufficientObservations,
     MissingData,
@@ -156,6 +166,13 @@ class TestEstimationWindow:
         assert window.n_dates == 27
         assert not any(cut.contains(int(d)) for d in window.dates)
 
+    def test_window_inside_exclusion_is_empty_panel(self):
+        panel = gbm_panel(60, seed=1)
+        cut = DateRange(int(panel.dates[5]), int(panel.dates[45]))
+        cfg = BacktestConfig(window_days=30, reestimate_every=5, exclusion_windows=(cut,))
+        with pytest.raises(EmptyPanel):
+            estimation_window(panel, 40, cfg)
+
 
 class TestRollingBacktest:
     def test_output_shapes_and_cadence(self):
@@ -179,7 +196,8 @@ class TestRollingBacktest:
             cov = estimate_covariance(
                 estimation_window(panel, t, cfg), shrinkage=cfg.shrinkage
             )
-            want = pi_star_fully_invested(_factor(cov, cfg), cfg.exposure).weights
+            vol = factor_covariance(cov, cfg.factorization)
+            want = pi_star_fully_invested(vol, cfg.exposure).weights
             assert np.array_equal(report.weight_history[k], want)
 
     def test_day_returns_use_current_weights(self):
@@ -328,3 +346,197 @@ class TestRollingBacktest:
         )
         report = rolling_backtest(panel, cfg)
         assert mid in report.dates.tolist()
+
+
+class TestParallelRebalances:
+    """The fan-out of rebalances to forked workers, forced on by patching the
+    CPU count: 480 daily rebalances give up to 3 chunks of 160."""
+
+    LANES = (1, 2, 3)
+
+    @staticmethod
+    def panel(stretches=(), masked=()):
+        """A 510-day, 3-asset panel; ``stretches`` zero one asset's returns
+        over rows [a, b) so the window ending at b is not factorable, and
+        ``masked`` masks single (row, asset) cells."""
+        base = gbm_panel(510, seed=12)
+        returns = np.array(base.returns)
+        mask = np.array(base.missing_mask)
+        for asset, (a, b) in stretches:
+            returns[a:b, asset] = 0.0
+        for row, asset in masked:
+            returns[row, asset] = np.nan
+            mask[row, asset] = True
+        return ReturnPanel(base.dates, base.assets, returns, mask)
+
+    @staticmethod
+    def spy_parent_rows(monkeypatch):
+        """The chunk lengths this process computes itself, in call order."""
+        parent_rows = []
+        block = backtest._weight_block
+        monkeypatch.setattr(
+            backtest,
+            "_weight_block",
+            lambda p, rows, c: parent_rows.append(len(rows)) or block(p, rows, c),
+        )
+        return parent_rows
+
+    @staticmethod
+    def run_with(monkeypatch, lanes, panel, cfg):
+        monkeypatch.setattr(backtest, "_cpus", lambda: lanes)
+        return rolling_backtest(panel, cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=()),
+            BacktestConfig(window_days=30, reestimate_every=2, exclusion_windows=()),
+            BacktestConfig(
+                window_days=30,
+                reestimate_every=1,
+                factorization="rotate",
+                rotation_target=np.eye(3) + 0.5 * np.tril(np.ones((3, 3)), -1),
+                exposure=0.8,
+                exclusion_windows=(DateRange(20000301, 20000310),),
+            ),
+        ],
+        ids=["sym_sqrt", "every-2", "rotate-excluded"],
+    )
+    def test_bitwise_equal_across_worker_counts(self, monkeypatch, cfg):
+        panel = self.panel()
+        parent_rows = self.spy_parent_rows(monkeypatch)
+        reports = [self.run_with(monkeypatch, lanes, panel, cfg) for lanes in self.LANES]
+        n_rebalances = reports[0].rebalance_dates.size
+        # the parent computes only the first chunk; workers compute the rest
+        assert parent_rows == [n_rebalances] + [n_rebalances // k for k in self.LANES[1:]]
+        for other in reports[1:]:
+            for name in ("weight_history", "strategy_returns", "benchmark_returns", "rebalance_dates"):
+                assert getattr(other, name).tobytes() == getattr(reports[0], name).tobytes()
+        target = None if cfg.rotation_target is None else TargetMatrix(cfg.rotation_target)
+        for k, t in enumerate(range(cfg.window_days, panel.n_dates, cfg.reestimate_every)):
+            cov = estimate_covariance(estimation_window(panel, t, cfg), shrinkage=cfg.shrinkage)
+            vol = factor_covariance(cov, cfg.factorization, target)
+            want = pi_star_fully_invested(vol, cfg.exposure).weights
+            assert reports[2].weight_history[k].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "stretches, masked, error",
+        [
+            # two unfactorable windows, ending at rows 300 and 450
+            (((0, (270, 300)), (1, (420, 450))), (), SingularCovariance),
+            # a masked accounting cell in the last chunk, before row 450's window
+            (((1, (420, 450)),), ((430, 2),), MissingData),
+            # a masked cell on the row of an unfactorable window: the rebalance fails first
+            (((0, (270, 300)),), ((300, 1),), SingularCovariance),
+            # a masked accounting cell in the second chunk wins over a later window
+            (((1, (420, 450)),), ((250, 0),), MissingData),
+        ],
+        ids=["singular", "masked-late", "same-row", "masked-early"],
+    )
+    def test_errors_match_serial(self, monkeypatch, stretches, masked, error):
+        panel = self.panel(stretches, masked)
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        raised = []
+        for lanes in self.LANES:
+            with pytest.raises(EquidriftError) as exc_info:
+                self.run_with(monkeypatch, lanes, panel, cfg)
+            exc = exc_info.value
+            cause = exc.__cause__
+            raised.append(
+                (
+                    type(exc),
+                    str(exc),
+                    getattr(exc, "date", None),
+                    getattr(exc, "asset", None),
+                    type(cause),
+                    str(cause),
+                )
+            )
+        assert raised[0][0] is error
+        assert raised[1] == raised[0]
+        assert raised[2] == raised[0]
+
+    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+        panel = self.panel()
+        cfg = BacktestConfig(
+            window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
+        )
+        seen = []
+        for lanes in self.LANES:
+            with pytest.warns(UserWarning, match="negative kappa") as record:
+                self.run_with(monkeypatch, lanes, panel, cfg)
+            seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
+        assert len(seen[0]) == 480
+        assert seen[1] == seen[0]
+        assert seen[2] == seen[0]
+
+    def test_failing_rebalance_warns_once(self, monkeypatch):
+        # the rebalance at row 300 warns and then raises inside a worker; the
+        # parent recomputes it, so its warning must not also come from the worker
+        window = backtest.estimation_window
+
+        def warn_then_fail(panel, t, config):
+            warnings.warn(f"row {t}", UserWarning)
+            if t == 300:
+                raise ValueError("row 300 fails")
+            return window(panel, t, config)
+
+        monkeypatch.setattr(backtest, "estimation_window", warn_then_fail)
+        panel = self.panel()
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        for lanes in self.LANES:
+            with pytest.warns(UserWarning) as record:
+                with pytest.raises(ValueError, match="row 300 fails"):
+                    self.run_with(monkeypatch, lanes, panel, cfg)
+            assert [str(w.message) for w in record] == [f"row {t}" for t in range(30, 301)]
+
+    def test_warning_as_error_raises_as_serial(self, monkeypatch):
+        panel = self.panel()
+        cfg = BacktestConfig(
+            window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
+        )
+        raised = []
+        for lanes in self.LANES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(UserWarning) as exc_info:
+                    self.run_with(monkeypatch, lanes, panel, cfg)
+            raised.append(str(exc_info.value))
+        assert raised == raised[:1] * 3
+
+    def test_dead_worker_is_recomputed(self, monkeypatch):
+        panel = self.panel()
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        want = self.run_with(monkeypatch, 1, panel, cfg)
+        monkeypatch.setattr(backtest, "_chunk_worker", lambda *args: os._exit(1))
+        got = self.run_with(monkeypatch, 3, panel, cfg)
+        assert got.weight_history.tobytes() == want.weight_history.tobytes()
+        assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()
+
+    def test_failed_fork_is_computed_here(self, monkeypatch):
+        panel = self.panel()
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        want = self.run_with(monkeypatch, 1, panel, cfg)
+
+        def no_fork(process_obj):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
+        got = self.run_with(monkeypatch, 3, panel, cfg)
+        assert got.weight_history.tobytes() == want.weight_history.tobytes()
+        assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()
+
+    def test_serial_while_other_threads_run(self, monkeypatch):
+        panel = self.panel()
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        parent_rows = self.spy_parent_rows(monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10.0,))
+        other.start()
+        try:
+            self.run_with(monkeypatch, 3, panel, cfg)
+        finally:
+            release.set()
+            other.join(timeout=10.0)
+        assert not other.is_alive()
+        assert parent_rows == [480]

@@ -136,6 +136,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_infinite_cell_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("date,A,B\n20000103,0.01,inf\n20000104,0.02,0.01\n")
+        code, _, err = run(capsys, ["backtest", str(path), "--window", "5", "--every", "2"])
+        assert code == 3
+        assert "line 2" in err
+
     def test_non_monotonic_panel(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("date,A,B\n20000104,0.01,0.0\n20000103,0.02,0.01\n")
@@ -306,6 +313,15 @@ class TestSimulateCommand:
     def test_rejects_nonpositive_initial_wealth(self, capsys):
         code, _, _ = run(capsys, self.ARGS + ["--w0", "0"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan")]
+    )
+    def test_errors_name_the_flag(self, capsys, flag, value):
+        code, stdout, err = run(capsys, self.ARGS + [flag, value])
+        assert code == 2
+        assert err.startswith(f"error: {flag} ")
+        assert stdout == ""
 
 
 class TestCompareCommand:

@@ -124,6 +124,13 @@ class TestReturnPanel:
         with pytest.raises(ValueError):
             panel.returns[0, 0] = 1.0
 
+    def test_row_subsets_are_read_only(self):
+        panel = self.make()
+        for sub in (panel.take_rows(0, 2), panel.slice(DateRange(19870102, 19870105))):
+            for arr in (sub.dates, sub.returns, sub.missing_mask):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
 
 class TestLoadFrench:
     def test_percent_conversion_and_missing_codes(self, tmp_path):
@@ -161,6 +168,13 @@ class TestLoadFrench:
         with pytest.raises(ParseError, match="line 6"):
             load_french(write(tmp_path, "f.txt", text))
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_token_reports_line_number(self, tmp_path, token):
+        text = FRENCH_SAMPLE.replace("19870105   0.25", f"19870105   {token}")
+        with pytest.raises(ParseError, match="line 7: non-finite") as exc_info:
+            load_french(write(tmp_path, "f.txt", text))
+        assert exc_info.value.line_number == 7
+
     def test_no_data_rows(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load_french(write(tmp_path, "f.txt", "just a banner\nAgric Food\n"))
@@ -196,6 +210,13 @@ class TestCsvRoundTrip:
         )
         panel = load_csv(path)
         np.testing.assert_array_equal(panel.missing_mask, [[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "-INF"])
+    def test_infinite_cell_reports_line_number(self, tmp_path, cell):
+        path = write(tmp_path, "p.csv", f"date,A,B\n20000103,0.01,0.02\n20000104,{cell},0.02\n")
+        with pytest.raises(ParseError, match="line 3: non-finite") as exc_info:
+            load_csv(path)
+        assert exc_info.value.line_number == 3
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):

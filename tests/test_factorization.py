@@ -113,8 +113,44 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(cov)
 
+    def test_pivot_floor_names_first_low_column(self):
+        c = np.eye(3)
+        c[1:, 1:] = [[1.0, 1.0], [1.0, 1.0 + 1.2e-14]]
+        with pytest.raises(NotPositiveDefinite, match="at column 2 "):
+            cholesky(CovMatrix(c))
+
+    def test_lapack_failure_is_not_positive_definite(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        cov = CovMatrix(TWO_ASSET)
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(NotPositiveDefinite, match="working precision") as exc_info:
+            cholesky(cov)
+        assert isinstance(exc_info.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestSymSqrt:
+    def test_equals_root_from_own_decomposition(self):
+        rng = np.random.default_rng(104)
+        for _ in range(10):
+            c = random_spd(rng, int(rng.integers(1, 9)))
+            w, v = np.linalg.eigh(c)
+            want = (v * np.sqrt(w)) @ v.T
+            want = 0.5 * (want + want.T)
+            assert np.array_equal(sym_sqrt(CovMatrix(c)).entries, want)
+
+    def test_root_of_repaired_matrix(self):
+        cov = CovMatrix(np.zeros((3, 3)), shrinkage=1e-6)
+        s = sym_sqrt(cov).entries
+        np.testing.assert_allclose(s @ s, cov.entries, rtol=1e-12, atol=0)
+
+    def test_singular_root_rejected(self):
+        # positive-definite, but sqrt(1e-28) = 1e-14 is below the
+        # singular-value floor 2 * 1e-13 * sqrt(1)
+        with pytest.raises(SingularMatrix):
+            sym_sqrt(CovMatrix(np.diag([1e-28, 1.0])))
+
     def test_reference_two_asset(self):
         vol = sym_sqrt(CovMatrix(TWO_ASSET))
         np.testing.assert_allclose(vol.entries, TWO_ASSET_SQRT, rtol=0, atol=1e-12)
