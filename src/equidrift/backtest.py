@@ -10,19 +10,18 @@ full return series, including excluded dates.
 Each rebalance depends only on its own estimation window, so long runs
 compute contiguous chunks of rebalances in forked worker processes, one per
 CPU the process may run on. Every chunk runs the same public chain, so the
-results are bitwise identical at any worker count, and errors and warnings
-reach the caller as in a serial run.
+results are bitwise identical at any worker count. A worker stops at its
+first rebalance that raises or warns, and the caller computes the rest of
+that chunk, so errors and warnings arise in the caller as in a serial run.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 import warnings
 from dataclasses import dataclass, field
-from types import ModuleType
 
 import numpy as np
 
@@ -234,55 +233,25 @@ def _cpus() -> int:
 
 
 def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> None:
-    """Forked-process body: send back the weights of ``rows`` and the
-    warnings they raised.
+    """Forked-process body: send back the weights of ``rows``.
 
-    It stops at the first rebalance that raises and sends only what came
-    before, so the parent recomputes that rebalance itself and the exception
-    arises in the caller's process with its cause and traceback.
+    It stops at the first rebalance that raises or warns and sends only what
+    came before, so the parent computes that rebalance and the rest of the
+    chunk itself, and every exception and warning arises in the caller's
+    process from the code a serial run uses.
     """
     block = np.empty((len(rows), panel.n_assets))
-    done = kept = 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    done = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             for weights in _rebalance_weights(panel, rows, config):
                 block[done] = weights
                 done += 1
-                kept = len(caught)
-        except Exception:  # the parent raises it again from its own process
+        except Exception:  # the parent computes this rebalance again
             pass
-    warned = [(w.message, w.category, w.filename, w.lineno) for w in caught[:kept]]
-    writer.send((block[:done], warned))
+    writer.send(block[:done])
     writer.close()
-
-
-def _reissue(warned) -> None:
-    """Issue warnings a worker recorded, in order, as if raised here.
-
-    The module that issued each one is looked up by file so that its
-    once-per-location registry and the caller's filters apply as in a
-    serial run.
-    """
-    homes = {
-        m.__file__: vars(m)
-        for m in list(sys.modules.values())
-        if isinstance(m, ModuleType) and getattr(m, "__file__", None)
-    }
-    for message, category, filename, lineno in warned:
-        home = homes.get(filename)
-        if home is None:
-            warnings.warn_explicit(message, category, filename, lineno)
-        else:
-            warnings.warn_explicit(
-                message,
-                category,
-                filename,
-                lineno,
-                module=home["__name__"],
-                registry=home.setdefault("__warningregistry__", {}),
-                module_globals=home,
-            )
 
 
 def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
@@ -293,8 +262,9 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
     of the rest. Forking is skipped where it is unavailable, in a daemonic
     process (which may not have children) and where other threads run,
     since a thread holding a lock at fork time can deadlock the child.
-    Whatever a worker did not finish, this process computes, so
-    the earliest failing rebalance raises here exactly as in a serial run.
+    Whatever a worker did not finish, this process computes, so the earliest
+    failing or warning rebalance raises or warns here exactly as in a serial
+    run.
     """
     import multiprocessing  # here, so that other commands skip its import time
 
@@ -326,10 +296,9 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
         blocks = [_weight_block(panel, chunks[0], config)]
         for reader, chunk in zip(readers, chunks[1:]):
             try:
-                block, warned = reader.recv()
+                block = reader.recv()
             except EOFError:  # no worker, or it died before sending anything
-                block, warned = np.empty((0, panel.n_assets)), []
-            _reissue(warned)
+                block = np.empty((0, panel.n_assets))
             if len(block) < len(chunk):
                 rest = _weight_block(panel, chunk[len(block):], config)
                 block = np.concatenate([block, rest])

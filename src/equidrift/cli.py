@@ -31,12 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import (
-    BLACK_MONDAY_WEEK,
-    BacktestConfig,
-    BacktestReport,
-    rolling_backtest,
-)
+from .backtest import BacktestConfig, BacktestReport, rolling_backtest
 from .data import DateRange, load_csv, load_french
 from .errors import (
     DegenerateExposure,
@@ -93,9 +88,10 @@ EXIT_CODES = {
     "stats": 7,
 }
 
+#: Exception classes -> EXIT_CODES name, first match wins.
 _ERROR_EXITS = (
-    ((ParseError,), 3),
-    ((NonMonotonicDates, EmptyPanel), 4),
+    ((ParseError, FileNotFoundError, IsADirectoryError, PermissionError), "parse"),
+    ((NonMonotonicDates, EmptyPanel), "panel"),
     (
         (
             NotPositiveDefinite,
@@ -105,7 +101,7 @@ _ERROR_EXITS = (
             DegenerateExposure,
             NonPositiveGridPoint,
         ),
-        5,
+        "matrix",
     ),
     (
         (
@@ -114,10 +110,11 @@ _ERROR_EXITS = (
             MissingData,
             TooFewObservations,
         ),
-        6,
+        "data",
     ),
-    ((ZeroVariance, LengthMismatch), 7),
-    ((ValueError,), 2),
+    ((ZeroVariance, LengthMismatch), "stats"),
+    ((ValueError,), "usage"),
+    ((EquidriftError,), "internal"),
 )
 
 
@@ -255,6 +252,8 @@ def _cmd_figure1(args) -> int:
     n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
     if not n_list or any(n < 1 for n in n_list):
         raise ValueError("--n-list must be positive integers")
+    if args.grid_points < 1:
+        raise ValueError("--grid-points must be at least 1")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
     if args.grid_min <= 0.0:
         raise NonPositiveGridPoint("--grid-min must be positive")
@@ -279,18 +278,18 @@ def _cmd_figure1(args) -> int:
 
 # -- backtest -------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "window_days",
-    "reestimate_every",
-    "factorization",
-    "exposure",
-    "rf_annual",
-    "shrinkage",
-    "exclude",
-    "drop",
-    "format",
-    "target",
+#: BacktestConfig field -> (backtest flag's attribute, converter); each is
+#: also a config-file key. Flags override the file, which overrides the
+#: dataclass's own defaults.
+_CONFIG_FIELDS = {
+    "window_days": ("window", int),
+    "reestimate_every": ("every", int),
+    "factorization": ("method", _normalize_method),
+    "exposure": ("exposure", float),
+    "rf_annual": ("rf", float),
+    "shrinkage": ("shrinkage", float),
 }
+_CONFIG_KEYS = {*_CONFIG_FIELDS, "exclude", "drop", "format", "target"}
 
 
 def _read_config_file(path) -> dict[str, str]:
@@ -310,12 +309,9 @@ def _read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _pick(flag_value, file_values: dict, key: str, default, conv):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return conv(file_values[key])
-    return default
+def _pick(flag_value, file_values: dict, key: str):
+    """The flag's value, else the config file's text, else None."""
+    return flag_value if flag_value is not None else file_values.get(key)
 
 
 def _split_list(text: str) -> list[str]:
@@ -363,14 +359,14 @@ def _write_report(report: BacktestReport, outdir: Path) -> None:
 def _cmd_backtest(args) -> int:
     file_values = _read_config_file(args.config) if args.config else {}
 
-    fmt = _pick(args.format, file_values, "format", "csv", str)
+    fmt = _pick(args.format, file_values, "format")
     drops = list(args.drop or [])
     if "drop" in file_values:
         drops = _split_list(file_values["drop"]) + drops
 
     if fmt == "french":
         panel = load_french(args.returns, drop_assets=drops)
-    elif fmt == "csv":
+    elif fmt in (None, "csv"):
         panel = load_csv(args.returns)
         if drops:
             panel = panel.drop_assets(drops)
@@ -379,28 +375,21 @@ def _cmd_backtest(args) -> int:
     if args.date_range is not None:
         panel = panel.slice(DateRange.parse(args.date_range))
 
-    excludes: list[DateRange] = []
-    if not args.no_default_exclusions:
-        excludes.append(BLACK_MONDAY_WEEK)
+    excludes = [] if args.no_default_exclusions else list(BacktestConfig.exclusion_windows)
     if "exclude" in file_values:
         excludes.extend(DateRange.parse(tok) for tok in _split_list(file_values["exclude"]))
     for tok in args.exclude or []:
         excludes.append(DateRange.parse(tok))
 
-    method = _normalize_method(_pick(args.method, file_values, "factorization", "sym_sqrt", str))
-    target_path = _pick(args.target, file_values, "target", None, str)
-    rotation_target = read_matrix_csv(target_path) if target_path is not None else None
-
-    config = BacktestConfig(
-        window_days=_pick(args.window, file_values, "window_days", 1260, int),
-        reestimate_every=_pick(args.every, file_values, "reestimate_every", 20, int),
-        factorization=method,
-        exposure=_pick(args.exposure, file_values, "exposure", 1.0, float),
-        rf_annual=_pick(args.rf, file_values, "rf_annual", 0.03, float),
-        exclusion_windows=tuple(excludes),
-        shrinkage=_pick(args.shrinkage, file_values, "shrinkage", None, float),
-        rotation_target=rotation_target,
-    )
+    settings = {"exclusion_windows": tuple(excludes)}
+    for key, (flag, conv) in _CONFIG_FIELDS.items():
+        value = _pick(getattr(args, flag), file_values, key)
+        if value is not None:
+            settings[key] = conv(value)
+    target_path = _pick(args.target, file_values, "target")
+    if target_path is not None:
+        settings["rotation_target"] = read_matrix_csv(target_path)
+    config = BacktestConfig(**settings)
     log.info(
         "backtest: %d dates, %d assets, window %d, cadence %d, method %s",
         panel.n_dates,
@@ -578,23 +567,14 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except EquidriftError as exc:
-        for classes, code in _ERROR_EXITS:
+    except Exception as exc:
+        for classes, name in _ERROR_EXITS:
             if isinstance(exc, classes):
                 print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # pragma: no cover - defensive
+                return EXIT_CODES[name]
         log.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CODES["internal"]
 
 
 if __name__ == "__main__":

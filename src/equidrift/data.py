@@ -35,15 +35,30 @@ __all__ = [
 MISSING_CODES = (-99.99, -999.0)
 
 
+def _possible_dates(dates):
+    """Whether YYYYMMDD integers (one or an array) have year 1000-9999,
+    month 1-12 and day 1-31."""
+    month, day = dates // 100 % 100, dates % 100
+    in_range = (10000101 <= dates) & (dates <= 99991231)
+    return in_range & (1 <= month) & (month <= 12) & (1 <= day) & (day <= 31)
+
+
 def _check_yyyymmdd(value: int, what: str) -> int:
     value = int(value)
     if not 10000101 <= value <= 99991231:
         raise ValueError(f"{what} {value!r} is not an 8-digit YYYYMMDD date")
-    month = (value // 100) % 100
-    day = value % 100
-    if not (1 <= month <= 12 and 1 <= day <= 31):
+    if not _possible_dates(value):
         raise ValueError(f"{what} {value!r} has an impossible month or day")
     return value
+
+
+def _check_loaded_dates(dates: np.ndarray, line_of) -> None:
+    """Raise ParseError at the first loaded date ``_check_yyyymmdd`` would
+    reject; ``line_of(k)`` is the file line of the k-th date."""
+    bad = np.flatnonzero(~_possible_dates(dates))
+    if bad.size:
+        k = int(bad[0])
+        raise ParseError(f"impossible date {int(dates[k]):08d}", line_of(k))
 
 
 @dataclass(frozen=True)
@@ -264,8 +279,10 @@ def load_french(
 
     if not dates:
         raise ParseError("data block is empty", first_data + 1)
+    dates = np.array(dates, dtype=np.int64)
+    _check_loaded_dates(dates, lambda k: first_data + 1 + k)
     panel = ReturnPanel(
-        dates=np.array(dates, dtype=np.int64),
+        dates=dates,
         assets=tuple(header_tokens),
         returns=np.array(rows),
         missing_mask=np.array(masks),
@@ -326,8 +343,12 @@ def load_csv(path) -> ReturnPanel:
 
     if not dates:
         raise ParseError("no data rows", max(2, len(lines)))
+    dates = np.array(dates, dtype=np.int64)
+    _check_loaded_dates(
+        dates, lambda k: [i for i, line in enumerate(lines, 1) if line.strip()][k + 1]
+    )
     return ReturnPanel(
-        dates=np.array(dates, dtype=np.int64),
+        dates=dates,
         assets=assets,
         returns=np.array(rows),
         missing_mask=np.array(masks),

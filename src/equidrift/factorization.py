@@ -34,9 +34,6 @@ __all__ = [
 #: Relative tolerance for the symmetry check on covariance input.
 SYMMETRY_RTOL = 1e-12
 
-#: Default diagonal-shrinkage coefficient when repair is enabled.
-DEFAULT_SHRINKAGE = 1e-6
-
 #: Factors must reproduce their source covariance to this relative accuracy.
 FACTOR_RTOL = 1e-9
 
@@ -216,22 +213,13 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
 def sym_sqrt(cov: CovMatrix) -> VolMatrix:
     """Symmetric factor S with S S = C, via orthogonal eigendecomposition.
 
-    Eigenvalues in ``[-dim * 1e-12 * lambda_max, 0]`` are treated as
-    numerical noise and clamped to zero; the resulting singular factor is
-    then rejected by the VolMatrix non-singularity check, which reads the
-    singular values of S as ``sqrt(w)``: for a symmetric positive
-    semi-definite matrix they coincide.
+    Reuses the decomposition :class:`CovMatrix` made, whose eigenvalues are
+    all positive. A nearly singular factor is rejected by the VolMatrix
+    non-singularity check, which reads the singular values of S as
+    ``sqrt(w)``: for a symmetric positive-definite matrix they coincide.
     """
     w, v = cov._eig
-    lam_max = w[-1]
-    if lam_max <= 0.0:
-        raise NotPositiveDefinite("covariance matrix has no positive eigenvalue")
-    tol = cov.dim * 1e-12 * lam_max
-    if w[0] < -tol:
-        raise NotPositiveDefinite(
-            f"covariance matrix has eigenvalue {w[0]:.3e} below -{tol:.3e}"
-        )
-    root = np.sqrt(np.clip(w, 0.0, None))
+    root = np.sqrt(w)
     s = (v * root) @ v.T
     s = 0.5 * (s + s.T)
     return VolMatrix._with_singular_values(s, "sym_sqrt", cov.entries, root[::-1])

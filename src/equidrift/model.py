@@ -96,9 +96,4 @@ def expected_returns(params: ModelParams) -> ReturnProfile:
     mu_c = params.r + excess * row_sums
     vol_i = np.sqrt((sig ** 2).sum(axis=1))
     nu = excess * row_sums / vol_i
-    profile = ReturnProfile(mu_c=mu_c, nu=nu, row_sums=row_sums)
-    # internal consistency of the two expected-return formulas
-    assert np.max(np.abs(profile.mu_c - (params.r + profile.nu * vol_i))) <= 1e-12 * max(
-        1.0, np.max(np.abs(mu_c))
-    )
-    return profile
+    return ReturnProfile(mu_c=mu_c, nu=nu, row_sums=row_sums)

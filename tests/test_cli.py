@@ -13,6 +13,7 @@ from equidrift import (
     write_csv,
     write_matrix_csv,
 )
+from equidrift import cli
 from equidrift.cli import main
 
 EXAMPLE_COV = np.array([[4.0, 2.0], [2.0, 5.0]])
@@ -149,6 +150,13 @@ class TestExitCodes:
         code, _, err = run(capsys, ["backtest", str(path), "--window", "5", "--every", "2"])
         assert code == 4
 
+    def test_impossible_date_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("date,A,B\n20000103,0.01,0.0\n20201399,0.02,0.01\n")
+        code, _, err = run(capsys, ["backtest", str(path), "--window", "5", "--every", "2"])
+        assert code == 3
+        assert "line 3: impossible date 20201399" in err
+
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg = tmp_path / "cfg"
@@ -238,6 +246,20 @@ class TestBacktestCommand:
         assert code == 0
         assert len((out2 / "weights.csv").read_text().splitlines()) == 7
 
+    def test_no_flags_means_library_defaults(self, panel_csv, tmp_path, capsys, monkeypatch):
+        path, _ = panel_csv
+        seen = []
+
+        def spy(panel, config):
+            seen.append(config)
+            return rolling_backtest(panel, config)
+
+        monkeypatch.setattr(cli, "rolling_backtest", spy)
+        code, _, _ = run(capsys, ["--out", str(tmp_path / "o"), "backtest", path])
+        # 60 days fall short of the default 1260-day window
+        assert code == 6
+        assert seen == [BacktestConfig()]
+
     def test_output_dir_env_default(self, panel_csv, tmp_path, capsys, monkeypatch):
         path, _ = panel_csv
         target = tmp_path / "from-env"
@@ -284,6 +306,14 @@ class TestFigure1Command:
         assert (out / "density_n2.csv").is_file()
         assert (out / "density_n7.csv").is_file()
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_rejects_fewer_than_one_grid_point(self, tmp_path, capsys, points):
+        out = tmp_path / "fig"
+        code, _, err = run(capsys, ["--out", str(out), "figure1", "--grid-points", points])
+        assert code == 2
+        assert "--grid-points" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
@@ -328,7 +358,7 @@ class TestCompareCommand:
     def test_identical_series(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         body = "\n".join(
-            f"{20000103 + i},{float(r)!r}"
+            f"{2000 + i}0103,{float(r)!r}"
             for i, r in enumerate(rng.normal(0.001, 0.01, 50))
         )
         a = tmp_path / "a.csv"

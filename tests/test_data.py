@@ -179,6 +179,14 @@ class TestLoadFrench:
         with pytest.raises(ParseError, match="no data rows"):
             load_french(write(tmp_path, "f.txt", "just a banner\nAgric Food\n"))
 
+    @pytest.mark.parametrize("date", ["19871399", "19870132", "19880001", "19870200"])
+    def test_impossible_date_reports_line_number(self, tmp_path, date):
+        # later than its neighbours, so only the date check can catch it
+        text = FRENCH_SAMPLE.replace("19870105", date)
+        with pytest.raises(ParseError, match=f"line 7: impossible date {date}") as exc_info:
+            load_french(write(tmp_path, "f.txt", text))
+        assert exc_info.value.line_number == 7
+
 
 class TestCsvRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -217,6 +225,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 3: non-finite") as exc_info:
             load_csv(path)
         assert exc_info.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "date", ["20201399", "20200132", "20200001", "20200100", "00010101"]
+    )
+    def test_impossible_date_reports_line_number(self, tmp_path, date):
+        # a blank line before it: line numbers count every line of the file
+        path = write(tmp_path, "p.csv", f"date,A\n20000103,0.01\n\n{date},0.02\n")
+        with pytest.raises(ParseError, match=f"line 4: impossible date {date}") as exc_info:
+            load_csv(path)
+        assert exc_info.value.line_number == 4
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):

@@ -82,6 +82,23 @@ class TestExpectedReturns:
             profile.mu_c, 0.02 + profile.nu * np.sqrt(c_diag), rtol=0, atol=1e-12
         )
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rate_equals_rate_from_price_of_risk(self, seed):
+        # mu_c_i = r + nu_i * sqrt(C_ii), for any volatility matrix
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 9))
+        cov = random_cov(rng, n, scale=float(rng.uniform(0.01, 4.0)))
+        q = random_rotation(n, seed=seed)
+        user = VolMatrix(rng.standard_normal((n, n)) + 3.0 * np.eye(n))
+        r = float(rng.uniform(0.001, 0.1))
+        mu = r + float(rng.uniform(0.001, 0.5))
+        rotated = VolMatrix(cholesky(cov).entries @ q.entries)
+        for sigma in (sym_sqrt(cov), cholesky(cov), rotated, user):
+            profile = expected_returns(ModelParams(sigma=sigma, mu=mu, r=r))
+            vol_i = np.sqrt((sigma.entries ** 2).sum(axis=1))
+            gap = np.max(np.abs(profile.mu_c - (r + profile.nu * vol_i)))
+            assert gap <= 1e-12 * max(1.0, np.max(np.abs(profile.mu_c)))
+
     def test_excess_scaling_linearity(self):
         rng = np.random.default_rng(202)
         sigma = sym_sqrt(random_cov(rng, 4))
