@@ -438,10 +438,14 @@ def _cmd_compare(args) -> int:
     panel_b = load_csv(args.file_b)
     series_a = _pick_column(panel_a, args.col_a, args.file_a)
     series_b = _pick_column(panel_b, args.col_b, args.file_b)
-    if panel_a.n_dates == panel_b.n_dates and not np.array_equal(
-        panel_a.dates, panel_b.dates
-    ):
-        log.warning("the two files cover different dates; comparing by position")
+    if panel_a.n_dates == panel_b.n_dates:
+        differ = np.flatnonzero(panel_a.dates != panel_b.dates)
+        if differ.size:
+            k = int(differ[0])
+            raise LengthMismatch(
+                f"the two files cover different dates: data row {k + 1} is "
+                f"{panel_a.dates[k]} in {args.file_a} but {panel_b.dates[k]} in {args.file_b}"
+            )
     result = jobson_korkie_memmel(series_a - args.rf_daily, series_b - args.rf_daily)
     print(f"sharpe_1={result.sharpe_1:.10g}")
     print(f"sharpe_2={result.sharpe_2:.10g}")

@@ -36,11 +36,16 @@ MISSING_CODES = (-99.99, -999.0)
 
 
 def _possible_dates(dates):
-    """Whether YYYYMMDD integers (one or an array) have year 1000-9999,
-    month 1-12 and day 1-31."""
-    month, day = dates // 100 % 100, dates % 100
-    in_range = (10000101 <= dates) & (dates <= 99991231)
-    return in_range & (1 <= month) & (month <= 12) & (1 <= day) & (day <= 31)
+    """Whether YYYYMMDD integers (one or an array) are calendar dates with
+    year 1000-9999, in the proleptic Gregorian calendar."""
+    dates = np.asarray(dates, dtype=np.int64)
+    year, month, day = dates // 10000, dates // 100 % 100, dates % 100
+    # months since numpy's 1970-01 epoch; a bad month is clipped only so the
+    # arithmetic stays defined, and in_range rejects it
+    first =((year - 1970) * 12 + np.clip(month, 1, 12) - 1).astype("datetime64[M]")
+    month_days = (first + 1).astype("datetime64[D]") - first.astype("datetime64[D]")
+    in_range = (10000101 <= dates) & (dates <= 99991231) & (1 <= month) & (month <= 12)
+    return in_range & (1 <= day) & (day <= month_days.astype(np.int64))
 
 
 def _check_yyyymmdd(value: int, what: str) -> int:

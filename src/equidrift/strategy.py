@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateExposure, DimensionMismatch, SingularMatrix
 from .factorization import VolMatrix
@@ -81,37 +80,17 @@ class ExposureVector:
 PolicySource = Union[WeightVector, Callable[[int], WeightVector]]
 
 
-def _is_lower_triangular(a: np.ndarray) -> bool:
-    return not np.any(np.triu(a, 1))
-
-
-def _is_upper_triangular(a: np.ndarray) -> bool:
-    return not np.any(np.tril(a, -1))
-
-
 def _solve_unit_exposures(sigma: VolMatrix) -> np.ndarray:
     """Solve sigma' x = 1 with one step of iterative refinement.
 
-    Triangular factors use direct substitution; anything else goes through
-    the generic LU solve.  The refinement step keeps the residual near
-    machine precision even for moderately ill-conditioned factors.
+    The refinement step keeps the residual near machine precision even for
+    moderately ill-conditioned factors.
     """
     a = sigma.entries.T
     ones = np.ones(sigma.dim)
-
-    if _is_lower_triangular(a):
-        def solve(rhs):
-            return solve_triangular(a, rhs, lower=True)
-    elif _is_upper_triangular(a):
-        def solve(rhs):
-            return solve_triangular(a, rhs, lower=False)
-    else:
-        def solve(rhs):
-            return np.linalg.solve(a, rhs)
-
     try:
-        x = solve(ones)
-        x = x - solve(a @ x - ones)
+        x = np.linalg.solve(a, ones)
+        x = x - np.linalg.solve(a, a @ x - ones)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"volatility matrix solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):

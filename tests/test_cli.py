@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import equidrift
 from equidrift import (
     BacktestConfig,
     ModelParams,
@@ -40,6 +45,20 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_imports_need_numpy_only():
+    # a fresh interpreter, so modules the test session loaded do not count
+    code = (
+        "import sys, equidrift, equidrift.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(equidrift.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestFactorCommand:
@@ -156,6 +175,21 @@ class TestExitCodes:
         code, _, err = run(capsys, ["backtest", str(path), "--window", "5", "--every", "2"])
         assert code == 3
         assert "line 3: impossible date 20201399" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "french"])
+    def test_calendar_impossible_date_is_parse_error(self, tmp_path, capsys, fmt):
+        path = tmp_path / "p.txt"
+        if fmt == "csv":
+            path.write_text("date,A,B\n20200228,0.01,0.0\n20200231,0.02,0.01\n")
+        else:
+            path.write_text("  A B\n20200228 1.0 0.0\n20200231 2.0 1.0\n")
+        code, stdout, err = run(
+            capsys,
+            ["backtest", str(path), "--format", fmt, "--window", "5", "--every", "2"],
+        )
+        assert code == 3
+        assert stdout == ""
+        assert "line 3: impossible date 20200231" in err
 
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -377,3 +411,17 @@ class TestCompareCommand:
         )
         assert code == 0
         assert "rho=" in stdout
+
+    def test_different_dates_are_mismatched_series(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        dates = [f"{2000 + i}0103" for i in range(50)]
+        rows = [f"{d},{float(r)!r}\n" for d, r in zip(dates, rng.normal(0.001, 0.01, 50))]
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("date,X\n" + "".join(rows))
+        rows[30] = rows[30].replace("20300103", "20300104")
+        b.write_text("date,X\n" + "".join(rows))
+        code, stdout, err = run(capsys, ["compare", str(a), str(b)])
+        assert code == 7
+        assert stdout == ""
+        assert f"data row 31 is 20300103 in {a} but 20300104 in {b}" in err

@@ -54,6 +54,15 @@ class TestDateRange:
         with pytest.raises(ValueError):
             DateRange.parse("1987-10-19")
 
+    @pytest.mark.parametrize("date", [20200230, 20200231, 20210229, 21000229, 19870431])
+    def test_rejects_calendar_impossible_dates(self, date):
+        with pytest.raises(ValueError, match="impossible month or day"):
+            DateRange(date, date)
+
+    @pytest.mark.parametrize("date", [20200229, 20000229, 16000229, 20210228, 20201231])
+    def test_accepts_leap_days_and_month_ends(self, date):
+        assert DateRange.parse(str(date)) == DateRange(date, date)
+
 
 class TestReturnPanel:
     def make(self):
@@ -179,7 +188,9 @@ class TestLoadFrench:
         with pytest.raises(ParseError, match="no data rows"):
             load_french(write(tmp_path, "f.txt", "just a banner\nAgric Food\n"))
 
-    @pytest.mark.parametrize("date", ["19871399", "19870132", "19880001", "19870200"])
+    @pytest.mark.parametrize(
+        "date", ["19871399", "19870132", "19880001", "19870200", "19870229", "19870431"]
+    )
     def test_impossible_date_reports_line_number(self, tmp_path, date):
         # later than its neighbours, so only the date check can catch it
         text = FRENCH_SAMPLE.replace("19870105", date)
@@ -227,7 +238,18 @@ class TestCsvRoundTrip:
         assert exc_info.value.line_number == 3
 
     @pytest.mark.parametrize(
-        "date", ["20201399", "20200132", "20200001", "20200100", "00010101"]
+        "date",
+        [
+            "20201399",
+            "20200132",
+            "20200001",
+            "20200100",
+            "00010101",
+            "20200230",
+            "20200231",
+            "20210229",
+            "21000229",
+        ],
     )
     def test_impossible_date_reports_line_number(self, tmp_path, date):
         # a blank line before it: line numbers count every line of the file
@@ -235,6 +257,10 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=f"line 4: impossible date {date}") as exc_info:
             load_csv(path)
         assert exc_info.value.line_number == 4
+
+    def test_leap_day_loads(self, tmp_path):
+        path = write(tmp_path, "p.csv", "date,A\n20000229,0.01\n20200229,0.02\n")
+        np.testing.assert_array_equal(load_csv(path).dates, [20000229, 20200229])
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):

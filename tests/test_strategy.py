@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_cov
 from equidrift import (
     CovMatrix,
+    TargetMatrix,
     VolMatrix,
     WeightVector,
     brownian_exposures,
@@ -14,9 +18,12 @@ from equidrift import (
     oversized_positions,
     pi_star,
     pi_star_fully_invested,
+    procrustes_rotate,
+    random_rotation,
     sym_sqrt,
 )
 from equidrift.errors import DegenerateExposure, DimensionMismatch
+from equidrift.strategy import RESIDUAL_RTOL
 
 TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
 TRIANGULAR = [[2.0, 0.0], [1.0, 2.0]]
@@ -155,6 +162,65 @@ class TestPiStarFullyInvested:
     def test_rejects_zero_exposure(self):
         with pytest.raises(ValueError):
             pi_star_fully_invested(VolMatrix(np.eye(2)), exposure=0.0)
+
+
+def _factor(kind: str, n: int, seed: int, log_cond: float, scale: float) -> VolMatrix:
+    """A factor of a covariance with condition number 10**log_cond.
+
+    'upper' is the transpose of the Cholesky factor and 'dense' a product
+    U diag(s) V' of random orthogonal matrices, both supplied as user
+    matrices; the others come from the library's own factorizations.
+    """
+    lam = scale * np.logspace(0.0, -log_cond, n)
+    q = random_rotation(n, seed).entries
+    c = (q * lam) @ q.T
+    cov = CovMatrix(0.5 * (c + c.T))
+    if kind == "cholesky":
+        return cholesky(cov)
+    if kind == "upper":
+        return VolMatrix(cholesky(cov).entries.T)
+    if kind == "sym_sqrt":
+        return sym_sqrt(cov)
+    if kind == "rotated":
+        target = np.random.default_rng(seed).standard_normal((n, n))
+        return procrustes_rotate(cholesky(cov), TargetMatrix(target))[0]
+    return VolMatrix((q * np.sqrt(lam)) @ random_rotation(n, seed + 1).entries)
+
+
+factors = st.builds(
+    _factor,
+    kind=st.sampled_from(["cholesky", "upper", "sym_sqrt", "rotated", "dense"]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    # covariance condition numbers up to 1e11; near 1e13 the solve's
+    # residual reaches RESIDUAL_RTOL and pi_star raises SingularMatrix
+    log_cond=st.floats(0.0, 11.0),
+    scale=st.floats(1e-6, 1e2),
+)
+
+
+class TestEqualExposureProperties:
+    """Every factor shape the solve serves equalizes the driver exposures."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(sigma=factors, kappa=st.floats(1e-3, 1e3))
+    def test_pi_star(self, sigma, kappa):
+        wv = pi_star(sigma, kappa)
+        p = brownian_exposures(wv, sigma).p
+        assert np.abs(p - kappa / sigma.dim).max() <= RESIDUAL_RTOL * kappa
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(
+        sigma=factors,
+        exposure=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+    )
+    def test_pi_star_fully_invested(self, sigma, exposure):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a negative kappa only warns
+            wv = pi_star_fully_invested(sigma, exposure)
+        p = brownian_exposures(wv, sigma).p
+        assert np.abs(p - wv.kappa / sigma.dim).max() <= RESIDUAL_RTOL * abs(wv.kappa)
+        assert wv.exposure == pytest.approx(exposure, rel=1e-12)
 
 
 class TestOneOverN:
