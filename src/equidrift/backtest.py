@@ -68,7 +68,8 @@ class BacktestConfig:
     ``exclusion_windows`` removes dates from estimation samples only, never
     from return accounting. ``shrinkage`` (when set) repairs non-PD sample
     covariances instead of failing. ``rotation_target`` is required when
-    ``factorization`` is 'rotate'.
+    ``factorization`` is 'rotate'. It may be any square matrix-like and is
+    stored as nested tuples of floats, so configs compare and hash by value.
     """
 
     window_days: int = 1260
@@ -78,7 +79,7 @@ class BacktestConfig:
     rf_annual: float = 0.03
     exclusion_windows: tuple[DateRange, ...] = (BLACK_MONDAY_WEEK,)
     shrinkage: float | None = None
-    rotation_target: np.ndarray | None = None
+    rotation_target: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if self.window_days <= 0 or self.reestimate_every <= 0:
@@ -94,12 +95,11 @@ class BacktestConfig:
                 f"factorization must be one of {FACTORIZATIONS}, "
                 f"got {self.factorization!r}"
             )
-        if self.factorization == "rotate":
-            if self.rotation_target is None:
-                raise ValueError("factorization 'rotate' needs rotation_target")
-            target = np.asarray(self.rotation_target, dtype=float)
-            target.setflags(write=False)
-            object.__setattr__(self, "rotation_target", target)
+        if self.factorization == "rotate" and self.rotation_target is None:
+            raise ValueError("factorization 'rotate' needs rotation_target")
+        if self.rotation_target is not None:
+            rows = TargetMatrix(self.rotation_target).entries.tolist()
+            object.__setattr__(self, "rotation_target", tuple(map(tuple, rows)))
         if self.shrinkage is not None and not self.shrinkage > 0.0:
             raise ValueError("shrinkage must be positive when set")
         object.__setattr__(self, "exclusion_windows", tuple(self.exclusion_windows))

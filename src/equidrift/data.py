@@ -210,6 +210,8 @@ def _parse_data_row(
             f"got {len(tokens)}",
             line_no,
         )
+    if not tokens[0].isascii():  # int() would read other scripts' digits
+        raise ParseError(f"bad date {tokens[0]!r}", line_no)
     date = int(tokens[0])
     values: list[float] = []
     mask: list[bool] = []
@@ -325,7 +327,7 @@ def load_csv(path) -> ReturnPanel:
             raise ParseError(
                 f"expected {len(header)} cells, got {len(cells)}", idx
             )
-        if not (len(cells[0]) == 8 and cells[0].isdigit()):
+        if not (len(cells[0]) == 8 and cells[0].isascii() and cells[0].isdigit()):
             raise ParseError(f"bad date {cells[0]!r}", idx)
         values: list[float] = []
         mask: list[bool] = []

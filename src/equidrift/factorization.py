@@ -6,14 +6,18 @@ Cholesky factor, the symmetric matrix square root, and the least-squares
 rotation of a factor toward an investor-chosen target matrix, together with
 the validated matrix types they operate on.
 
-All operations are pure functions; the matrix types are immutable.
+All operations are pure functions; the matrix types are immutable. Their
+public constructors check everything; the matrices this module builds skip
+those checks through the private ``_built``. Every factor of C has the
+singular values ``sqrt(eig(C))``, which :class:`CovMatrix` keeps, and a
+rotation leaves them unchanged, so factorizations judge singularity without an SVD.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from .errors import DimensionMismatch, NotPositiveDefinite, ParseError, SingularMatrix
 
 __all__ = [
     "CovMatrix",
@@ -33,11 +37,6 @@ __all__ = [
 
 #: Relative tolerance for the symmetry check on covariance input.
 SYMMETRY_RTOL = 1e-12
-
-#: Factors must reproduce their source covariance to this relative accuracy.
-FACTOR_RTOL = 1e-9
-
-_PROVENANCES = ("cholesky", "sym_sqrt", "rotated", "user")
 
 #: Methods :func:`factor_covariance` accepts.
 FACTORIZATIONS = ("cholesky", "sym_sqrt", "rotate")
@@ -102,45 +101,36 @@ class CovMatrix:
         return f"CovMatrix(dim={self.dim})"
 
 
+def _require_nonsingular(svals: np.ndarray) -> None:
+    """Reject a factor with these singular values as singular."""
+    if svals.min() <= svals.size * 1e-13 * svals.max():
+        raise SingularMatrix("volatility matrix is singular within tolerance")
+
+
 class VolMatrix:
     """Non-singular n x n factor sigma of a covariance matrix.
 
-    ``provenance`` records how the factor was constructed; for any value
-    other than ``"user"`` the constructor verifies that ``sigma sigma'``
-    reproduces the supplied source covariance within ``FACTOR_RTOL``
-    relative Frobenius norm.
+    ``VolMatrix(entries)`` takes a caller's matrix (a ``--vol`` file, a
+    simulation's sigma): it checks shape, finiteness and, by SVD,
+    non-singularity, and sets ``provenance`` to "user". This module's
+    factorizations build factors with :meth:`_built` instead, which checks
+    nothing and records the method as the provenance.
     """
 
     __slots__ = ("entries", "dim", "provenance")
 
-    def __init__(self, entries, provenance: str = "user", source: np.ndarray | None = None):
+    def __init__(self, entries):
         a = _as_square(entries, "volatility matrix")
-        if provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        self._check(a, provenance, source, np.linalg.svd(a, compute_uv=False))
+        _require_nonsingular(np.linalg.svd(a, compute_uv=False))
+        self.entries, self.dim, self.provenance = a, a.shape[0], "user"
 
     @classmethod
-    def _with_singular_values(cls, entries, provenance: str, source: np.ndarray, svals: np.ndarray):
-        """A factor whose singular values (descending) the caller already has."""
+    def _built(cls, a: np.ndarray, provenance: str) -> "VolMatrix":
+        """A factor that the function building it has judged non-singular."""
         vol = cls.__new__(cls)
-        vol._check(_as_square(entries, "volatility matrix"), provenance, source, svals)
+        a.setflags(write=False)
+        vol.entries, vol.dim, vol.provenance = a, a.shape[0], provenance
         return vol
-
-    def _check(self, a: np.ndarray, provenance: str, source, svals: np.ndarray) -> None:
-        n = a.shape[0]
-        if svals[0] == 0.0 or svals[-1] <= n * 1e-13 * svals[0]:
-            raise SingularMatrix("volatility matrix is singular within tolerance")
-        if provenance != "user" and source is not None:
-            c = np.asarray(source, dtype=float)
-            resid = np.linalg.norm(a @ a.T - c) / np.linalg.norm(c)
-            if resid > FACTOR_RTOL:
-                raise ValueError(
-                    f"factor does not reproduce its source covariance "
-                    f"(relative residual {resid:.3e})"
-                )
-        self.entries = a
-        self.dim = n
-        self.provenance = provenance
 
     def cov(self) -> np.ndarray:
         """Covariance matrix sigma sigma' implied by this factor."""
@@ -174,8 +164,15 @@ class RotationMatrix:
             raise ValueError("matrix is not orthogonal within tolerance")
         if abs(abs(np.linalg.det(a)) - 1.0) > self.ORTHOGONALITY_TOL:
             raise ValueError("matrix determinant is not +-1 within tolerance")
-        self.entries = a
-        self.dim = n
+        self.entries, self.dim = a, n
+
+    @classmethod
+    def _built(cls, q: np.ndarray) -> "RotationMatrix":
+        """An orthogonal factor of an SVD or QR, unchecked."""
+        rot = cls.__new__(cls)
+        q.setflags(write=False)
+        rot.entries, rot.dim = q, q.shape[0]
+        return rot
 
     def __repr__(self):
         return f"RotationMatrix(dim={self.dim})"
@@ -190,6 +187,8 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
         If LAPACK's factorization fails, or if an elimination pivot
         ``L[j, j]**2`` falls at or below ``dim * 1e-14 * max|C|``; the
         message names the first such column.
+    SingularMatrix
+        If L's singular values, ``sqrt(eig(C))``, say it is singular.
     """
     a = cov.entries
     pivot_floor = cov.dim * 1e-14 * np.abs(a).max()
@@ -207,22 +206,21 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
             f"elimination pivot {pivots[j]:.3e} at column {j} is below the "
             f"positive-definiteness floor {pivot_floor:.3e}"
         )
-    return VolMatrix(lower, "cholesky", source=a)
+    _require_nonsingular(np.sqrt(cov._eig[0]))
+    return VolMatrix._built(lower, "cholesky")
 
 
 def sym_sqrt(cov: CovMatrix) -> VolMatrix:
     """Symmetric factor S with S S = C, via orthogonal eigendecomposition.
 
     Reuses the decomposition :class:`CovMatrix` made, whose eigenvalues are
-    all positive. A nearly singular factor is rejected by the VolMatrix
-    non-singularity check, which reads the singular values of S as
-    ``sqrt(w)``: for a symmetric positive-definite matrix they coincide.
+    all positive. A nearly singular factor raises SingularMatrix.
     """
     w, v = cov._eig
     root = np.sqrt(w)
+    _require_nonsingular(root)
     s = (v * root) @ v.T
-    s = 0.5 * (s + s.T)
-    return VolMatrix._with_singular_values(s, "sym_sqrt", cov.entries, root[::-1])
+    return VolMatrix._built(0.5 * (s + s.T), "sym_sqrt")
 
 
 def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatrix, RotationMatrix]:
@@ -231,7 +229,8 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
     Finds the orthogonal Q minimizing ``||L Q - T||_F`` (solution
     ``Q = U W'`` from the singular decomposition ``L'T = U S W'``) and
     returns ``(L Q, Q)``.  Reflections are admitted alongside rotations,
-    since any orthogonal Q preserves ``(LQ)(LQ)' = L L'``.
+    since any orthogonal Q preserves ``(LQ)(LQ)' = L L'``, and the singular
+    values of L, so ``L Q`` is as far from singular as L.
     """
     if factor.dim != target.dim:
         raise DimensionMismatch(
@@ -239,9 +238,7 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
         )
     u, _, wt = np.linalg.svd(factor.entries.T @ target.entries)
     q = u @ wt
-    rotated = factor.entries @ q
-    source = factor.entries @ factor.entries.T
-    return VolMatrix(rotated, "rotated", source=source), RotationMatrix(q)
+    return VolMatrix._built(factor.entries @ q, "rotated"), RotationMatrix._built(q)
 
 
 def factor_covariance(
@@ -269,16 +266,11 @@ def recover_cholesky(vol: VolMatrix) -> VolMatrix:
 
     Writes ``V = L Q`` with L lower triangular and Q orthogonal (QR of V'),
     resolving the sign ambiguity so that diag(L) > 0.  The result equals
-    ``cholesky(V V')``.
+    ``cholesky(V V')`` and has the singular values of V.
     """
-    q, r = np.linalg.qr(vol.entries.T)
-    diag = np.diag(r)
-    top = np.abs(diag).max()
-    if top == 0.0 or np.abs(diag).min() <= vol.dim * 1e-13 * top:
-        raise SingularMatrix("matrix is singular; no triangular factor exists")
-    signs = np.where(diag < 0.0, -1.0, 1.0)
-    lower = (signs[:, None] * r).T
-    return VolMatrix(lower, "cholesky", source=vol.entries @ vol.entries.T)
+    r = np.linalg.qr(vol.entries.T, mode="r")
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return VolMatrix._built((signs[:, None] * r).T, "cholesky")
 
 
 def random_rotation(n: int, seed: int) -> RotationMatrix:
@@ -293,23 +285,28 @@ def random_rotation(n: int, seed: int) -> RotationMatrix:
     gauss = rng.standard_normal((n, n))
     q, r = np.linalg.qr(gauss)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return RotationMatrix(q * signs)
+    return RotationMatrix._built(q * signs)
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless row-major CSV matrix."""
-    rows = []
+    """Read a headerless row-major CSV matrix of finite numbers, skipping
+    blank lines; a malformed file raises ParseError naming the line."""
+    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for line_no, line in enumerate(map(str.strip, fh), start=1):
             if not line:
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}", line_no) from None
+            if not np.all(np.isfinite(row)):
+                raise ParseError(f"{path}: non-finite entry in {line!r}", line_no)
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(f"{path}: {len(row)} entries, not {len(rows[0])}", line_no)
+            rows.append(row)
     if not rows:
-        raise ValueError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError(f"{path}: ragged rows in matrix file")
+        raise ParseError(f"{path}: empty matrix file", 1)
     return np.array(rows, dtype=float)
 
 

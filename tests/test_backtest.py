@@ -82,6 +82,33 @@ class TestBacktestConfig:
         with pytest.raises(ValueError):
             BacktestConfig(shrinkage=-1e-6)
 
+    def test_equal_targets_give_equal_configs_and_hashes(self):
+        a = BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
+        b = BacktestConfig(factorization="rotate", rotation_target=[[1.0, 0.0], [0.0, 1.0]])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_targets_give_unequal_configs(self):
+        a = BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
+        assert a != BacktestConfig(factorization="rotate", rotation_target=2.0 * np.eye(2))
+        assert a != BacktestConfig(factorization="rotate", rotation_target=np.eye(3))
+        assert a != BacktestConfig(
+            factorization="rotate", rotation_target=np.eye(2), exposure=0.5
+        )
+
+    def test_configs_without_target_compare_by_fields(self):
+        assert BacktestConfig() == BacktestConfig()
+        assert hash(BacktestConfig()) == hash(BacktestConfig())
+        assert BacktestConfig() != BacktestConfig(window_days=1000)
+        assert BacktestConfig() != "BacktestConfig()"
+
+    def test_target_is_validated_and_stored_as_nested_tuples(self):
+        cfg = BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
+        assert cfg.rotation_target == ((1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="target matrix must be a square"):
+            BacktestConfig(factorization="rotate", rotation_target=np.ones(3))
+
 
 class TestEstimateCovariance:
     def test_matches_sample_covariance(self):
@@ -346,6 +373,32 @@ class TestRollingBacktest:
         )
         report = rolling_backtest(panel, cfg)
         assert mid in report.dates.tolist()
+
+
+class TestRebalanceWorkCount:
+    """Factors the library builds carry their own verdicts: a rebalance runs
+    no SVD beyond Procrustes' own and no determinant."""
+
+    @pytest.mark.parametrize(
+        "method, svds", [("sym_sqrt", 0), ("cholesky", 0), ("rotate", 1)]
+    )
+    def test_linalg_calls_per_rebalance(self, monkeypatch, method, svds):
+        panel = gbm_panel(60, seed=3)
+        target = np.eye(3) + 0.5 * np.tril(np.ones((3, 3)), -1) if method == "rotate" else None
+        cfg = BacktestConfig(factorization=method, rotation_target=target, **SMALL)
+        rows = range(30, 60, 5)
+        counts = {"svd": 0, "det": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        weights = list(backtest._rebalance_weights(panel, rows, cfg))
+        assert len(weights) == len(rows) == 6
+        assert counts == {"svd": svds * len(rows), "det": 0}
 
 
 class TestParallelRebalances:

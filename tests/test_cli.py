@@ -191,6 +191,48 @@ class TestExitCodes:
         assert stdout == ""
         assert "line 3: impossible date 20200231" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "french"])
+    def test_non_ascii_digit_date_is_parse_error(self, tmp_path, capsys, fmt):
+        if fmt == "csv":
+            a = tmp_path / "a.csv"
+            a.write_text("date,X\n20000103,0.01\n2000010\u00b2,0.02\n")
+            argv = ["compare", str(a), str(a)]
+        else:
+            a = tmp_path / "a.txt"
+            a.write_text("  A B\n20000103 1.0 0.0\n2000010\u00b2 2.0 1.0\n")
+            argv = ["backtest", str(a), "--format", fmt, "--window", "5", "--every", "2"]
+        code, stdout, err = run(capsys, argv)
+        assert code == 3
+        assert stdout == ""
+        assert "line 3: bad date '2000010\u00b2'" in err
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("1.0,0.0\n0.0,abc\n", 2), ("1.0,0.0\nnan,1.0\n", 2), ("1.0,0.0\n1.0\n", 2), ("", 1)],
+        ids=["unparseable", "non-finite", "ragged", "empty"],
+    )
+    @pytest.mark.parametrize("command", ["factor", "weights --vol", "backtest --target"])
+    def test_malformed_matrix_file_is_parse_error(
+        self, panel_csv, tmp_path, capsys, text, line, command
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv = {
+            "factor": ["factor", str(bad)],
+            "weights --vol": ["weights", "--vol", str(bad)],
+            "backtest --target": [
+                "backtest", panel_csv[0], "--method", "rotate", "--target", str(bad),
+                "--window", "30", "--every", "5",
+            ],
+        }[command]
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out)] + argv)
+        assert code == 3
+        assert stdout == ""
+        assert err.startswith(f"error: line {line}: ")
+        assert str(bad) in err
+        assert not out.exists()
+
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg = tmp_path / "cfg"

@@ -184,6 +184,15 @@ class TestLoadFrench:
             load_french(write(tmp_path, "f.txt", text))
         assert exc_info.value.line_number == 7
 
+    @pytest.mark.parametrize("date", ["1987010\u00b2", "\uff11\uff19\uff18\uff17\uff10\uff11\uff10\uff15"])
+    def test_non_ascii_digit_date_reports_line_number(self, tmp_path, date):
+        # str.isdigit() holds for both; int() rejects the first and reads
+        # the fullwidth one as 19870105
+        text = FRENCH_SAMPLE.replace("19870105", date)
+        with pytest.raises(ParseError, match=f"line 7: bad date '{date}'") as exc_info:
+            load_french(write(tmp_path, "f.txt", text))
+        assert exc_info.value.line_number == 7
+
     def test_no_data_rows(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load_french(write(tmp_path, "f.txt", "just a banner\nAgric Food\n"))
@@ -257,6 +266,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match=f"line 4: impossible date {date}") as exc_info:
             load_csv(path)
         assert exc_info.value.line_number == 4
+
+    @pytest.mark.parametrize("date", ["2000010\u00b2", "\uff12\uff10\uff10\uff10\uff10\uff11\uff10\uff14"])
+    def test_non_ascii_digit_date_reports_line_number(self, tmp_path, date):
+        path = write(tmp_path, "p.csv", f"date,A\n20000103,0.01\n{date},0.02\n")
+        with pytest.raises(ParseError, match=f"line 3: bad date '{date}'") as exc_info:
+            load_csv(path)
+        assert exc_info.value.line_number == 3
 
     def test_leap_day_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", "date,A\n20000229,0.01\n20200229,0.02\n")

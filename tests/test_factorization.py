@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_cov, random_spd
+from conftest import conditioned_cov, random_cov, random_spd
 from equidrift import (
     CovMatrix,
     RotationMatrix,
     TargetMatrix,
     VolMatrix,
     cholesky,
+    factor_covariance,
     procrustes_rotate,
     random_rotation,
     read_matrix_csv,
@@ -17,7 +20,7 @@ from equidrift import (
     sym_sqrt,
     write_matrix_csv,
 )
-from equidrift.errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
+from equidrift.errors import DimensionMismatch, NotPositiveDefinite, ParseError, SingularMatrix
 
 TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
 # closed form for the symmetric root of TWO_ASSET: (C + 4I) / sqrt(17)
@@ -69,13 +72,12 @@ class TestVolMatrix:
         vol = VolMatrix([[2.0, 0.0], [1.0, 2.0]])
         np.testing.assert_array_equal(vol.cov(), np.array(TWO_ASSET))
 
-    def test_rejects_unknown_provenance(self):
-        with pytest.raises(ValueError):
-            VolMatrix(np.eye(2), provenance="guess")
-
-    def test_rejects_factor_not_reproducing_source(self):
-        with pytest.raises(ValueError):
-            VolMatrix(np.eye(2), provenance="cholesky", source=np.array(TWO_ASSET))
+    def test_public_constructor_takes_entries_only(self):
+        vol = VolMatrix(np.eye(2))
+        assert vol.provenance == "user"
+        assert not vol.entries.flags.writeable
+        with pytest.raises(TypeError):
+            VolMatrix(np.eye(2), provenance="cholesky")
 
 
 class TestCholesky:
@@ -315,6 +317,72 @@ class TestRotationMatrix:
             RotationMatrix([[1.0, 0.5], [0.0, 1.0]])
 
 
+covariances = st.builds(
+    conditioned_cov,
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 11.0),
+    scale=st.floats(1e-6, 1e2),
+)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _round_trip(vol: VolMatrix, cov: CovMatrix) -> float:
+    c = cov.entries
+    return float(np.linalg.norm(vol.cov() - c) / np.linalg.norm(c))
+
+
+def _assert_orthogonal(q: RotationMatrix) -> None:
+    a = q.entries
+    assert not a.flags.writeable
+    assert np.linalg.norm(a @ a.T - np.eye(q.dim)) <= 1e-10
+    assert abs(abs(np.linalg.det(a)) - 1.0) <= 1e-10
+
+
+class TestFactorRoundTripProperties:
+    """The factorizations build their results without re-checking them, so
+    these properties are the contract: ``||sigma sigma' - C||_F / ||C||_F``
+    at most 1e-9, and rotations orthogonal with ``|det| = 1`` within 1e-10."""
+
+    @settings(max_examples=200)
+    @given(cov=covariances)
+    def test_cholesky(self, cov):
+        vol = cholesky(cov)
+        assert vol.provenance == "cholesky"
+        assert not vol.entries.flags.writeable
+        assert _round_trip(vol, cov) <= 1e-9
+
+    @settings(max_examples=200)
+    @given(cov=covariances)
+    def test_sym_sqrt(self, cov):
+        vol = sym_sqrt(cov)
+        assert vol.provenance == "sym_sqrt"
+        assert not vol.entries.flags.writeable
+        assert _round_trip(vol, cov) <= 1e-9
+
+    @settings(max_examples=200)
+    @given(cov=covariances, seed=seeds)
+    def test_rotate_toward_random_target(self, cov, seed):
+        target = TargetMatrix(np.random.default_rng(seed).standard_normal((cov.dim, cov.dim)))
+        rotated, q = procrustes_rotate(cholesky(cov), target)
+        assert rotated.provenance == "rotated"
+        assert not rotated.entries.flags.writeable
+        assert _round_trip(rotated, cov) <= 1e-9
+        _assert_orthogonal(q)
+        assert np.array_equal(factor_covariance(cov, "rotate", target).entries, rotated.entries)
+
+    @settings(max_examples=200)
+    @given(cov=covariances, seed=seeds)
+    def test_recover_cholesky_of_randomly_rotated_factor(self, cov, seed):
+        q = random_rotation(cov.dim, seed)
+        _assert_orthogonal(q)
+        out = recover_cholesky(VolMatrix(cholesky(cov).entries @ q.entries))
+        assert out.provenance == "cholesky"
+        assert _round_trip(out, cov) <= 1e-9
+        assert np.all(np.diag(out.entries) > 0.0)
+        assert np.all(np.triu(out.entries, 1) == 0.0)
+
+
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(110)
@@ -327,11 +395,29 @@ class TestMatrixCsv:
     def test_rejects_ragged(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="line 2: .*: 1 entries, not 2"):
             read_matrix_csv(path)
 
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ValueError):
+        for text in ("", "\n  \n"):
+            path.write_text(text)
+            with pytest.raises(ParseError, match="line 1: .*: empty matrix file"):
+                read_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1.0,0.0\n\n0.0,abc\n", 3, "could not convert string to float: 'abc'"),
+            ("1.0,\n0.0,1.0\n", 1, "could not convert string to float: ''"),
+            ("1.0,0.0\n0.0,nan\n", 2, "non-finite entry in '0.0,nan'"),
+            ("-inf\n", 1, "non-finite entry in '-inf'"),
+        ],
+        ids=["unparseable", "empty-entry", "nan", "inf"],
+    )
+    def test_bad_entry_names_the_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"line {line}: .*bad.csv: {message}") as exc_info:
             read_matrix_csv(path)
+        assert exc_info.value.line_number == line

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cov
+from conftest import conditioned_cov, random_cov
 from equidrift import (
     CovMatrix,
     TargetMatrix,
@@ -171,10 +171,7 @@ def _factor(kind: str, n: int, seed: int, log_cond: float, scale: float) -> VolM
     U diag(s) V' of random orthogonal matrices, both supplied as user
     matrices; the others come from the library's own factorizations.
     """
-    lam = scale * np.logspace(0.0, -log_cond, n)
-    q = random_rotation(n, seed).entries
-    c = (q * lam) @ q.T
-    cov = CovMatrix(0.5 * (c + c.T))
+    cov = conditioned_cov(n, seed, log_cond, scale)
     if kind == "cholesky":
         return cholesky(cov)
     if kind == "upper":
@@ -184,7 +181,8 @@ def _factor(kind: str, n: int, seed: int, log_cond: float, scale: float) -> VolM
     if kind == "rotated":
         target = np.random.default_rng(seed).standard_normal((n, n))
         return procrustes_rotate(cholesky(cov), TargetMatrix(target))[0]
-    return VolMatrix((q * np.sqrt(lam)) @ random_rotation(n, seed + 1).entries)
+    w, v = cov._eig
+    return VolMatrix((v * np.sqrt(w)) @ random_rotation(n, seed + 1).entries)
 
 
 factors = st.builds(
@@ -202,14 +200,14 @@ factors = st.builds(
 class TestEqualExposureProperties:
     """Every factor shape the solve serves equalizes the driver exposures."""
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(sigma=factors, kappa=st.floats(1e-3, 1e3))
     def test_pi_star(self, sigma, kappa):
         wv = pi_star(sigma, kappa)
         p = brownian_exposures(wv, sigma).p
         assert np.abs(p - kappa / sigma.dim).max() <= RESIDUAL_RTOL * kappa
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(
         sigma=factors,
         exposure=st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
