@@ -23,8 +23,10 @@ from .data import (
     ReturnPanel,
     load_csv,
     load_french,
+    read_matrix_csv,
     synthetic_panel,
     write_csv,
+    write_matrix_csv,
 )
 from .errors import EquidriftError
 from .factorization import (
@@ -36,10 +38,8 @@ from .factorization import (
     factor_covariance,
     procrustes_rotate,
     random_rotation,
-    read_matrix_csv,
     recover_cholesky,
     sym_sqrt,
-    write_matrix_csv,
 )
 from .model import ModelParams, ReturnProfile, expected_returns
 from .simulate import (

@@ -2,8 +2,8 @@
 
 Subcommands: factor, weights, simulate, figure1, backtest, compare. All
 are deterministic given flags plus seed, and no subcommand writes a file
-until its computation has fully succeeded, so failed runs leave no partial
-output.
+until its computation has fully succeeded; its files then appear together
+or not at all, so failed runs leave no partial output.
 
 Exit codes:
   0  success
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .backtest import BacktestConfig, BacktestReport, rolling_backtest
-from .data import DateRange, load_csv, load_french
+from .data import DateRange, load_csv, load_french, read_lines, read_matrix_csv
 from .errors import (
     DegenerateExposure,
     DimensionMismatch,
@@ -56,8 +56,6 @@ from .factorization import (
     TargetMatrix,
     VolMatrix,
     factor_covariance,
-    read_matrix_csv,
-    write_matrix_csv,
 )
 from .model import ModelParams
 from .simulate import (
@@ -143,15 +141,31 @@ def _load_vol(path, method: str, target_path, is_vol: bool, shrinkage):
     return factor_covariance(cov, method, target)
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+def _write_outputs(outdir: Path, files: dict[str, list[str]]) -> None:
+    """Write all of ``files`` (name -> lines) into ``outdir``, or none: each
+    goes to a temporary sibling, and the temporaries replace their targets
+    only once all of them are written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    temps = {outdir / f".{name}.{os.getpid()}.tmp": outdir / name for name in files}
+    try:
+        for tmp, lines in zip(temps, files.values()):
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in lines)
+        for tmp, path in temps.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _csv(header: str, labels, table) -> list[str]:
+    """``header``, then one line per row: its label, then its numbers."""
+    rows = zip(labels, table)
+    return [header] + [",".join([str(label), *map(_fmt, row)]) for label, row in rows]
 
 
 # -- factor -------------------------------------------------------------------
@@ -160,12 +174,12 @@ def _cmd_factor(args) -> int:
     vol = _load_vol(args.covariance, args.method, args.target, False, args.shrinkage)
     row_sums = vol.entries.sum(axis=1)
     outdir = _outdir(args)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(outdir / "volatility.csv", vol.entries)
-    _write_lines(
-        outdir / "row_sums.csv",
-        ["asset,row_sum"]
-        + [f"{i + 1},{_fmt(s)}" for i, s in enumerate(row_sums)],
+    _write_outputs(
+        outdir,
+        {
+            "volatility.csv": [",".join(map(_fmt, row)) for row in vol.entries],
+            "row_sums.csv": _csv("asset,row_sum", range(1, vol.dim + 1), row_sums[:, None]),
+        },
     )
     print(f"method={_normalize_method(args.method)} dim={vol.dim}")
     for i, s in enumerate(row_sums):
@@ -184,10 +198,8 @@ def _cmd_weights(args) -> int:
         wv = pi_star_fully_invested(vol, exposure=args.exposure)
     exposures = brownian_exposures(wv, vol)
     outdir = _outdir(args)
-    _write_lines(
-        outdir / "weights.csv",
-        ["asset,weight"]
-        + [f"{i + 1},{_fmt(w)}" for i, w in enumerate(wv.weights)],
+    _write_outputs(
+        outdir, {"weights.csv": _csv("asset,weight", range(1, vol.dim + 1), wv.weights[:, None])}
     )
     print(f"kappa = {wv.kappa:.10g}")
     print(f"sum(weights) = {wv.exposure:.10g}")
@@ -238,10 +250,8 @@ def _cmd_simulate(args) -> int:
     print(f"variance: mc={mc_var:.8f} theory={var_th:.8f}")
     if args.save:
         outdir = _outdir(args)
-        _write_lines(
-            outdir / "terminal_wealth.csv",
-            ["path,wealth"] + [f"{i},{_fmt(w)}" for i, w in enumerate(wealth)],
-        )
+        lines = _csv("path,wealth", range(wealth.size), wealth[:, None])
+        _write_outputs(outdir, {"terminal_wealth.csv": lines})
         print(f"wrote {outdir / 'terminal_wealth.csv'}")
     return 0
 
@@ -266,12 +276,14 @@ def _cmd_figure1(args) -> int:
         results.append((n, density, variance))
 
     outdir = _outdir(args)
-    for n, density, variance in results:
-        _write_lines(
-            outdir / f"density_n{n}.csv",
-            ["wealth,density"]
-            + [f"{_fmt(x)},{_fmt(d)}" for x, d in zip(grid, density)],
-        )
+    _write_outputs(
+        outdir,
+        {
+            f"density_n{n}.csv": _csv("wealth,density", map(_fmt, grid), density[:, None])
+            for n, density, _ in results
+        },
+    )
+    for n, _, variance in results:
         print(f"n={n} variance={variance:.10g} file={outdir / f'density_n{n}.csv'}")
     return 0
 
@@ -294,18 +306,17 @@ _CONFIG_KEYS = {*_CONFIG_FIELDS, "exclude", "drop", "format", "target"}
 
 def _read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, val = line.partition("=")
-            if not sep:
-                raise ParseError(f"expected key=value, got {line!r}", line_no)
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParseError(f"unknown config key {key!r}", line_no)
-            values[key] = val.strip()
+    for line_no, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ParseError(f"expected key=value, got {line!r}", line_no)
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", line_no)
+        values[key] = val.strip()
     return values
 
 
@@ -319,41 +330,29 @@ def _split_list(text: str) -> list[str]:
 
 
 def _write_report(report: BacktestReport, outdir: Path) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_lines(
-        outdir / "returns.csv",
-        ["date,strategy,benchmark"]
-        + [
-            f"{int(d)},{_fmt(s)},{_fmt(b)}"
-            for d, s, b in zip(
-                report.dates, report.strategy_returns, report.benchmark_returns
-            )
-        ],
+    keys = (
+        "sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p",
+        "terminal_wealth_ratio", "volatility_ratio",
     )
-    _write_lines(
-        outdir / "weights.csv",
-        ["date," + ",".join(report.assets)]
-        + [
-            f"{int(d)}," + ",".join(_fmt(w) for w in row)
-            for d, row in zip(report.rebalance_dates, report.weight_history)
-        ],
-    )
-    summary = [
-        ("sharpe_strategy", report.sharpe_strategy),
-        ("sharpe_benchmark", report.sharpe_benchmark),
-        ("jk_z", report.jk_z),
-        ("jk_p", report.jk_p),
-        ("terminal_wealth_ratio", report.terminal_wealth_ratio),
-        ("volatility_ratio", report.volatility_ratio),
-    ]
-    _write_lines(
-        outdir / "summary.csv",
-        [",".join(key for key, _ in summary), ",".join(_fmt(v) for _, v in summary)],
-    )
-    lines = [f"{key}={_fmt(v)}" for key, v in summary]
+    values = [_fmt(getattr(report, key)) for key in keys]
+    text = [f"{key}={v}" for key, v in zip(keys, values)]
     if report.stats_error is not None:
-        lines.append(f"stats_error={report.stats_error}")
-    _write_lines(outdir / "summary.txt", lines)
+        text.append(f"stats_error={report.stats_error}")
+    _write_outputs(
+        outdir,
+        {
+            "returns.csv": _csv(
+                "date,strategy,benchmark",
+                report.dates,
+                np.column_stack([report.strategy_returns, report.benchmark_returns]),
+            ),
+            "weights.csv": _csv(
+                "date," + ",".join(report.assets), report.rebalance_dates, report.weight_history
+            ),
+            "summary.csv": [",".join(keys), ",".join(values)],
+            "summary.txt": text,
+        },
+    )
 
 
 def _cmd_backtest(args) -> int:

@@ -1,11 +1,17 @@
 """Daily return panels: ingestion, slicing, and synthetic generation.
 
-Two on-disk formats are supported. The industry-portfolio text format
-(whitespace-separated, banner lines around a block of date-first rows,
-values in percent, -99.99 / -999 as missing codes) is read by
-:func:`load_french`. The canonical CSV format (header ``date,<asset>...``,
-decimal values, empty cell = missing) is read and written by
-:func:`load_csv` / :func:`write_csv` and round-trips panels exactly.
+This is the package's one file-format module. Its three numeric text
+formats share one decode step (strict UTF-8) and one value grammar (ASCII
+decimal or exponent floats, parsed by numpy's ``loadtxt``); a malformed
+file raises :class:`ParseError` naming the line.
+
+- Industry-portfolio text (whitespace-separated, banner lines around a
+  block of date-first rows, values in percent, -99.99 / -999 as missing
+  codes) is read by :func:`load_french`.
+- The canonical CSV panel (header ``date,<asset>...``, decimal values,
+  empty cell = missing) is read and written by :func:`load_csv` /
+  :func:`write_csv`; headerless row-major matrix CSV by
+  :func:`read_matrix_csv` / :func:`write_matrix_csv`. Both round-trip exactly.
 
 All dates are YYYYMMDD integers and all stored returns are daily simple
 returns in decimal form.
@@ -14,7 +20,6 @@ returns in decimal form.
 from __future__ import annotations
 
 import datetime
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +33,8 @@ __all__ = [
     "load_french",
     "load_csv",
     "write_csv",
+    "read_matrix_csv",
+    "write_matrix_csv",
     "synthetic_panel",
 ]
 
@@ -55,15 +62,6 @@ def _check_yyyymmdd(value: int, what: str) -> int:
     if not _possible_dates(value):
         raise ValueError(f"{what} {value!r} has an impossible month or day")
     return value
-
-
-def _check_loaded_dates(dates: np.ndarray, line_of) -> None:
-    """Raise ParseError at the first loaded date ``_check_yyyymmdd`` would
-    reject; ``line_of(k)`` is the file line of the k-th date."""
-    bad = np.flatnonzero(~_possible_dates(dates))
-    if bad.size:
-        k = int(bad[0])
-        raise ParseError(f"impossible date {int(dates[k]):08d}", line_of(k))
 
 
 @dataclass(frozen=True)
@@ -197,38 +195,115 @@ class ReturnPanel:
         )
 
 
-def _is_data_line(tokens: list[str]) -> bool:
-    return bool(tokens) and len(tokens[0]) == 8 and tokens[0].isdigit()
+# -- the numeric text reader ----------------------------------------------------
+# Python's float() never sees a file token: it also reads underscores and
+# non-ASCII digits, so typos would load silently as other numbers.
+
+def read_lines(path) -> list[str]:
+    """The lines of a text file decoded as strict UTF-8; a byte that is not
+    UTF-8 raises ParseError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(f"{path} is not UTF-8: byte 0x{raw[exc.start]:02x}", line) from None
 
 
-def _parse_data_row(
-    tokens: list[str], n_assets: int, line_no: int
-) -> tuple[int, list[float], list[bool]]:
-    if len(tokens) != n_assets + 1:
-        raise ParseError(
-            f"expected {n_assets + 1} fields (date + {n_assets} returns), "
-            f"got {len(tokens)}",
-            line_no,
-        )
-    if not tokens[0].isascii():  # int() would read other scripts' digits
-        raise ParseError(f"bad date {tokens[0]!r}", line_no)
-    date = int(tokens[0])
-    values: list[float] = []
-    mask: list[bool] = []
-    for tok in tokens[1:]:
-        try:
-            val = float(tok)
-        except ValueError:
-            raise ParseError(f"cannot parse return value {tok!r}", line_no) from None
-        if not math.isfinite(val):
-            raise ParseError(f"non-finite return value {tok!r}", line_no)
-        if val in MISSING_CODES:
-            values.append(float("nan"))
-            mask.append(True)
-        else:
-            values.append(val / 100.0)
-            mask.append(False)
-    return date, values, mask
+def _grammar(rows: list[str], delimiter: str | None, width: int) -> np.ndarray | None:
+    """``rows`` as a (len(rows), width) float array, or None if a row has
+    another field count or a token that is not an ASCII decimal or exponent
+    float (``nan`` and ``inf`` included)."""
+    if not rows:
+        return np.empty((0, width))
+    try:
+        values = np.loadtxt(rows, delimiter=delimiter, comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), width) else None
+
+
+def _blank_cells_to_nan(rows: list[str]) -> list[str]:
+    """CSV rows with each cell that is empty or only spaces and tabs written
+    as ``nan``, since the grammar rejects blank tokens."""
+    text = "\n".join(rows)
+    if " " in text or "\t" in text:  # one-character scans are the fast ones
+        blanks = (" ,", ", ", "\t,", ",\t")
+        while any(blank in text for blank in blanks):
+            for blank in blanks:
+                text = text.replace(blank, ",")
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+    return (text + "nan" if text.endswith(",") else text).split("\n")
+
+
+def _row_error(row: str, delimiter: str | None, width: int, missing_ok: bool) -> str:
+    """Why one data row fails: its field count, else its first bad token."""
+    cells = row.split(delimiter)
+    if len(cells) != width:
+        return f"{len(cells)} entries, not {width}"
+    for token in (cell.strip(" \t") for cell in cells):
+        if missing_ok and not token:
+            continue
+        value = _grammar([token], delimiter, 1) if token else None
+        if value is None:
+            return f"could not convert string to float: {token!r}"
+        if not (np.isfinite(value[0, 0]) or missing_ok and np.isnan(value[0, 0])):
+            return f"non-finite entry in {row.strip()!r}"
+    return f"cannot parse {row.strip()!r}"
+
+
+def _parse_rows(rows, line_numbers, delimiter, width, missing_ok=False, where="") -> np.ndarray:
+    """Data rows as a (len(rows), width) float array, by the grammar.
+
+    ``rows[k]`` is file line ``line_numbers[k]``. With ``missing_ok`` (the
+    CSV panel) blank cells and NaN read as NaN; otherwise every value must
+    be finite. The first row that breaks a rule raises ParseError naming
+    its line; a row the grammar rejects is found by re-running it on halves.
+    """
+    tokens = _blank_cells_to_nan(rows) if missing_ok and rows else rows
+    values = _grammar(tokens, delimiter, width)
+    if values is None:
+        good, bad = 0, len(rows)  # tokens[:good] parse, tokens[:bad] do not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if _grammar(tokens[good:mid], delimiter, width) is None:
+                bad = mid
+            else:
+                good = mid
+        values = _grammar(tokens[:good], delimiter, width)
+    not_allowed = np.isinf(values) if missing_ok else ~np.isfinite(values)
+    k = int(next(iter(np.flatnonzero(not_allowed.any(axis=1))), len(values)))
+    if k == len(rows):
+        return values
+    raise ParseError(where + _row_error(rows[k], delimiter, width, missing_ok), line_numbers[k])
+
+
+def _dated_rows(rows, line_numbers, delimiter, width, missing_ok=False):
+    """Panel rows led by a YYYYMMDD date of 8 ASCII digits (int() would read
+    other scripts' digits) that is a calendar date: (dates, values)."""
+    firsts = [row.split(delimiter, 1)[0].strip() for row in rows]
+    ok = (len(tok) == 8 and tok.isascii() and tok.isdigit() for tok in firsts)
+    d = next((k for k, good in enumerate(ok) if not good), len(rows))
+    values = _parse_rows(rows[:d], line_numbers, delimiter, width, missing_ok)
+    dates = values[:, 0].astype(np.int64)
+    k = int(next(iter(np.flatnonzero(~_possible_dates(dates))), d))
+    if k < len(rows):
+        message = f"impossible date {dates[k]:08d}" if k < d else f"bad date {firsts[d]!r}"
+        raise ParseError(message, line_numbers[k])
+    return dates, values[:, 1:]
+
+
+def _asset_names(names: list[str], line_number: int) -> tuple[str, ...]:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ParseError(f"asset name {name!r} appears twice", line_number)
+    return tuple(names)
+
+
+def _is_data_line(line: str) -> bool:
+    first = line.split(None, 1)[:1]
+    return bool(first) and len(first[0]) == 8 and first[0].isdigit()
 
 
 def load_french(
@@ -244,55 +319,30 @@ def load_french(
     after the daily value-weighted one). Values equal to -99.99 or -999 are
     recorded as missing; all others are divided by 100 exactly once.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        lines = fh.readlines()
-
-    first_data = None
-    for idx, line in enumerate(lines):
-        if _is_data_line(line.split()):
-            first_data = idx
-            break
-    if first_data is None:
+    lines = read_lines(path)
+    first = next((i for i, line in enumerate(lines) if _is_data_line(line)), None)
+    if first is None:
         raise ParseError("no data rows (date-first lines) found", len(lines) or 1)
+    end = next((i for i in range(first, len(lines)) if not _is_data_line(lines[i])), len(lines))
 
-    header_tokens: list[str] = []
-    for idx in range(first_data - 1, -1, -1):
-        tokens = lines[idx].split()
-        if tokens:
-            header_tokens = tokens
-            break
-    n_cols = len(lines[first_data].split()) - 1
-    if len(header_tokens) == n_cols + 1:
+    above = next((i for i in range(first - 1, -1, -1) if lines[i].strip()), -1)
+    header = lines[above].split() if above >= 0 else []
+    n_cols = len(lines[first].split()) - 1
+    if len(header) == n_cols + 1:
         # Some exports label the date column; drop that label.
-        header_tokens = header_tokens[1:]
-    if len(header_tokens) != n_cols:
-        raise ParseError(
-            f"header has {len(header_tokens)} asset names but data rows have "
-            f"{n_cols} return columns",
-            first_data + 1,
-        )
+        header = header[1:]
+    if len(header) != n_cols:
+        message = f"header has {len(header)} asset names but data rows have {n_cols} return columns"
+        raise ParseError(message, first + 1)
+    assets = _asset_names(header, above + 1)
 
-    dates: list[int] = []
-    rows: list[list[float]] = []
-    masks: list[list[bool]] = []
-    for idx in range(first_data, len(lines)):
-        tokens = lines[idx].split()
-        if not _is_data_line(tokens):
-            break
-        date, values, mask = _parse_data_row(tokens, n_cols, idx + 1)
-        dates.append(date)
-        rows.append(values)
-        masks.append(mask)
-
-    if not dates:
-        raise ParseError("data block is empty", first_data + 1)
-    dates = np.array(dates, dtype=np.int64)
-    _check_loaded_dates(dates, lambda k: first_data + 1 + k)
+    dates, values = _dated_rows(lines[first:end], range(first + 1, end + 1), None, n_cols + 1)
+    mask = np.isin(values, MISSING_CODES)
     panel = ReturnPanel(
         dates=dates,
-        assets=tuple(header_tokens),
-        returns=np.array(rows),
-        missing_mask=np.array(masks),
+        assets=assets,
+        returns=np.where(mask, np.nan, values / 100.0),
+        missing_mask=mask,
     )
     if drop_assets:
         panel = panel.drop_assets(drop_assets)
@@ -304,61 +354,29 @@ def load_french(
 def load_csv(path) -> ReturnPanel:
     """Read the canonical CSV format: header 'date,<asset>...', decimal values.
 
-    Empty cells (and 'nan', any case) are missing observations.
+    Empty cells, cells of spaces and tabs, and 'nan' in any case are missing
+    observations.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].strip():
         raise ParseError("file is empty", 1)
 
     header = [cell.strip() for cell in lines[0].split(",")]
     if len(header) < 2 or header[0].lower() != "date":
         raise ParseError("header must be 'date,<asset names...>'", 1)
-    assets = tuple(header[1:])
+    assets = _asset_names(header[1:], 1)
 
-    dates: list[int] = []
-    rows: list[list[float]] = []
-    masks: list[list[bool]] = []
-    for idx, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = [cell.strip() for cell in line.split(",")]
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} cells, got {len(cells)}", idx
-            )
-        if not (len(cells[0]) == 8 and cells[0].isascii() and cells[0].isdigit()):
-            raise ParseError(f"bad date {cells[0]!r}", idx)
-        values: list[float] = []
-        mask: list[bool] = []
-        for cell in cells[1:]:
-            if cell == "" or cell.lower() == "nan":
-                values.append(float("nan"))
-                mask.append(True)
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"cannot parse return value {cell!r}", idx) from None
-            if not math.isfinite(value):
-                raise ParseError(f"non-finite return value {cell!r}", idx)
-            values.append(value)
-            mask.append(False)
-        dates.append(int(cells[0]))
-        rows.append(values)
-        masks.append(mask)
-
-    if not dates:
+    numbers = [i for i in range(2, len(lines) + 1) if lines[i - 1].strip()]
+    if not numbers:
         raise ParseError("no data rows", max(2, len(lines)))
-    dates = np.array(dates, dtype=np.int64)
-    _check_loaded_dates(
-        dates, lambda k: [i for i, line in enumerate(lines, 1) if line.strip()][k + 1]
-    )
+    rows = [lines[i - 1] for i in numbers]
+    dates, values = _dated_rows(rows, numbers, ",", len(header), missing_ok=True)
+    mask = np.isnan(values)
     return ReturnPanel(
         dates=dates,
         assets=assets,
-        returns=np.array(rows),
-        missing_mask=np.array(masks),
+        returns=np.where(mask, np.nan, values),
+        missing_mask=mask,
     )
 
 
@@ -368,16 +386,30 @@ def write_csv(panel: ReturnPanel, path) -> None:
     Values use shortest round-trip decimal formatting; missing cells are
     written empty.
     """
+    rows = zip(panel.dates.tolist(), panel.returns.tolist(), panel.missing_mask.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("date," + ",".join(panel.assets) + "\n")
-        for i in range(panel.n_dates):
-            cells = [str(int(panel.dates[i]))]
-            for j in range(panel.n_assets):
-                if panel.missing_mask[i, j]:
-                    cells.append("")
-                else:
-                    cells.append(repr(float(panel.returns[i, j])))
-            fh.write(",".join(cells) + "\n")
+        for date, values, missing in rows:
+            cells = ["" if m else repr(v) for v, m in zip(values, missing)]
+            fh.write(",".join([str(date), *cells]) + "\n")
+
+
+def read_matrix_csv(path) -> np.ndarray:
+    """Read a headerless row-major CSV matrix of finite numbers, skipping
+    blank lines; a malformed file raises ParseError naming the line."""
+    lines = read_lines(path)
+    numbers = [i for i in range(1, len(lines) + 1) if lines[i - 1].strip()]
+    if not numbers:
+        raise ParseError(f"{path}: empty matrix file", 1)
+    rows = [lines[i - 1].strip() for i in numbers]
+    return _parse_rows(rows, numbers, ",", len(rows[0].split(",")), where=f"{path}: ")
+
+
+def write_matrix_csv(path, matrix) -> None:
+    """Write a matrix as headerless row-major CSV with round-trip precision."""
+    a = np.atleast_2d(np.asarray(matrix, dtype=float))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in a.tolist())
 
 
 def _weekday_dates(days: int, start: datetime.date) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, ParseError, SingularMatrix
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularMatrix
 
 __all__ = [
     "CovMatrix",
@@ -31,8 +31,6 @@ __all__ = [
     "factor_covariance",
     "recover_cholesky",
     "random_rotation",
-    "read_matrix_csv",
-    "write_matrix_csv",
 ]
 
 #: Relative tolerance for the symmetry check on covariance input.
@@ -287,33 +285,3 @@ def random_rotation(n: int, seed: int) -> RotationMatrix:
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return RotationMatrix._built(q * signs)
 
-
-def read_matrix_csv(path) -> np.ndarray:
-    """Read a headerless row-major CSV matrix of finite numbers, skipping
-    blank lines; a malformed file raises ParseError naming the line."""
-    rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(map(str.strip, fh), start=1):
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}", line_no) from None
-            if not np.all(np.isfinite(row)):
-                raise ParseError(f"{path}: non-finite entry in {line!r}", line_no)
-            if rows and len(row) != len(rows[0]):
-                raise ParseError(f"{path}: {len(row)} entries, not {len(rows[0])}", line_no)
-            rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: empty matrix file", 1)
-    return np.array(rows, dtype=float)
-
-
-def write_matrix_csv(path, matrix) -> None:
-    """Write a matrix as headerless row-major CSV with round-trip precision."""
-    a = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in a:
-            fh.write(",".join(repr(float(x)) for x in row))
-            fh.write("\n")

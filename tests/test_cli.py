@@ -233,6 +233,31 @@ class TestExitCodes:
         assert str(bad) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", ["factor", "compare", "backtest --format french", "backtest --config"]
+    )
+    def test_non_utf8_file_is_parse_error(self, panel_csv, tmp_path, capsys, command):
+        bad = tmp_path / "bad"
+        text, argv = {
+            "factor": (b"1.0,0.0\n0.0,\xff1.0\n", ["factor", str(bad)]),
+            "compare": (b"date,X\n20000103,0.01\n20000104,\xff\n", ["compare", str(bad), str(bad)]),
+            "backtest --format french": (
+                b"  A B\n20000103 1.0 0.0\n20000104 \xff 1.0\n",
+                ["backtest", str(bad), "--format", "french"],
+            ),
+            "backtest --config": (
+                b"window=30\n\xff=1\n", ["backtest", panel_csv[0], "--config", str(bad)]
+            ),
+        }[command]
+        bad.write_bytes(text)
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out)] + argv)
+        assert code == 3
+        assert stdout == ""
+        line = 2 if command in ("factor", "backtest --config") else 3
+        assert err.startswith(f"error: line {line}: {bad} is not UTF-8: byte 0xff")
+        assert not out.exists()
+
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg = tmp_path / "cfg"
@@ -268,6 +293,23 @@ class TestBacktestCommand:
         ret_lines = (out / "returns.csv").read_text().splitlines()
         assert ret_lines[0] == "date,strategy,benchmark"
         assert len(ret_lines) == 31
+
+    def test_failed_write_leaves_no_report(self, panel_csv, tmp_path, capsys, monkeypatch):
+        opened = []
+
+        def open_failing_third(path, *args, **kwargs):
+            opened.append(path)
+            if len(opened) == 3:
+                raise OSError(28, "No space left on device")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_failing_third, raising=False)
+        out = tmp_path / "report"
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", panel_csv[0]] + self.BASE)
+        assert code != 0
+        assert "No space left on device" in err
+        assert len(opened) == 3
+        assert list(out.iterdir()) == []
 
     def test_matches_library_results(self, panel_csv, tmp_path, capsys):
         path, panel = panel_csv

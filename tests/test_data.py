@@ -1,7 +1,11 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equidrift import (
     DateRange,
@@ -10,10 +14,12 @@ from equidrift import (
     VolMatrix,
     load_csv,
     load_french,
+    read_matrix_csv,
     synthetic_panel,
     write_csv,
+    write_matrix_csv,
 )
-from equidrift.errors import EmptyPanel, NonMonotonicDates, ParseError
+from equidrift.errors import EmptyPanel, EquidriftError, NonMonotonicDates, ParseError
 
 FRENCH_SAMPLE = """\
   Average Value Weighted Returns -- Daily
@@ -234,10 +240,17 @@ class TestCsvRoundTrip:
         path = write(
             tmp_path,
             "p.csv",
-            "date,A,B\n20000103,0.01,\n20000104,NaN,0.02\n",
+            "date,A,B\n20000103,0.01,\n20000104,NaN,0.02\n"
+            "20000105,-nan,+NAN\n20000106, ,0.03\n20000107,0.04,\t \n",
         )
         panel = load_csv(path)
-        np.testing.assert_array_equal(panel.missing_mask, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(
+            panel.missing_mask, [[0, 1], [1, 0], [1, 1], [1, 0], [0, 1]]
+        )
+        # every missing cell holds the same NaN, whatever its sign in the file
+        assert {v.tobytes() for v in panel.returns[panel.missing_mask]} == {
+            np.float64("nan").tobytes()
+        }
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "-INF"])
     def test_infinite_cell_reports_line_number(self, tmp_path, cell):
@@ -293,6 +306,120 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(NonMonotonicDates):
             load_csv(path)
+
+
+#: Each loader with a file whose line ``line`` holds ``{}`` as one value.
+LOADER_CASES = {
+    "csv": (load_csv, "date,A,B\n20000103,0.01,0.02\n20000104,{},0.02\n", 3),
+    "french": (load_french, FRENCH_SAMPLE.replace("19870105   0.25", "19870105   {}"), 7),
+    "matrix": (read_matrix_csv, "1.0,0.0\n\n0.0,{}\n", 3),
+}
+
+
+class TestValueGrammar:
+    @pytest.mark.parametrize("token", ["0_0_1", "٠.١", "１"])
+    @pytest.mark.parametrize("fmt", sorted(LOADER_CASES))
+    def test_underscores_and_non_ascii_digits_are_rejected(self, tmp_path, fmt, token):
+        # float() reads these as 0.001, 0.1 and 1.0
+        loader, template, line = LOADER_CASES[fmt]
+        path = write(tmp_path, "f.txt", template.format(token))
+        message = re.escape(f"could not convert string to float: {token!r}")
+        with pytest.raises(ParseError, match=f"line {line}: .*{message}") as exc_info:
+            loader(path)
+        assert exc_info.value.line_number == line
+
+    @pytest.mark.parametrize(
+        "fmt, text, line",
+        [
+            ("csv", "date,A,B,A\n20000103,0.01,0.02,0.03\n", 1),
+            ("french", FRENCH_SAMPLE.replace("Food   Hlth", "Food   Agric", 1), 4),
+        ],
+    )
+    def test_duplicate_asset_name_names_its_line(self, tmp_path, fmt, text, line):
+        loader = LOADER_CASES[fmt][0]
+        with pytest.raises(ParseError, match=f"line {line}: asset name 'A.*' appears twice"):
+            loader(write(tmp_path, "f.txt", text))
+
+
+#: Finite doubles, with the ones a decimal round-trip gets wrong most easily.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=150)
+    @given(data=st.data(), n=st.integers(1, 12), rows=st.integers(1, 25))
+    def test_csv_round_trip_is_bitwise(self, tmp_path_factory, data, n, rows):
+        values = np.array(data.draw(st.lists(FINITE, min_size=n * rows, max_size=n * rows)))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * rows, max_size=n * rows)))
+        values, mask = values.reshape(rows, n), mask.reshape(rows, n)
+        panel = ReturnPanel(
+            dates=[20000101 + i for i in range(rows)],
+            assets=tuple(f"A{j}" for j in range(n)),
+            returns=np.where(mask, np.nan, values),
+            missing_mask=mask,
+        )
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        write_csv(panel, path)
+        back = load_csv(path)
+        assert back.assets == panel.assets
+        assert back.dates.tobytes() == panel.dates.tobytes()
+        assert back.missing_mask.tobytes() == panel.missing_mask.tobytes()
+        assert back.returns.tobytes() == panel.returns.tobytes()
+
+    @settings(max_examples=150)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    def test_matrix_round_trip_is_bitwise(self, tmp_path_factory, data, shape):
+        size = shape[0] * shape[1]
+        a = np.array(data.draw(st.lists(FINITE, min_size=size, max_size=size))).reshape(shape)
+        path = tmp_path_factory.mktemp("matrix") / "m.csv"
+        write_matrix_csv(path, a)
+        back = read_matrix_csv(path)
+        assert back.shape == a.shape
+        assert back.tobytes() == a.tobytes()
+
+
+    @settings(max_examples=100)
+    @given(values=st.lists(FINITE.filter(lambda v: v not in (-99.99, -999.0)), min_size=1, max_size=8))
+    def test_french_percent_is_one_exact_division(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("french") / "f.txt"
+        path.write_text("  A\n" + "".join(f"{20000101 + i} {v!r}\n" for i, v in enumerate(values)))
+        want = np.array([[float(repr(v)) / 100.0] for v in values])
+        assert load_french(path).returns.tobytes() == want.tobytes()
+
+
+#: Pieces of well-formed and malformed files, so that fuzzed input reaches
+#: the grammar and not only the decode step.
+FRAGMENTS = [
+    b"date,A,B\n", b"  A B\n", b"20000103", b"19870105", b"20200231", b",", b" ",
+    b"\t", b"\n", b"\r\n", b"\r", b"\x0c", b"0.5", b"-1e3", b"nan", b"-nan", b"inf",
+    b"-99.99", b"_", b".", b"#", b'"', b"\x00", b"\xff", b"\xd9\xa0", b"\xef\xbc\x91",
+    b"\xc2\xa0", b"\xc3",
+]
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=400)
+    @given(
+        content=st.one_of(
+            st.binary(max_size=200),
+            st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join),
+        ),
+        fmt=st.sampled_from(sorted(LOADER_CASES)),
+    )
+    def test_malformed_input_raises_only_package_errors(self, tmp_path_factory, content, fmt):
+        # never UnicodeDecodeError, IndexError or a bare ValueError, which
+        # the CLI would report as an internal or usage error
+        path = tmp_path_factory.mktemp("fuzz") / "f.txt"
+        path.write_bytes(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                LOADER_CASES[fmt][0](path)
+            except EquidriftError:
+                pass
 
 
 class TestSyntheticPanel:
