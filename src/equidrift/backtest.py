@@ -7,12 +7,26 @@ equal-weight target vectors. Weights are re-fixed to the target every day;
 day-t returns use only data through day t-1. Accounting always runs on the
 full return series, including excluded dates.
 
+Rebalance weights come in two passes over a block of windows. The first
+fills a stack of n x n covariances, one window at a time, with the kernel
+:func:`estimate_covariance` uses, each reading a column slice of the
+asset-major panel with excluded rows removed once. The second runs the rest
+of the chain on the whole stack: the covariance checks, ``eigh``, the factor,
+the refined solve and the weight checks, one LAPACK call per step with
+vectorized verdicts. The public functions run the same kernels on a batch of
+one, so the weights are bitwise equal to the public chain
+``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
+``pi_star_fully_invested``. A block keeps its weights up to the first window
+on which that chain would raise or warn; that window and the rest of the
+block run through the chain itself, so errors and warnings arise as in a
+serial run.
+
 Each rebalance depends only on its own estimation window, so long runs
 compute contiguous chunks of rebalances in forked worker processes, one per
-CPU the process may run on. Every chunk runs the same public chain, so the
-results are bitwise identical at any worker count. A worker stops at its
-first rebalance that raises or warns, and the caller computes the rest of
-that chunk, so errors and warnings arise in the caller as in a serial run.
+CPU the process may run on, each chunk in stacked blocks. The results are
+bitwise identical at any worker count. A worker stops at its first rebalance
+that raises or warns, and the caller computes the rest of that chunk, so
+errors and warnings arise in the caller as in a serial run.
 """
 
 from __future__ import annotations
@@ -35,10 +49,17 @@ from .errors import (
     TooFewObservations,
     ZeroVariance,
 )
-from .factorization import FACTORIZATIONS, CovMatrix, TargetMatrix, factor_covariance
+from .factorization import (
+    FACTORIZATIONS,
+    CovMatrix,
+    TargetMatrix,
+    _factors,
+    _symmetric,
+    factor_covariance,
+)
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel, sharpe
-from .strategy import one_over_n, pi_star_fully_invested
+from .strategy import _fully_invested, one_over_n, pi_star_fully_invested
 
 __all__ = [
     "BacktestConfig",
@@ -49,12 +70,18 @@ __all__ = [
     "rolling_backtest",
 ]
 
-#: Fewest rebalances worth a worker process of their own. Forking a worker
-#: and collecting its weights took 6-28 ms on a 2-CPU Linux host, and the
-#: whole fan-out cost 12-63 ms over half the serial time; a rebalance took
-#: 0.8 ms at 10 assets and 1.4 ms at 47. At 128 rebalances, the fewest that
-#: fork on 2 CPUs, the weights took 65 ms instead of 107 ms at 10 assets.
-_MIN_CHUNK = 64
+#: Fewest rebalances worth a worker process of their own. On a 2-CPU Linux
+#: host with one BLAS thread, forking a worker, sending its weights back and
+#: joining it cost 7-12 ms, and a stacked rebalance took 0.09-0.1 ms at 10
+#: assets and 0.9 ms at 47. At 10 assets two lanes broke even near 80
+#: rebalances each (160 took 16.8 ms serially and 15.8 ms on 2 lanes) and
+#: gained 17% at 128; at 47 assets, 160 rebalances took 86 ms, not 141 ms.
+_MIN_CHUNK = 80
+
+#: Bytes of one n x n stack in a block of stacked rebalances: 1,638 windows at
+#: 10 assets, 7 at 47. A 1 MiB budget raised a 10-asset daily run's peak
+#: RSS by 13%; at 128 KiB it rose about 1% and kept the speed.
+_STACK_BYTES = 128 * 1024
 
 #: Week of 1987-10-19, excluded from covariance estimation by default. A
 #: no-op for panels that do not span it.
@@ -173,10 +200,17 @@ def estimate_covariance(window: ReturnPanel, shrinkage: float | None = None) -> 
         raise InsufficientObservations(
             f"need at least {n + 1} observations for {n} assets, got {m}"
         )
-    c = np.cov(window.returns, rowvar=False, ddof=1)
-    c = np.atleast_2d(c)
-    c = 0.5 * (c + c.T)
-    return CovMatrix(c, shrinkage=shrinkage)
+    return CovMatrix(_covariance(window.returns.T), shrinkage=shrinkage)
+
+
+def _covariance(x: np.ndarray) -> np.ndarray:
+    """Sample covariance (divisor m - 1) of the n series in the rows of ``x``
+    (n, m), symmetrized. Each row must be contiguous; the row stride may be
+    anything, so a column slice of the asset-major panel gives the same bits
+    as its copy."""
+    xc = x - x.mean(axis=1)[:, None]
+    c = (xc @ xc.T) / (x.shape[1] - 1)
+    return 0.5 * (c + c.T)
 
 
 def estimation_window(panel: ReturnPanel, end_row: int, config: BacktestConfig) -> ReturnPanel:
@@ -187,14 +221,18 @@ def estimation_window(panel: ReturnPanel, end_row: int, config: BacktestConfig) 
     reproduce the engine's inputs exactly.
     """
     window = panel.take_rows(end_row - config.window_days, end_row)
-    if not config.exclusion_windows:
-        return window
-    keep = np.ones(window.n_dates, dtype=bool)
-    for rng in config.exclusion_windows:
-        keep &= ~((window.dates >= rng.start) & (window.dates <= rng.end))
+    keep = _outside_exclusions(window.dates, config)
     if np.all(keep):
         return window
     return window._rows(keep)
+
+
+def _outside_exclusions(dates: np.ndarray, config: BacktestConfig) -> np.ndarray:
+    """True for each date outside every exclusion window."""
+    keep = np.ones(dates.size, dtype=bool)
+    for rng in config.exclusion_windows:
+        keep &= ~((dates >= rng.start) & (dates <= rng.end))
+    return keep
 
 
 def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
@@ -220,11 +258,73 @@ def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
         yield pi_star_fully_invested(vol, exposure=config.exposure).weights
 
 
-def _weight_block(panel: ReturnPanel, rows, config: BacktestConfig) -> np.ndarray:
-    block = np.empty((len(rows), panel.n_assets))
-    for k, weights in enumerate(_rebalance_weights(panel, rows, config)):
-        block[k] = weights
-    return block
+def _leading(ok: np.ndarray) -> int:
+    """How many entries of ``ok`` are True before the first False."""
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else ok.size
+
+
+def _stacked_weights(
+    kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig, target
+) -> np.ndarray:
+    """Weights for the windows ``kept[:, lo[k]:hi[k]]`` from the stacked
+    kernels, up to the first window on which the public chain would raise or
+    warn; none if a LAPACK call fails, since it does not say on which."""
+    n = kept.shape[0]
+    c = np.empty((len(lo), n, n))
+    with np.errstate(all="ignore"):  # a failing window warns on the public path
+        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            c[k] = _covariance(kept[:, a:b])
+        c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)) & _symmetric(c))]
+        try:
+            w, v = np.linalg.eigh(c)
+            k = _leading(w[:, 0] > 0.0)
+            sigma, ok = _factors(c[:k], w[:k], v[:k], config.factorization, target)
+            weights, ok = _fully_invested(sigma[: _leading(ok)], config.exposure)
+        except np.linalg.LinAlgError:
+            return np.empty((0, n))
+    return weights[: _leading(ok)]
+
+
+def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
+    """Yield the weights taking effect at each of ``rows``, in order, as
+    arrays of consecutive rebalances.
+
+    Rebalances run in blocks whose n x n stacks fit ``_STACK_BYTES``. A block
+    keeps the stacked weights before its first window that would fail or
+    warn on the public chain (a masked row or too few rows fail before any
+    arithmetic); that window and the rest of the block run through
+    :func:`_rebalance_weights`, so errors and warnings arise exactly as in a
+    serial run.
+    """
+    n = panel.n_assets
+    first = rows[0] - config.window_days
+    span = slice(first, rows[-1])
+    keep = _outside_exclusions(panel.dates[span], config)
+    kept = panel.returns[span].T
+    if not np.all(keep):
+        kept = kept.compress(keep, axis=1)
+    pos = np.concatenate(([0], np.cumsum(keep)))
+    masked = np.concatenate(([0], np.cumsum(np.any(panel.missing_mask[span][keep], axis=1))))
+    ends = np.asarray(rows) - first
+    lo, hi = pos[ends - config.window_days], pos[ends]
+    fits = (hi - lo > n) & (masked[hi] == masked[lo])
+    target = None if config.rotation_target is None else TargetMatrix(config.rotation_target).entries
+    size = max(1, _STACK_BYTES // (8 * n * n))
+    for i in range(0, len(rows), size):
+        j = min(i + size, len(rows))
+        done = i + _leading(fits[i:j])
+        if done > i:
+            weights = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
+            done = i + len(weights)
+            yield weights
+        for weights in _rebalance_weights(panel, rows[done:j], config):
+            yield weights[None]
+
+
+def _weight_block(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
+    """Weights for every rebalance in ``rows``, one row each."""
+    return np.concatenate(list(_weight_parts(panel, rows, config)))
 
 
 def _cpus() -> int:
@@ -240,17 +340,15 @@ def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> N
     chunk itself, and every exception and warning arises in the caller's
     process from the code a serial run uses.
     """
-    block = np.empty((len(rows), panel.n_assets))
-    done = 0
+    parts = [np.empty((0, panel.n_assets))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            for weights in _rebalance_weights(panel, rows, config):
-                block[done] = weights
-                done += 1
+            for part in _weight_parts(panel, rows, config):
+                parts.append(part)
         except Exception:  # the parent computes this rebalance again
             pass
-    writer.send(block[:done])
+    writer.send(np.concatenate(parts))
     writer.close()
 
 

@@ -88,7 +88,7 @@ EXIT_CODES = {
 
 #: Exception classes -> EXIT_CODES name, first match wins.
 _ERROR_EXITS = (
-    ((ParseError, FileNotFoundError, IsADirectoryError, PermissionError), "parse"),
+    ((ParseError, OSError), "parse"),
     ((NonMonotonicDates, EmptyPanel), "panel"),
     (
         (
@@ -148,9 +148,13 @@ def _write_outputs(outdir: Path, files: dict[str, list[str]]) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     temps = {outdir / f".{name}.{os.getpid()}.tmp": outdir / name for name in files}
     try:
-        for tmp, lines in zip(temps, files.values()):
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for line in lines)
+        for (tmp, path), lines in zip(temps.items(), files.values()):
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.writelines(line + "\n" for line in lines)
+            except OSError as exc:  # a failed write (a full disk) names no file
+                exc.filename = exc.filename or str(path)
+                raise
         for tmp, path in temps.items():
             os.replace(tmp, path)
     finally:

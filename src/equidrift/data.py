@@ -99,6 +99,11 @@ class ReturnPanel:
     NaN and must never reach an estimation window. Unmasked returns are
     finite decimals (a 1% day is 0.01), converted from percent exactly once
     at load time.
+
+    ``returns`` is stored asset-major (Fortran order), whatever the layout
+    given: each asset's series is contiguous, so the transpose of any run of
+    rows is an (assets, rows) array with contiguous rows, the layout the
+    covariance kernel reads. The same values therefore give the same bits.
     """
 
     dates: np.ndarray
@@ -108,7 +113,7 @@ class ReturnPanel:
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype=np.int64)
-        returns = np.asarray(self.returns, dtype=float)
+        returns = np.asfortranarray(self.returns, dtype=float)
         mask = np.asarray(self.missing_mask, dtype=bool)
         assets = tuple(str(a) for a in self.assets)
         for arr in (dates, returns, mask):
@@ -170,7 +175,7 @@ class ReturnPanel:
         panel = object.__new__(ReturnPanel)
         for name, arr in (
             ("dates", dates),
-            ("returns", self.returns[index]),
+            ("returns", np.asfortranarray(self.returns[index])),
             ("missing_mask", self.missing_mask[index]),
         ):
             arr.setflags(write=False)

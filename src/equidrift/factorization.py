@@ -11,6 +11,12 @@ public constructors check everything; the matrices this module builds skip
 those checks through the private ``_built``. Every factor of C has the
 singular values ``sqrt(eig(C))``, which :class:`CovMatrix` keeps, and a
 rotation leaves them unchanged, so factorizations judge singularity without an SVD.
+
+Each step runs on a private kernel that takes a stack of matrices (a
+leading batch axis) and returns per-slice results and verdicts; the public
+functions call it with a batch of one and raise on its verdicts. The
+backtest engine calls the same kernels with a batch of many, so its factors
+are bitwise equal to the public ones.
 """
 
 from __future__ import annotations
@@ -69,10 +75,9 @@ class CovMatrix:
 
     def __init__(self, entries, shrinkage: float | None = None):
         a = _as_square(entries, "covariance matrix")
-        scale = np.abs(a).max()
-        if scale > 0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
+        if not _symmetric(a[None])[0]:
             raise ValueError("covariance matrix is not symmetric within tolerance")
-        w, v = np.linalg.eigh(a)
+        w, v = (x[0] for x in np.linalg.eigh(a[None]))
         if w[0] <= 0.0:
             if shrinkage is None:
                 raise NotPositiveDefinite(
@@ -81,7 +86,7 @@ class CovMatrix:
             mean_var = float(np.diag(a).mean())
             bump = shrinkage * mean_var if mean_var > 0.0 else shrinkage
             repaired = a + bump * np.eye(a.shape[0])
-            w, v = np.linalg.eigh(repaired)
+            w, v = (x[0] for x in np.linalg.eigh(repaired[None]))
             if w[0] <= 0.0:
                 raise NotPositiveDefinite(
                     "covariance matrix is not positive-definite even after "
@@ -99,10 +104,48 @@ class CovMatrix:
         return f"CovMatrix(dim={self.dim})"
 
 
+def _symmetric(a: np.ndarray) -> np.ndarray:
+    """Per slice of a stack (B, n, n): symmetric within SYMMETRY_RTOL of its
+    largest entry."""
+    scale = np.abs(a).max(axis=(1, 2))
+    skew = np.abs(a - a.transpose(0, 2, 1)).max(axis=(1, 2))
+    return ~((scale > 0) & (skew > SYMMETRY_RTOL * scale))
+
+
+def _nonsingular(svals: np.ndarray) -> np.ndarray:
+    """Per row of singular values (B, n): the factor is not singular within
+    tolerance."""
+    return ~(svals.min(axis=1) <= svals.shape[1] * 1e-13 * svals.max(axis=1))
+
+
 def _require_nonsingular(svals: np.ndarray) -> None:
     """Reject a factor with these singular values as singular."""
-    if svals.min() <= svals.size * 1e-13 * svals.max():
+    if not _nonsingular(svals[None])[0]:
         raise SingularMatrix("volatility matrix is singular within tolerance")
+
+
+def _cholesky(a: np.ndarray):
+    """Lower Cholesky factors of a stack (B, n, n), their elimination pivots
+    ``L[j, j]**2`` (B, n) and each slice's pivot floor ``n * 1e-14 * max|C|``.
+    Raises LinAlgError if a slice is not positive-definite to working
+    precision."""
+    floor = a.shape[1] * 1e-14 * np.abs(a).max(axis=(1, 2))
+    lower = np.linalg.cholesky(a)
+    return lower, np.diagonal(lower, axis1=1, axis2=2) ** 2, floor
+
+
+def _sym_sqrt(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric roots ``V diag(sqrt(w)) V'`` of a stack of eigenpairs."""
+    s = (v * np.sqrt(w)[:, None, :]) @ v.transpose(0, 2, 1)
+    return 0.5 * (s + s.transpose(0, 2, 1))
+
+
+def _rotate(factors: np.ndarray, target: np.ndarray):
+    """Least-squares rotations ``(F Q, Q)`` of a stack of factors toward one
+    target (see :func:`procrustes_rotate`)."""
+    u, _, wt = np.linalg.svd(factors.transpose(0, 2, 1) @ target)
+    q = u @ wt
+    return factors @ q, q
 
 
 class VolMatrix:
@@ -188,21 +231,18 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
     SingularMatrix
         If L's singular values, ``sqrt(eig(C))``, say it is singular.
     """
-    a = cov.entries
-    pivot_floor = cov.dim * 1e-14 * np.abs(a).max()
     try:
-        lower = np.linalg.cholesky(a)
+        lower, pivots, floor = (x[0] for x in _cholesky(cov.entries[None]))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"covariance matrix is not positive-definite to working precision: {exc}"
         ) from exc
-    pivots = np.diag(lower) ** 2
-    low = np.flatnonzero(pivots <= pivot_floor)
+    low = np.flatnonzero(pivots <= floor)
     if low.size:
         j = int(low[0])
         raise NotPositiveDefinite(
             f"elimination pivot {pivots[j]:.3e} at column {j} is below the "
-            f"positive-definiteness floor {pivot_floor:.3e}"
+            f"positive-definiteness floor {floor:.3e}"
         )
     _require_nonsingular(np.sqrt(cov._eig[0]))
     return VolMatrix._built(lower, "cholesky")
@@ -215,10 +255,8 @@ def sym_sqrt(cov: CovMatrix) -> VolMatrix:
     all positive. A nearly singular factor raises SingularMatrix.
     """
     w, v = cov._eig
-    root = np.sqrt(w)
-    _require_nonsingular(root)
-    s = (v * root) @ v.T
-    return VolMatrix._built(0.5 * (s + s.T), "sym_sqrt")
+    _require_nonsingular(np.sqrt(w))
+    return VolMatrix._built(_sym_sqrt(w[None], v[None])[0], "sym_sqrt")
 
 
 def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatrix, RotationMatrix]:
@@ -234,9 +272,8 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
         raise DimensionMismatch(
             f"factor is {factor.dim}x{factor.dim} but target is {target.dim}x{target.dim}"
         )
-    u, _, wt = np.linalg.svd(factor.entries.T @ target.entries)
-    q = u @ wt
-    return VolMatrix._built(factor.entries @ q, "rotated"), RotationMatrix._built(q)
+    rotated, q = (x[0] for x in _rotate(factor.entries[None], target.entries))
+    return VolMatrix._built(rotated, "rotated"), RotationMatrix._built(q)
 
 
 def factor_covariance(
@@ -257,6 +294,26 @@ def factor_covariance(
             raise ValueError("factorization 'rotate' needs a target matrix")
         return procrustes_rotate(cholesky(cov), target)[0]
     raise ValueError(f"factorization must be one of {FACTORIZATIONS}, got {method!r}")
+
+
+def _factors(c: np.ndarray, w: np.ndarray, v: np.ndarray, method: str, target=None):
+    """:func:`factor_covariance` over a stack of covariance matrices ``c``
+    (B, n, n) with eigenpairs ``(w, v)``, each with ``w[:, 0] > 0``.
+
+    Returns the factors and, per slice, whether ``factor_covariance`` would
+    return that factor rather than raise. ``target`` is the rotation
+    target's entries. Raises LinAlgError if a Cholesky factorization fails.
+    """
+    ok = _nonsingular(np.sqrt(w))
+    if method == "sym_sqrt":
+        return _sym_sqrt(w, v), ok
+    lower, pivots, floor = _cholesky(c)
+    ok &= ~np.any(pivots <= floor[:, None], axis=1)
+    if method == "cholesky":
+        return lower, ok
+    if target.shape != lower.shape[1:]:  # procrustes_rotate raises DimensionMismatch
+        return lower, np.zeros_like(ok)
+    return _rotate(lower, target)[0], ok
 
 
 def recover_cholesky(vol: VolMatrix) -> VolMatrix:

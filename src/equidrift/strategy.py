@@ -80,22 +80,79 @@ class ExposureVector:
 PolicySource = Union[WeightVector, Callable[[int], WeightVector]]
 
 
-def _solve_unit_exposures(sigma: VolMatrix) -> np.ndarray:
-    """Solve sigma' x = 1 with one step of iterative refinement.
+def _solve_unit_exposures(a: np.ndarray) -> np.ndarray:
+    """Solve ``a x = 1`` for a stack ``a`` (B, n, n) of transposed factors,
+    with one step of iterative refinement; returns x as (B, n).
 
     The refinement step keeps the residual near machine precision even for
-    moderately ill-conditioned factors.
+    moderately ill-conditioned factors. Raises LinAlgError on an exactly
+    singular slice.
     """
-    a = sigma.entries.T
-    ones = np.ones(sigma.dim)
+    ones = np.ones(a.shape[:2] + (1,))
+    x = np.linalg.solve(a, ones)
+    return (x - np.linalg.solve(a, a @ x - ones))[:, :, 0]
+
+
+def _scale_unit_solution(a: np.ndarray, x: np.ndarray, kappa: np.ndarray):
+    """Weights ``(kappa / n) x`` per slice of a stack and the max-norm
+    residual of ``a pi = kappa / n``, the driver-exposure equations."""
+    target = kappa / a.shape[1]
+    pi = target[:, None] * x
+    residual = np.abs((a @ pi[:, :, None])[:, :, 0] - target[:, None]).max(axis=1)
+    return pi, residual
+
+
+def _kappa(x: np.ndarray, exposure: float):
+    """Per slice of unit solutions x (B, n): the kappa that scales x to
+    ``exposure``, and whether ``sum x`` is too close to 0 to give one."""
+    s = x.sum(axis=1)
+    with np.errstate(divide="ignore"):  # s == 0 is degenerate
+        kappa = x.shape[1] * exposure / s
+    return kappa, np.abs(s) <= 1e-12 * np.abs(x).sum(axis=1)
+
+
+def _fully_invested(sigma: np.ndarray, exposure: float):
+    """:func:`pi_star_fully_invested` over a stack of factors (B, n, n).
+
+    Returns the weights and, per slice, whether ``pi_star_fully_invested``
+    would return them without raising or warning. Raises LinAlgError on an
+    exactly singular slice.
+    """
+    a = sigma.transpose(0, 2, 1)
+    x = _solve_unit_exposures(a)
+    kappa, degenerate = _kappa(x, exposure)
+    pi, residual = _scale_unit_solution(a, x, kappa)
+    ok = (
+        (exposure != 0.0)
+        & np.all(np.isfinite(x), axis=1)
+        & ~degenerate
+        & (kappa >= 0.0)
+        & ~(residual > RESIDUAL_RTOL * np.abs(kappa))
+        & np.all(np.isfinite(pi), axis=1)
+    )
+    return pi, ok
+
+
+def _unit_solution(sigma: VolMatrix) -> np.ndarray:
+    """sigma' x = 1 for one factor, as a batch of one."""
     try:
-        x = np.linalg.solve(a, ones)
-        x = x - np.linalg.solve(a, a @ x - ones)
+        x = _solve_unit_exposures(sigma.entries.T[None])
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"volatility matrix solve failed: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SingularMatrix("volatility matrix solve produced non-finite weights")
     return x
+
+
+def _weights(sigma: VolMatrix, x: np.ndarray, kappa: np.ndarray) -> WeightVector:
+    """The weights of a batch of one, checked against the residual contract."""
+    pi, residual = _scale_unit_solution(sigma.entries.T[None], x, kappa)
+    if residual[0] > RESIDUAL_RTOL * abs(kappa[0]):
+        raise SingularMatrix(
+            f"driver-exposure residual {residual[0]:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.0e} * kappa; matrix too ill-conditioned"
+        )
+    return WeightVector(weights=pi[0], kappa=float(kappa[0]), exposure=float(pi[0].sum()))
 
 
 def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
@@ -106,21 +163,7 @@ def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    x = _solve_unit_exposures(sigma)
-    return _scale_unit_solution(sigma, x, kappa)
-
-
-def _scale_unit_solution(sigma: VolMatrix, x: np.ndarray, kappa: float) -> WeightVector:
-    n = sigma.dim
-    target = kappa / n
-    pi = target * x
-    residual = np.abs(sigma.entries.T @ pi - target).max()
-    if residual > RESIDUAL_RTOL * abs(kappa):
-        raise SingularMatrix(
-            f"driver-exposure residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * kappa; matrix too ill-conditioned"
-        )
-    return WeightVector(weights=pi, kappa=kappa, exposure=float(pi.sum()))
+    return _weights(sigma, _unit_solution(sigma), np.array([float(kappa)]))
 
 
 def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
@@ -133,21 +176,20 @@ def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
     """
     if exposure == 0.0:
         raise ValueError("exposure must be nonzero")
-    x = _solve_unit_exposures(sigma)
-    s = float(x.sum())
-    if abs(s) <= 1e-12 * float(np.abs(x).sum()):
+    x = _unit_solution(sigma)
+    kappa, degenerate = _kappa(x, exposure)
+    if degenerate[0]:
         raise DegenerateExposure(
             "unnormalized optimal weights sum to ~0; no finite kappa reaches "
             "the requested exposure"
         )
-    kappa = sigma.dim * exposure / s
-    if kappa < 0.0:
+    if kappa[0] < 0.0:
         warnings.warn(
             "requested exposure implies a negative kappa; the optimality "
             "argument assumes nonnegative total driver exposure",
             stacklevel=2,
         )
-    return _scale_unit_solution(sigma, x, kappa)
+    return _weights(sigma, x, kappa)
 
 
 def one_over_n(n: int, exposure: float = 1.0) -> WeightVector:

@@ -375,6 +375,29 @@ class TestRollingBacktest:
         assert mid in report.dates.tolist()
 
 
+class TestPanelLayout:
+    def test_panel_is_stored_asset_major(self):
+        panel = gbm_panel(60, seed=4)
+        assert panel.returns.flags.f_contiguous
+        assert panel.take_rows(10, 40).returns.T.flags.c_contiguous
+        keep = np.ones(60, dtype=bool)
+        keep[20:25] = False
+        assert panel._rows(keep).returns.flags.f_contiguous
+
+    def test_c_and_f_layouts_give_the_same_bits(self):
+        base = gbm_panel(800, seed=8, n=10)
+        values = np.array(base.returns)
+        reports = [
+            rolling_backtest(
+                ReturnPanel(base.dates, base.assets, layout(values), base.missing_mask),
+                BacktestConfig(window_days=250, reestimate_every=5, exclusion_windows=()),
+            )
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        for name in ("weight_history", "strategy_returns"):
+            assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
+
+
 class TestRebalanceWorkCount:
     """Factors the library builds carry their own verdicts: a rebalance runs
     no SVD beyond Procrustes' own and no determinant."""
@@ -399,6 +422,34 @@ class TestRebalanceWorkCount:
         weights = list(backtest._rebalance_weights(panel, rows, cfg))
         assert len(weights) == len(rows) == 6
         assert counts == {"svd": svds * len(rows), "det": 0}
+
+    @pytest.mark.parametrize("method", ["sym_sqrt", "cholesky", "rotate"])
+    @pytest.mark.parametrize("block, blocks", [(6, 1), (2, 3)])
+    def test_linalg_calls_per_block(self, monkeypatch, method, block, blocks):
+        # the stacked engine makes each LAPACK call once per block of windows
+        panel = gbm_panel(60, seed=3)
+        target = np.eye(3) + 0.5 * np.tril(np.ones((3, 3)), -1) if method == "rotate" else None
+        cfg = BacktestConfig(factorization=method, rotation_target=target, **SMALL)
+        rows = range(30, 60, 5)
+        monkeypatch.setattr(backtest, "_STACK_BYTES", block * 8 * 3 * 3)
+        counts = dict.fromkeys(["eigh", "cholesky", "svd", "solve", "det"], 0)
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        weights = backtest._weight_block(panel, rows, cfg)
+        assert weights.shape == (6, 3)
+        assert counts == {
+            "eigh": blocks,
+            "cholesky": blocks * (method != "sym_sqrt"),
+            "svd": blocks * (method == "rotate"),
+            "solve": 2 * blocks,  # the solve and its refinement step
+            "det": 0,
+        }
 
 
 class TestParallelRebalances:
@@ -524,24 +575,23 @@ class TestParallelRebalances:
         assert seen[2] == seen[0]
 
     def test_failing_rebalance_warns_once(self, monkeypatch):
-        # the rebalance at row 300 warns and then raises inside a worker; the
-        # parent recomputes it, so its warning must not also come from the worker
-        window = backtest.estimation_window
-
-        def warn_then_fail(panel, t, config):
-            warnings.warn(f"row {t}", UserWarning)
-            if t == 300:
-                raise ValueError("row 300 fails")
-            return window(panel, t, config)
-
-        monkeypatch.setattr(backtest, "estimation_window", warn_then_fail)
-        panel = self.panel()
-        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        # every rebalance warns (negative kappa) and the one at row 300 then
+        # raises inside a worker; the parent recomputes it, so no warning may
+        # also come from the worker
+        panel = self.panel(stretches=((0, (270, 300)),))
+        cfg = BacktestConfig(
+            window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
+        )
+        raised = []
         for lanes in self.LANES:
             with pytest.warns(UserWarning) as record:
-                with pytest.raises(ValueError, match="row 300 fails"):
+                with pytest.raises(SingularCovariance) as exc_info:
                     self.run_with(monkeypatch, lanes, panel, cfg)
-            assert [str(w.message) for w in record] == [f"row {t}" for t in range(30, 301)]
+            assert [str(w.message) for w in record] == [str(record[0].message)] * (300 - 30)
+            assert "negative kappa" in str(record[0].message)
+            raised.append(str(exc_info.value))
+        assert str(panel.dates[300]) in raised[0]
+        assert raised == raised[:1] * 3
 
     def test_warning_as_error_raises_as_serial(self, monkeypatch):
         panel = self.panel()

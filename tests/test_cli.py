@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import subprocess
@@ -308,6 +309,36 @@ class TestBacktestCommand:
         code, stdout, err = run(capsys, ["--out", str(out), "backtest", panel_csv[0]] + self.BASE)
         assert code != 0
         assert "No space left on device" in err
+        assert len(opened) == 3
+        assert list(out.iterdir()) == []
+
+    def test_full_disk_exits_3_naming_the_file(self, panel_csv, tmp_path, capsys, monkeypatch):
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, lines):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        opened = []
+
+        def full_on_third_write(path, *args, **kwargs):
+            opened.append(path)
+            fh = open(path, *args, **kwargs)
+            return FullDisk(fh) if len(opened) == 3 else fh
+
+        monkeypatch.setattr(cli, "open", full_on_third_write, raising=False)
+        out = tmp_path / "report"
+        code, _, err = run(capsys, ["--out", str(out), "backtest", panel_csv[0]] + self.BASE)
+        assert code == 3
+        assert os.strerror(errno.ENOSPC) in err
+        assert str(out / "summary.csv") in err
         assert len(opened) == 3
         assert list(out.iterdir()) == []
 
