@@ -17,9 +17,10 @@ vectorized verdicts. The public functions run the same kernels on a batch of
 one, so the weights are bitwise equal to the public chain
 ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
 ``pi_star_fully_invested``. A block keeps its weights up to the first window
-on which that chain would raise or warn; that window and the rest of the
-block run through the chain itself, so errors and warnings arise as in a
-serial run.
+on which that chain would raise, or warn of anything but a negative kappa;
+that window and the rest of the block run through the chain itself, so
+errors and warnings arise as in a serial run. The block issues the chain's
+negative-kappa warning itself, once per window, before its weights go out.
 
 Each rebalance depends only on its own estimation window, so long runs
 compute contiguous chunks of rebalances in forked worker processes, one per
@@ -54,12 +55,11 @@ from .factorization import (
     CovMatrix,
     TargetMatrix,
     _factors,
-    _symmetric,
     factor_covariance,
 )
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel, sharpe
-from .strategy import _fully_invested, one_over_n, pi_star_fully_invested
+from .strategy import NEGATIVE_KAPPA, _fully_invested, one_over_n, pi_star_fully_invested
 
 __all__ = [
     "BacktestConfig",
@@ -269,21 +269,23 @@ def _stacked_weights(
 ) -> np.ndarray:
     """Weights for the windows ``kept[:, lo[k]:hi[k]]`` from the stacked
     kernels, up to the first window on which the public chain would raise or
-    warn; none if a LAPACK call fails, since it does not say on which."""
+    warn of anything but a negative kappa, and whether each window's kappa is
+    negative; none if a LAPACK call fails, since it does not say on which."""
     n = kept.shape[0]
     c = np.empty((len(lo), n, n))
     with np.errstate(all="ignore"):  # a failing window warns on the public path
         for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
             c[k] = _covariance(kept[:, a:b])
-        c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)) & _symmetric(c))]
+        c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)))]  # symmetric by construction
         try:
             w, v = np.linalg.eigh(c)
             k = _leading(w[:, 0] > 0.0)
             sigma, ok = _factors(c[:k], w[:k], v[:k], config.factorization, target)
-            weights, ok = _fully_invested(sigma[: _leading(ok)], config.exposure)
+            weights, ok, negative = _fully_invested(sigma[: _leading(ok)], config.exposure)
         except np.linalg.LinAlgError:
-            return np.empty((0, n))
-    return weights[: _leading(ok)]
+            return np.empty((0, n)), np.empty(0, dtype=bool)
+    k = _leading(ok)
+    return weights[:k], negative[:k]
 
 
 def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
@@ -291,10 +293,12 @@ def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     arrays of consecutive rebalances.
 
     Rebalances run in blocks whose n x n stacks fit ``_STACK_BYTES``. A block
-    keeps the stacked weights before its first window that would fail or
-    warn on the public chain (a masked row or too few rows fail before any
-    arithmetic); that window and the rest of the block run through
-    :func:`_rebalance_weights`, so errors and warnings arise exactly as in a
+    keeps the stacked weights before its first window that would fail, or
+    warn of anything but a negative kappa, on the public chain (a masked row
+    or too few rows fail before any arithmetic); that window and the rest of
+    the block run through :func:`_rebalance_weights`. Before the kept
+    weights go out, the chain's negative-kappa warning is issued once per
+    window that has one, so errors and warnings arise exactly as in a
     serial run.
     """
     n = panel.n_assets
@@ -315,7 +319,9 @@ def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
         j = min(i + size, len(rows))
         done = i + _leading(fits[i:j])
         if done > i:
-            weights = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
+            weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
+            for _ in np.flatnonzero(negative):
+                warnings.warn(NEGATIVE_KAPPA)
             done = i + len(weights)
             yield weights
         for weights in _rebalance_weights(panel, rows[done:j], config):

@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__
 from .backtest import BacktestConfig, BacktestReport, rolling_backtest
 from .data import DateRange, load_csv, load_french, read_lines, read_matrix_csv
+from .data import parse_integer, parse_real
 from .errors import (
     DegenerateExposure,
     DimensionMismatch,
@@ -116,8 +117,29 @@ _ERROR_EXITS = (
 )
 
 
+_METHODS = ["cholesky", "sym_sqrt", "sqrt", "rotate"]
+
+
 def _normalize_method(name: str) -> str:
     return "sym_sqrt" if name == "sqrt" else name
+
+
+def _flag(convert):
+    """``convert`` as an argparse type: its ValueError becomes the usage
+    error argparse prints after the flag's name (exit 2)."""
+    def flag_value(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return flag_value
+
+
+def _require_finite(values: dict[str, float]) -> None:
+    """ValueError naming the first flag in ``values`` whose value is not finite."""
+    for flag, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value!r}")
 
 
 def _outdir(args) -> Path:
@@ -217,6 +239,8 @@ def _cmd_weights(args) -> int:
 # -- simulate -------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    _require_finite({"--sigma-scale": args.sigma_scale, "--lambda": args.lam, "--mu": args.mu,
+                     "--r": args.r, "--w0": args.w0, "--horizon": args.horizon})
     if args.paths < 2:
         raise ValueError("--paths must be at least 2: the sample variance needs two paths")
     if args.steps < 1:
@@ -263,8 +287,9 @@ def _cmd_simulate(args) -> int:
 # -- figure1 --------------------------------------------------------------------
 
 def _cmd_figure1(args) -> int:
-    n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
-    if not n_list or any(n < 1 for n in n_list):
+    _require_finite({"--lambda": args.lam, "--mu": args.mu, "--r": args.r, "--w": args.w,
+                     "--t": args.t, "--grid-min": args.grid_min, "--grid-max": args.grid_max})
+    if not args.n_list or any(n < 1 for n in args.n_list):
         raise ValueError("--n-list must be positive integers")
     if args.grid_points < 1:
         raise ValueError("--grid-points must be at least 1")
@@ -273,7 +298,7 @@ def _cmd_figure1(args) -> int:
         raise NonPositiveGridPoint("--grid-min must be positive")
 
     results = []
-    for n in n_list:
+    for n in args.n_list:
         law = WealthLaw.from_rates(args.w, args.lam, args.mu, args.r, n, args.t)
         density = optimal_wealth_density(law, grid)
         _, variance = optimal_wealth_moments(law)
@@ -294,22 +319,24 @@ def _cmd_figure1(args) -> int:
 
 # -- backtest -------------------------------------------------------------------
 
-#: BacktestConfig field -> (backtest flag's attribute, converter); each is
-#: also a config-file key. Flags override the file, which overrides the
-#: dataclass's own defaults.
-_CONFIG_FIELDS = {
-    "window_days": ("window", int),
-    "reestimate_every": ("every", int),
-    "factorization": ("method", _normalize_method),
-    "exposure": ("exposure", float),
-    "rf_annual": ("rf", float),
-    "shrinkage": ("shrinkage", float),
+#: Each backtest setting, declared once: BacktestConfig field (also its
+#: config-file key) -> its backtest flag, the converter that reads both the
+#: flag and the file value, and the flag's other argparse options. Flags
+#: override the file, which overrides the dataclass's own defaults.
+_SETTINGS = {
+    "window_days": ("--window", parse_integer, {"help": "estimation window days"}),
+    "reestimate_every": ("--every", parse_integer, {"help": "re-estimation cadence days"}),
+    "factorization": ("--method", _normalize_method, {"choices": _METHODS}),
+    "exposure": ("--exposure", parse_real, {}),
+    "rf_annual": ("--rf", parse_real, {"help": "annual risk-free rate"}),
+    "shrinkage": ("--shrinkage", parse_real, {}),
 }
-_CONFIG_KEYS = {*_CONFIG_FIELDS, "exclude", "drop", "format", "target"}
+_CONFIG_KEYS = {*_SETTINGS, "exclude", "drop", "format", "target"}
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_config_file(path) -> dict[str, tuple[str, int]]:
+    """Config-file key -> (value text, line number)."""
+    values: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -320,17 +347,29 @@ def _read_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", line_no)
-        values[key] = val.strip()
+        values[key] = (val.strip(), line_no)
     return values
 
 
-def _pick(flag_value, file_values: dict, key: str):
-    """The flag's value, else the config file's text, else None."""
-    return flag_value if flag_value is not None else file_values.get(key)
+def _pick(flag_value, file_values: dict, key: str, convert=str):
+    """The flag's value, else the config file's value read by ``convert``,
+    else None. A file value that ``convert`` rejects raises ParseError
+    naming its line."""
+    if flag_value is not None or key not in file_values:
+        return flag_value
+    text, line_no = file_values[key]
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ParseError(f"{key}: {exc}", line_no) from None
 
 
 def _split_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _date_ranges(text: str) -> list[DateRange]:
+    return [DateRange.parse(tok) for tok in _split_list(text)]
 
 
 def _write_report(report: BacktestReport, outdir: Path) -> None:
@@ -363,9 +402,7 @@ def _cmd_backtest(args) -> int:
     file_values = _read_config_file(args.config) if args.config else {}
 
     fmt = _pick(args.format, file_values, "format")
-    drops = list(args.drop or [])
-    if "drop" in file_values:
-        drops = _split_list(file_values["drop"]) + drops
+    drops = (_pick(None, file_values, "drop", _split_list) or []) + (args.drop or [])
 
     if fmt == "french":
         panel = load_french(args.returns, drop_assets=drops)
@@ -376,19 +413,17 @@ def _cmd_backtest(args) -> int:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if args.date_range is not None:
-        panel = panel.slice(DateRange.parse(args.date_range))
+        panel = panel.slice(args.date_range)
 
     excludes = [] if args.no_default_exclusions else list(BacktestConfig.exclusion_windows)
-    if "exclude" in file_values:
-        excludes.extend(DateRange.parse(tok) for tok in _split_list(file_values["exclude"]))
-    for tok in args.exclude or []:
-        excludes.append(DateRange.parse(tok))
+    excludes += _pick(None, file_values, "exclude", _date_ranges) or []
+    excludes += args.exclude or []
 
     settings = {"exclusion_windows": tuple(excludes)}
-    for key, (flag, conv) in _CONFIG_FIELDS.items():
-        value = _pick(getattr(args, flag), file_values, key)
+    for key, (_, convert, _) in _SETTINGS.items():
+        value = _pick(getattr(args, key), file_values, key, convert)
         if value is not None:
-            settings[key] = conv(value)
+            settings[key] = value
     target_path = _pick(args.target, file_values, "target")
     if target_path is not None:
         settings["rotation_target"] = read_matrix_csv(target_path)
@@ -481,66 +516,63 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $EQUIDRIFT_OUTPUT_DIR or '.')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    methods = ["cholesky", "sym_sqrt", "sqrt", "rotate"]
+    real, integer, date_range = map(_flag, (parse_real, parse_integer, DateRange.parse))
 
     p = sub.add_parser("factor", help="factor a covariance CSV into a volatility matrix")
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
-    p.add_argument("--method", choices=methods, default="sym_sqrt")
+    p.add_argument("--method", choices=_METHODS, default="sym_sqrt")
     p.add_argument("--target", default=None, help="target matrix CSV for --method rotate")
-    p.add_argument("--shrinkage", type=float, default=None, help="diagonal repair delta")
+    p.add_argument("--shrinkage", type=real, default=None, help="diagonal repair delta")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("weights", help="optimal weights from a covariance or volatility CSV")
     p.add_argument("matrix", help="matrix CSV (covariance unless --vol)")
     p.add_argument("--vol", action="store_true", help="input is already a volatility matrix")
-    p.add_argument("--method", choices=methods, default="sym_sqrt")
+    p.add_argument("--method", choices=_METHODS, default="sym_sqrt")
     p.add_argument("--target", default=None)
-    p.add_argument("--shrinkage", type=float, default=None)
-    p.add_argument("--exposure", type=float, default=1.0, help="weight sum (default 1)")
-    p.add_argument("--kappa", type=float, default=None, help="explicit ratio; overrides --exposure")
+    p.add_argument("--shrinkage", type=real, default=None)
+    p.add_argument("--exposure", type=real, default=1.0, help="weight sum (default 1)")
+    p.add_argument("--kappa", type=real, default=None, help="explicit ratio; overrides --exposure")
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the optimal wealth law")
-    p.add_argument("--n", type=int, default=None, help="asset count (with scaled-identity vol)")
+    p.add_argument("--n", type=integer, default=None, help="asset count (with scaled-identity vol)")
     p.add_argument("--vol", default=None, help="volatility matrix CSV (overrides --n)")
-    p.add_argument("--sigma-scale", type=float, default=0.2, help="identity vol scale")
-    p.add_argument("--lambda", dest="lam", type=float, required=True, help="required rate")
-    p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--w0", type=float, default=1.0)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=252)
-    p.add_argument("--paths", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma-scale", type=real, default=0.2, help="identity vol scale")
+    p.add_argument("--lambda", dest="lam", type=real, required=True, help="required rate")
+    p.add_argument("--mu", type=real, required=True)
+    p.add_argument("--r", type=real, required=True)
+    p.add_argument("--w0", type=real, default=1.0)
+    p.add_argument("--horizon", type=real, default=1.0)
+    p.add_argument("--steps", type=integer, default=252)
+    p.add_argument("--paths", type=integer, default=10000)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--save", action="store_true", help="write terminal_wealth.csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("figure1", help="optimal-wealth density curves per asset count")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--mu", type=float, default=0.2)
-    p.add_argument("--r", type=float, default=0.03)
-    p.add_argument("--w", type=float, default=1.0)
-    p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n-list", default="1,5,25", help="comma-separated asset counts")
-    p.add_argument("--grid-min", type=float, default=0.01)
-    p.add_argument("--grid-max", type=float, default=3.0)
-    p.add_argument("--grid-points", type=int, default=600)
+    p.add_argument("--lambda", dest="lam", type=real, default=0.1)
+    p.add_argument("--mu", type=real, default=0.2)
+    p.add_argument("--r", type=real, default=0.03)
+    p.add_argument("--w", type=real, default=1.0)
+    p.add_argument("--t", type=real, default=1.0)
+    integers = _flag(lambda text: [parse_integer(tok) for tok in _split_list(text)])
+    p.add_argument("--n-list", type=integers, default="1,5,25", help="comma-separated asset counts")
+    p.add_argument("--grid-min", type=real, default=0.01)
+    p.add_argument("--grid-max", type=real, default=3.0)
+    p.add_argument("--grid-points", type=integer, default=600)
     p.set_defaults(func=_cmd_figure1)
 
     p = sub.add_parser("backtest", help="rolling out-of-sample backtest on a return panel")
     p.add_argument("returns", help="return panel file")
     p.add_argument("--format", choices=["csv", "french"], default=None)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--window", type=int, default=None, help="estimation window days")
-    p.add_argument("--every", type=int, default=None, help="re-estimation cadence days")
-    p.add_argument("--method", choices=methods, default=None)
+    for key, (flag, convert, options) in _SETTINGS.items():
+        p.add_argument(flag, dest=key, type=_flag(convert), default=None, **options)
     p.add_argument("--target", default=None)
-    p.add_argument("--exposure", type=float, default=None)
-    p.add_argument("--rf", type=float, default=None, help="annual risk-free rate")
-    p.add_argument("--shrinkage", type=float, default=None)
     p.add_argument(
         "--exclude",
+        type=date_range,
         action="append",
         default=None,
         metavar="YYYYMMDD-YYYYMMDD",
@@ -552,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not exclude the 1987-10-19 week from estimation",
     )
     p.add_argument("--drop", action="append", default=None, help="asset to drop (repeatable)")
-    p.add_argument("--date-range", default=None, metavar="YYYYMMDD-YYYYMMDD")
+    p.add_argument("--date-range", type=date_range, default=None, metavar="YYYYMMDD-YYYYMMDD")
     p.set_defaults(func=_cmd_backtest)
 
     p = sub.add_parser("compare", help="Sharpe-difference test between two return CSVs")
@@ -560,7 +592,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--col-a", default=None, help="column name in file_a")
     p.add_argument("--col-b", default=None, help="column name in file_b")
-    p.add_argument("--rf-daily", type=float, default=0.0)
+    p.add_argument("--rf-daily", type=real, default=0.0)
     p.set_defaults(func=_cmd_compare)
 
     return parser

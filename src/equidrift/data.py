@@ -3,7 +3,9 @@
 This is the package's one file-format module. Its three numeric text
 formats share one decode step (strict UTF-8) and one value grammar (ASCII
 decimal or exponent floats, parsed by numpy's ``loadtxt``); a malformed
-file raises :class:`ParseError` naming the line.
+file raises :class:`ParseError` naming the line. :func:`parse_real`,
+:func:`parse_integer` and :meth:`DateRange.parse` apply the same rules to
+one token, for the command line's flags and config values.
 
 - Industry-portfolio text (whitespace-separated, banner lines around a
   block of date-first rows, values in percent, -99.99 / -999 as missing
@@ -20,6 +22,7 @@ returns in decimal form.
 from __future__ import annotations
 
 import datetime
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,13 +82,13 @@ class DateRange:
 
     @classmethod
     def parse(cls, text: str) -> "DateRange":
-        """Parse 'YYYYMMDD-YYYYMMDD' (or a single date, meaning one day)."""
-        parts = text.strip().split("-")
-        if len(parts) == 1:
-            return cls(int(parts[0]), int(parts[0]))
-        if len(parts) != 2:
-            raise ValueError(f"cannot parse date range {text!r}")
-        return cls(int(parts[0]), int(parts[1]))
+        """Parse 'YYYYMMDD-YYYYMMDD' (or a single date, meaning one day); each
+        date is 8 ASCII digits, as in the loaders."""
+        parts = [part.strip() for part in text.split("-")]
+        if len(parts) > 2 or not all(map(_is_date_token, parts)):
+            raise ValueError(f"cannot parse date range {text!r}: want YYYYMMDD[-YYYYMMDD]")
+        dates = [parse_integer(part) for part in parts]
+        return cls(dates[0], dates[-1])
 
     def contains(self, date: int) -> bool:
         return self.start <= int(date) <= self.end
@@ -201,8 +204,9 @@ class ReturnPanel:
 
 
 # -- the numeric text reader ----------------------------------------------------
-# Python's float() never sees a file token: it also reads underscores and
-# non-ASCII digits, so typos would load silently as other numbers.
+# Python's float() and int() never see user text, whether file cells, flags
+# or config values: they also read underscores and non-ASCII digits, so
+# typos would run silently as other numbers.
 
 def read_lines(path) -> list[str]:
     """The lines of a text file decoded as strict UTF-8; a byte that is not
@@ -229,6 +233,27 @@ def _grammar(rows: list[str], delimiter: str | None, width: int) -> np.ndarray |
     return values if values.shape == (len(rows), width) else None
 
 
+def parse_real(token: str) -> float:
+    """One number by the grammar; surrounding whitespace is ignored."""
+    values = _grammar([token], ",", 1) if token.strip() else None  # loadtxt warns on blanks
+    if values is None:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return values.item()
+
+
+def parse_integer(token: str) -> int:
+    """An optional sign, then ASCII digits; surrounding whitespace is ignored."""
+    digits = token.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", digits):
+        raise ValueError(f"could not convert string to integer: {token!r}")
+    return int(digits)
+
+
+def _is_date_token(token: str) -> bool:
+    """The date rule: 8 ASCII digits."""
+    return len(token) == 8 and token.isascii() and token.isdigit()
+
+
 def _blank_cells_to_nan(rows: list[str]) -> list[str]:
     """CSV rows with each cell that is empty or only spaces and tabs written
     as ``nan``, since the grammar rejects blank tokens."""
@@ -250,10 +275,11 @@ def _row_error(row: str, delimiter: str | None, width: int, missing_ok: bool) ->
     for token in (cell.strip(" \t") for cell in cells):
         if missing_ok and not token:
             continue
-        value = _grammar([token], delimiter, 1) if token else None
-        if value is None:
-            return f"could not convert string to float: {token!r}"
-        if not (np.isfinite(value[0, 0]) or missing_ok and np.isnan(value[0, 0])):
+        try:
+            value = parse_real(token)
+        except ValueError as exc:
+            return str(exc)
+        if not (np.isfinite(value) or missing_ok and np.isnan(value)):
             return f"non-finite entry in {row.strip()!r}"
     return f"cannot parse {row.strip()!r}"
 
@@ -285,11 +311,10 @@ def _parse_rows(rows, line_numbers, delimiter, width, missing_ok=False, where=""
 
 
 def _dated_rows(rows, line_numbers, delimiter, width, missing_ok=False):
-    """Panel rows led by a YYYYMMDD date of 8 ASCII digits (int() would read
-    other scripts' digits) that is a calendar date: (dates, values)."""
+    """Panel rows led by a YYYYMMDD date token that is a calendar date:
+    (dates, values)."""
     firsts = [row.split(delimiter, 1)[0].strip() for row in rows]
-    ok = (len(tok) == 8 and tok.isascii() and tok.isdigit() for tok in firsts)
-    d = next((k for k, good in enumerate(ok) if not good), len(rows))
+    d = next((k for k, tok in enumerate(firsts) if not _is_date_token(tok)), len(rows))
     values = _parse_rows(rows[:d], line_numbers, delimiter, width, missing_ok)
     dates = values[:, 0].astype(np.int64)
     k = int(next(iter(np.flatnonzero(~_possible_dates(dates))), d))

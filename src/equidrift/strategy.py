@@ -32,6 +32,12 @@ __all__ = [
 #: Max-norm residual allowed on the driver-exposure equations, relative to kappa.
 RESIDUAL_RTOL = 1e-10
 
+#: Warned once per weight vector whose kappa is negative.
+NEGATIVE_KAPPA = (
+    "requested exposure implies a negative kappa; the optimality argument "
+    "assumes nonnegative total driver exposure"
+)
+
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -115,8 +121,8 @@ def _fully_invested(sigma: np.ndarray, exposure: float):
     """:func:`pi_star_fully_invested` over a stack of factors (B, n, n).
 
     Returns the weights and, per slice, whether ``pi_star_fully_invested``
-    would return them without raising or warning. Raises LinAlgError on an
-    exactly singular slice.
+    would return them without raising and whether it would warn that kappa
+    is negative. Raises LinAlgError on an exactly singular slice.
     """
     a = sigma.transpose(0, 2, 1)
     x = _solve_unit_exposures(a)
@@ -126,11 +132,10 @@ def _fully_invested(sigma: np.ndarray, exposure: float):
         (exposure != 0.0)
         & np.all(np.isfinite(x), axis=1)
         & ~degenerate
-        & (kappa >= 0.0)
         & ~(residual > RESIDUAL_RTOL * np.abs(kappa))
         & np.all(np.isfinite(pi), axis=1)
     )
-    return pi, ok
+    return pi, ok, kappa < 0.0
 
 
 def _unit_solution(sigma: VolMatrix) -> np.ndarray:
@@ -184,11 +189,7 @@ def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
             "the requested exposure"
         )
     if kappa[0] < 0.0:
-        warnings.warn(
-            "requested exposure implies a negative kappa; the optimality "
-            "argument assumes nonnegative total driver exposure",
-            stacklevel=2,
-        )
+        warnings.warn(NEGATIVE_KAPPA, stacklevel=2)
     return _weights(sigma, x, kappa)
 
 

@@ -452,6 +452,24 @@ class TestRebalanceWorkCount:
         }
 
 
+    def test_negative_kappa_stays_stacked(self, monkeypatch):
+        # a negative kappa only warns, so no block falls back to the public chain
+        panel = gbm_panel(60, seed=3)
+        cfg = BacktestConfig(exposure=-0.8, **SMALL)
+        rows = range(30, 60, 5)
+        with pytest.warns(UserWarning, match="negative kappa"):
+            want = list(backtest._rebalance_weights(panel, rows, cfg))
+
+        def public_chain(*args, **kwargs):
+            raise AssertionError("a block left the stacked kernels")
+
+        monkeypatch.setattr(backtest, "pi_star_fully_invested", public_chain)
+        with pytest.warns(UserWarning, match="negative kappa") as record:
+            got = backtest._weight_block(panel, rows, cfg)
+        assert len(record) == len(rows)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestParallelRebalances:
     """The fan-out of rebalances to forked workers, forced on by patching the
     CPU count: 480 daily rebalances give up to 3 chunks of 160."""

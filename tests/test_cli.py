@@ -1,3 +1,4 @@
+import argparse
 import errno
 import math
 import os
@@ -60,6 +61,18 @@ def test_imports_need_numpy_only():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_one_grammar_and_one_declaration_per_setting():
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), (name, action.option_strings)
+    backtest_dests = {a.dest for a in subparsers.choices["backtest"]._actions}
+    for key, (flag, _, _) in cli._SETTINGS.items():
+        assert key in cli._CONFIG_KEYS and key in backtest_dests
+        assert subparsers.choices["backtest"]._option_string_actions[flag].dest == key
 
 
 class TestFactorCommand:
@@ -267,6 +280,44 @@ class TestExitCodes:
         assert code == 3
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "value",
+        ["exposure=0_5", "window_days=３０", "window_days=abc", "exclude=2000_0103-20000104"],
+    )
+    def test_config_value_outside_the_grammar_names_its_line(
+        self, panel_csv, tmp_path, capsys, value
+    ):
+        # int() and float() read the first two as 5.0 and 30
+        path, _ = panel_csv
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"# engine\nreestimate_every=5\n{value}\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", path, "--config", str(cfg)])
+        assert code == 3
+        assert err.startswith(f"error: line 3: {value.split('=')[0]}: ")
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["backtest", "p.csv", "--exposure", "0_5"], "--exposure"),
+            (["backtest", "p.csv", "--window", "３０"], "--window"),
+            (["backtest", "p.csv", "--exclude", "2000_0103-20000104"], "--exclude"),
+            (["backtest", "p.csv", "--date-range", "+20000103"], "--date-range"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--paths", "1_000"],
+             "--paths"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--seed", "７"], "--seed"),
+            (["figure1", "--n-list", "1,٥"], "--n-list"),
+            (["compare", "a.csv", "b.csv", "--rf-daily", "0_1"], "--rf-daily"),
+        ],
+    )
+    def test_flag_outside_the_grammar_is_usage_error(self, capsys, argv, flag):
+        # int() and float() read each of these values
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert f"error: argument {flag}: " in capsys.readouterr().err
+
 
 class TestBacktestCommand:
     BASE = ["--window", "30", "--every", "5", "--no-default-exclusions"]
@@ -463,6 +514,13 @@ class TestFigure1Command:
         assert "--grid-points" in err
         assert not out.exists()
 
+    def test_rejects_infinite_grid_end(self, tmp_path, capsys):
+        out = tmp_path / "fig"
+        code, _, err = run(capsys, ["--out", str(out), "figure1", "--grid-max", "inf"])
+        assert code == 2
+        assert err.startswith("error: --grid-max ")
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
@@ -494,7 +552,11 @@ class TestSimulateCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag, value", [("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan")]
+        "flag, value",
+        [
+            ("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan"),
+            ("--horizon", "inf"), ("--w0", "inf"), ("--lambda", "inf"), ("--sigma-scale", "inf"),
+        ],
     )
     def test_errors_name_the_flag(self, capsys, flag, value):
         code, stdout, err = run(capsys, self.ARGS + [flag, value])

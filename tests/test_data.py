@@ -1,3 +1,4 @@
+import datetime
 import math
 import re
 import warnings
@@ -19,6 +20,7 @@ from equidrift import (
     write_csv,
     write_matrix_csv,
 )
+from equidrift.data import parse_integer, parse_real
 from equidrift.errors import EmptyPanel, EquidriftError, NonMonotonicDates, ParseError
 
 FRENCH_SAMPLE = """\
@@ -68,6 +70,82 @@ class TestDateRange:
     @pytest.mark.parametrize("date", [20200229, 20000229, 16000229, 20210228, 20201231])
     def test_accepts_leap_days_and_month_ends(self, date):
         assert DateRange.parse(str(date)) == DateRange(date, date)
+
+
+CALENDAR_DATES = st.dates(datetime.date(1000, 1, 1), datetime.date(9999, 12, 31)).map(
+    lambda d: d.year * 10000 + d.month * 100 + d.day
+)
+
+#: Digit scripts that int() reads as ASCII digits: fullwidth, Arabic-Indic
+#: and Devanagari.
+OTHER_DIGITS = [str.maketrans("0123456789", "".join(chr(z + i) for i in range(10)))
+                for z in (0xFF10, 0x0660, 0x0966)]
+
+
+class TestDateRangeParse:
+    @settings(max_examples=200)
+    @given(a=CALENDAR_DATES, b=CALENDAR_DATES)
+    def test_calendar_dates_parse(self, a, b):
+        a, b = min(a, b), max(a, b)
+        assert DateRange.parse(f"{a}-{b}") == DateRange(a, b)
+        assert DateRange.parse(str(a)) == DateRange(a, a)
+
+    @settings(max_examples=300)
+    @given(text=st.text())
+    def test_arbitrary_text_raises_only_value_error(self, text):
+        try:
+            DateRange.parse(text)
+        except ValueError:
+            pass
+
+    @settings(max_examples=200)
+    @given(date=CALENDAR_DATES, at=st.integers(1, 7), how=st.integers(0, 6))
+    def test_token_not_8_ascii_digits_is_rejected(self, date, at, how):
+        token = str(date)
+        bad = [
+            token[:at] + "_" + token[at:],  # int() reads these three as the date
+            "+" + token,
+            token.translate(OTHER_DIGITS[at % 3]),
+            token[:at] + token[at].translate(OTHER_DIGITS[at % 3]) + token[at + 1 :],
+            "-" + token,
+            token[:at] + token[at + 1 :],
+            token + token[at],
+        ][how]
+        for text in (bad, f"{bad}-{token}", f"{token}-{bad}"):
+            with pytest.raises(ValueError, match="cannot parse date range"):
+                DateRange.parse(text)
+
+
+class TestTokenConverters:
+    """Flags and config values go through the file grammar, one token at a time."""
+
+    @settings(max_examples=300)
+    @given(
+        x=st.floats(allow_nan=False),
+        form=st.sampled_from(["{!r}", "{:g}", "{:.17e}", "{:.3f}", " {!r}\t"]),
+    )
+    def test_real_reads_decimals_as_float_does(self, x, form):
+        token = form.format(x)
+        assert np.float64(parse_real(token)).tobytes() == np.float64(float(token)).tobytes()
+
+    @settings(max_examples=200)
+    @given(i=st.integers(-(10**40), 10**40), plus=st.booleans())
+    def test_integer_reads_signed_ascii_digits(self, i, plus):
+        assert parse_integer(("+" if plus and i >= 0 else "") + str(i)) == i
+
+    @pytest.mark.parametrize(
+        "token", ["0_5", "1_000", "３０", "٠.٥", "0x10", "", " ", "1 2", "1,2", "1d3"]
+    )
+    def test_real_rejects(self, token):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            parse_real(token)
+
+    @pytest.mark.parametrize(
+        "token", ["3_0", "３０", "٣", "1.0", "1e3", "0x10", "", "+", "- 1", "inf", "nan"]
+    )
+    def test_integer_rejects(self, token):
+        with pytest.raises(ValueError, match="could not convert string to integer"):
+            parse_integer(token)
 
 
 class TestReturnPanel:
