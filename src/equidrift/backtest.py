@@ -17,17 +17,17 @@ vectorized verdicts. The public functions run the same kernels on a batch of
 one, so the weights are bitwise equal to the public chain
 ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
 ``pi_star_fully_invested``. A block keeps its weights up to the first window
-on which that chain would raise, or warn of anything but a negative kappa;
-that window and the rest of the block run through the chain itself, so
-errors and warnings arise as in a serial run. The block issues the chain's
-negative-kappa warning itself, once per window, before its weights go out.
+on which that chain would raise, or warn of anything but a negative kappa,
+and leaves that window and the rest of the block to the chain itself. The
+stacked pass never warns or raises on the data.
 
 Each rebalance depends only on its own estimation window, so long runs
-compute contiguous chunks of rebalances in forked worker processes, one per
-CPU the process may run on, each chunk in stacked blocks. The results are
-bitwise identical at any worker count. A worker stops at its first rebalance
-that raises or warns, and the caller computes the rest of that chunk, so
-errors and warnings arise in the caller as in a serial run.
+stack contiguous chunks of rebalances in forked worker processes, one per
+CPU the process may run on, and send the stacked parts back. Only the
+calling process runs the public chain: for each part in row order it issues
+the chain's negative-kappa warning once per window that has one, then runs
+the chain on the part's leftover windows, so errors and warnings arise as
+in a serial run. The results are bitwise identical at any worker count.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .factorization import (
     FACTORIZATIONS,
     CovMatrix,
     TargetMatrix,
+    _check_shrinkage,
     _factors,
     factor_covariance,
 )
@@ -127,8 +128,7 @@ class BacktestConfig:
         if self.rotation_target is not None:
             rows = TargetMatrix(self.rotation_target).entries.tolist()
             object.__setattr__(self, "rotation_target", tuple(map(tuple, rows)))
-        if self.shrinkage is not None and not self.shrinkage > 0.0:
-            raise ValueError("shrinkage must be positive when set")
+        _check_shrinkage(self.shrinkage)
         object.__setattr__(self, "exclusion_windows", tuple(self.exclusion_windows))
 
     @property
@@ -288,19 +288,14 @@ def _stacked_weights(
     return weights[:k], negative[:k]
 
 
-def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
-    """Yield the weights taking effect at each of ``rows``, in order, as
-    arrays of consecutive rebalances.
-
-    Rebalances run in blocks whose n x n stacks fit ``_STACK_BYTES``. A block
-    keeps the stacked weights before its first window that would fail, or
-    warn of anything but a negative kappa, on the public chain (a masked row
-    or too few rows fail before any arithmetic); that window and the rest of
-    the block run through :func:`_rebalance_weights`. Before the kept
-    weights go out, the chain's negative-kappa warning is issued once per
-    window that has one, so errors and warnings arise exactly as in a
-    serial run.
-    """
+def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
+    """Yield ``(weights, negative, rest)`` for each block of ``rows``, in
+    order: the stacked weights of the block's leading windows, whether each
+    kappa is negative, and the ``range`` of rows left to the public chain,
+    from the first window that would fail, or warn of anything but a negative
+    kappa, on that chain (a masked row or too few rows fail before any
+    arithmetic). A block holds as many n x n stacks as fit ``_STACK_BYTES``.
+    Never warns and never raises on the data."""
     n = panel.n_assets
     first = rows[0] - config.window_days
     span = slice(first, rows[-1])
@@ -318,19 +313,27 @@ def _weight_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     for i in range(0, len(rows), size):
         j = min(i + size, len(rows))
         done = i + _leading(fits[i:j])
-        if done > i:
-            weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
-            for _ in np.flatnonzero(negative):
-                warnings.warn(NEGATIVE_KAPPA)
-            done = i + len(weights)
-            yield weights
-        for weights in _rebalance_weights(panel, rows[done:j], config):
-            yield weights[None]
+        weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
+        yield weights, negative, rows[i + len(weights) : j]
+
+
+def _chained(panel: ReturnPanel, parts, config: BacktestConfig) -> np.ndarray:
+    """Weights for every rebalance that ``parts`` from :func:`_stacked_parts`
+    cover, one row each. Each part's negative-kappa warnings come first, then
+    its rest runs through :func:`_rebalance_weights`, so errors and warnings
+    arise exactly as in a serial run of the public chain."""
+    blocks = []
+    for weights, negative, rest in parts:
+        for _ in range(np.count_nonzero(negative)):
+            warnings.warn(NEGATIVE_KAPPA)
+        blocks.append(weights)
+        blocks.extend(w[None] for w in _rebalance_weights(panel, rest, config))
+    return np.concatenate(blocks)
 
 
 def _weight_block(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
     """Weights for every rebalance in ``rows``, one row each."""
-    return np.concatenate(list(_weight_parts(panel, rows, config)))
+    return _chained(panel, _stacked_parts(panel, rows, config), config)
 
 
 def _cpus() -> int:
@@ -339,22 +342,10 @@ def _cpus() -> int:
 
 
 def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> None:
-    """Forked-process body: send back the weights of ``rows``.
-
-    It stops at the first rebalance that raises or warns and sends only what
-    came before, so the parent computes that rebalance and the rest of the
-    chunk itself, and every exception and warning arises in the caller's
-    process from the code a serial run uses.
-    """
-    parts = [np.empty((0, panel.n_assets))]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            for part in _weight_parts(panel, rows, config):
-                parts.append(part)
-        except Exception:  # the parent computes this rebalance again
-            pass
-    writer.send(np.concatenate(parts))
+    """Forked-process body: send back the stacked parts of ``rows``. They
+    never warn or raise on the data; the caller issues their warnings and
+    runs the public chain on their rests."""
+    writer.send(list(_stacked_parts(panel, rows, config)))
     writer.close()
 
 
@@ -362,13 +353,13 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
     """Weights for every rebalance in ``rows``, one row each.
 
     Contiguous chunks of at least ``_MIN_CHUNK`` rebalances run in parallel,
-    one per CPU: this process computes the first and a forked worker each
-    of the rest. Forking is skipped where it is unavailable, in a daemonic
-    process (which may not have children) and where other threads run,
-    since a thread holding a lock at fork time can deadlock the child.
-    Whatever a worker did not finish, this process computes, so the earliest
-    failing or warning rebalance raises or warns here exactly as in a serial
-    run.
+    one per CPU: this process computes the first and a forked worker stacks
+    each of the rest. Forking is skipped where it is unavailable, in a
+    daemonic process (which may not have children) and where other threads
+    run, since a thread holding a lock at fork time can deadlock the child.
+    This process chains every chunk's parts in order, and stacks a chunk
+    itself when its worker sent nothing, so the public chain runs, and
+    errors and warnings arise, only here and exactly as in a serial run.
     """
     import multiprocessing  # here, so that other commands skip its import time
 
@@ -394,19 +385,16 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
             try:
                 proc.start()
                 procs.append(proc)
-            except OSError:  # no process to spare; the chunk is computed here
+            except OSError:  # no process to spare; the chunk is stacked here
                 pass
             writer.close()
         blocks = [_weight_block(panel, chunks[0], config)]
         for reader, chunk in zip(readers, chunks[1:]):
             try:
-                block = reader.recv()
+                parts = reader.recv()
             except EOFError:  # no worker, or it died before sending anything
-                block = np.empty((0, panel.n_assets))
-            if len(block) < len(chunk):
-                rest = _weight_block(panel, chunk[len(block):], config)
-                block = np.concatenate([block, rest])
-            blocks.append(block)
+                parts = _stacked_parts(panel, chunk, config)
+            blocks.append(_chained(panel, parts, config))
     except BaseException:
         for proc in procs:
             proc.kill()
@@ -434,11 +422,12 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
     start, every = config.window_days, config.reestimate_every
     rows = range(start, panel.n_dates, every)
     masked = np.flatnonzero(np.any(panel.missing_mask[start:], axis=1))
+    # A serial run fails at the earliest masked accounting row, and a
+    # rebalance on a row comes before that row's accounting.
+    cut = int(masked[0]) // every + 1 if masked.size else len(rows)
+    weight_history = _all_weights(panel, rows[:cut], config)
     if masked.size:
-        # A serial run fails at the earliest bad row, and a rebalance on a
-        # row comes before that row's accounting.
         t = start + int(masked[0])
-        _all_weights(panel, rows[: (t - start) // every + 1], config)
         j = int(np.flatnonzero(panel.missing_mask[t])[0])
         raise MissingData(
             f"masked return on accounting date {int(panel.dates[t])}, "
@@ -446,7 +435,6 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
             date=int(panel.dates[t]),
             asset=panel.assets[j],
         )
-    weight_history = _all_weights(panel, rows, config)
 
     rf_daily = config.rf_daily
     held = panel.returns[start:]

@@ -90,9 +90,6 @@ class DateRange:
         dates = [parse_integer(part) for part in parts]
         return cls(dates[0], dates[-1])
 
-    def contains(self, date: int) -> bool:
-        return self.start <= int(date) <= self.end
-
 
 @dataclass(frozen=True)
 class ReturnPanel:

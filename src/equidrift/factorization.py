@@ -58,11 +58,17 @@ def _as_square(entries, name: str) -> np.ndarray:
     return a
 
 
+def _check_shrinkage(shrinkage: float | None) -> None:
+    """Reject a diagonal-shrinkage delta that is set but not finite and > 0."""
+    if shrinkage is not None and not 0.0 < shrinkage < np.inf:
+        raise ValueError(f"shrinkage must be finite and positive when set, got {shrinkage}")
+
+
 class CovMatrix:
     """Symmetric positive-definite covariance of per-period returns.
 
-    Positive-definiteness is enforced at construction.  When ``shrinkage``
-    is given, a failing matrix is repaired by adding
+    Positive-definiteness is enforced at construction.  ``shrinkage``, when
+    given, must be finite and positive; a failing matrix is repaired by adding
     ``shrinkage * mean(diag(C))`` to the diagonal before re-checking (plain
     ``shrinkage`` when the diagonal is identically zero, so an all-zero
     sample covariance still gets a usable repair).
@@ -74,6 +80,7 @@ class CovMatrix:
     __slots__ = ("entries", "dim", "_eig")
 
     def __init__(self, entries, shrinkage: float | None = None):
+        _check_shrinkage(shrinkage)
         a = _as_square(entries, "covariance matrix")
         if not _symmetric(a[None])[0]:
             raise ValueError("covariance matrix is not symmetric within tolerance")

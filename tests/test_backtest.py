@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -81,6 +82,9 @@ class TestBacktestConfig:
             BacktestConfig(shrinkage=0.0)
         with pytest.raises(ValueError):
             BacktestConfig(shrinkage=-1e-6)
+        for shrinkage in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                BacktestConfig(shrinkage=shrinkage)
 
     def test_equal_targets_give_equal_configs_and_hashes(self):
         a = BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
@@ -191,7 +195,15 @@ class TestEstimationWindow:
         )
         window = estimation_window(panel, 40, cfg)
         assert window.n_dates == 27
-        assert not any(cut.contains(int(d)) for d in window.dates)
+        assert not np.any((window.dates >= cut.start) & (window.dates <= cut.end))
+
+    def test_exclusion_bounds_are_inclusive(self):
+        # both end dates are excluded, and the days just outside are kept
+        panel = gbm_panel(60, seed=1)
+        cut = DateRange(int(panel.dates[20]), int(panel.dates[22]))
+        cfg = BacktestConfig(window_days=30, reestimate_every=5, exclusion_windows=(cut,))
+        window = estimation_window(panel, 40, cfg)
+        np.testing.assert_array_equal(window.dates, np.delete(panel.dates[10:40], [10, 11, 12]))
 
     def test_window_inside_exclusion_is_empty_panel(self):
         panel = gbm_panel(60, seed=1)
@@ -583,6 +595,7 @@ class TestParallelRebalances:
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
         )
+        parent_rows = self.spy_parent_rows(monkeypatch)
         seen = []
         for lanes in self.LANES:
             with pytest.warns(UserWarning, match="negative kappa") as record:
@@ -591,6 +604,88 @@ class TestParallelRebalances:
         assert len(seen[0]) == 480
         assert seen[1] == seen[0]
         assert seen[2] == seen[0]
+        # every kappa is negative, yet the workers stack their whole chunks
+        assert parent_rows == [480] + [480 // k for k in self.LANES[1:]]
+
+    def test_shrinkage_repairs_run_in_the_caller(self, monkeypatch):
+        # the window ending at row 300 needs the diagonal repair, so it and
+        # the rest of its 16-window block run on the public chain
+        panel = self.panel(stretches=((0, (270, 300)),))
+        cfg = BacktestConfig(
+            window_days=30, reestimate_every=1, shrinkage=1e-4, exclusion_windows=()
+        )
+        monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
+        chained = []
+        chain = backtest._rebalance_weights
+        monkeypatch.setattr(
+            backtest,
+            "_rebalance_weights",
+            lambda p, rows, c: chained.extend(rows) or chain(p, rows, c),
+        )
+        rows = range(30, 510)
+        reports = []
+        for lanes in self.LANES:
+            chained.clear()
+            reports.append(self.run_with(monkeypatch, lanes, panel, cfg))
+            edges = [len(rows) * k // lanes for k in range(lanes + 1)]
+            left = [
+                t
+                for a, b in zip(edges, edges[1:])
+                for *_, rest in backtest._stacked_parts(panel, rows[a:b], cfg)
+                for t in rest
+            ]
+            assert left == [300, 301]  # the rest of block [286, 302) at every lane count
+            assert chained == left
+        for other in reports[1:]:
+            assert other.weight_history.tobytes() == reports[0].weight_history.tobytes()
+        for k, t in enumerate(rows):
+            cov = estimate_covariance(estimation_window(panel, t, cfg), shrinkage=cfg.shrinkage)
+            vol = factor_covariance(cov, cfg.factorization)
+            assert reports[0].weight_history[k].tobytes() == (
+                pi_star_fully_invested(vol, cfg.exposure).weights.tobytes()
+            )
+
+    def test_worker_only_stacks(self, monkeypatch):
+        # every kappa is negative, the window ending at row 100 is not
+        # factorable, a return of 1e200 on row 200 overflows its windows'
+        # covariances and row 350 is masked: the worker still sends its
+        # parts, with no warning and no call to the public chain
+        base = self.panel(stretches=((0, (70, 100)),), masked=((350, 2),))
+        returns = np.array(base.returns)
+        returns[200, 1] = 1e200
+        panel = ReturnPanel(base.dates, base.assets, returns, base.missing_mask)
+        cfg = BacktestConfig(
+            window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
+        )
+        monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
+
+        def public_chain(*args, **kwargs):
+            raise AssertionError("the worker ran the public chain")
+
+        for name in (
+            "estimate_covariance",
+            "factor_covariance",
+            "pi_star_fully_invested",
+            "_rebalance_weights",
+        ):
+            monkeypatch.setattr(backtest, name, public_chain)
+        sent = []
+        writer = types.SimpleNamespace(send=sent.append, close=lambda: None)
+        rows = range(30, 510)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            backtest._chunk_worker(writer, panel, rows, cfg)
+        (parts,) = sent
+        t, left = rows.start, []
+        for weights, negative, rest in parts:
+            assert weights.shape == (len(negative), 3)
+            assert np.all(np.isfinite(weights)) and np.all(negative)
+            assert rest.start == t + len(weights)
+            left += rest
+            t = rest.stop
+        assert t == rows.stop
+        assert {100, *range(201, 231), *range(351, 381)} <= set(left)
+        assert len(left) < len(rows) // 4
 
     def test_failing_rebalance_warns_once(self, monkeypatch):
         # every rebalance warns (negative kappa) and the one at row 300 then

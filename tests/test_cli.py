@@ -149,6 +149,21 @@ class TestExitCodes:
         assert code == 5
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["factor", "weights", "backtest"])
+    def test_shrinkage_must_be_finite_and_positive(
+        self, panel_csv, tmp_path, capsys, command, value
+    ):
+        # factor and weights read a covariance that needs the repair
+        matrix = tmp_path / "npd.csv"
+        write_matrix_csv(matrix, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        source = panel_csv[0] if command == "backtest" else str(matrix)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, ["--out", str(out), command, source, f"--shrinkage={value}"])
+        assert code == 2
+        assert "shrinkage must be finite and positive" in err
+        assert not out.exists()
+
     def test_insufficient_history(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         code, _, err = run(

@@ -49,11 +49,6 @@ class TestDateRange:
         assert DateRange.parse("19871019-19871023") == DateRange(19871019, 19871023)
         assert DateRange.parse("20000301") == DateRange(20000301, 20000301)
 
-    def test_contains_is_inclusive(self):
-        dr = DateRange(19871019, 19871023)
-        assert dr.contains(19871019) and dr.contains(19871023)
-        assert not dr.contains(19871018) and not dr.contains(19871024)
-
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             DateRange(19871023, 19871019)

@@ -52,6 +52,13 @@ class TestCovMatrix:
         assert cov.entries[0, 1] == 1.0
         assert cov.entries[0, 0] == pytest.approx(1.0 + 1e-6, rel=1e-12)
 
+    @pytest.mark.parametrize("shrinkage", [math.inf, math.nan, 0.0, -1e-6])
+    def test_shrinkage_must_be_finite_and_positive(self, shrinkage):
+        # checked whether or not the matrix needs the repair
+        for entries in ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            with pytest.raises(ValueError, match="shrinkage must be finite and positive"):
+                CovMatrix(entries, shrinkage=shrinkage)
+
     def test_shrinkage_repairs_all_zero(self):
         cov = CovMatrix(np.zeros((3, 3)), shrinkage=1e-6)
         np.testing.assert_allclose(cov.entries, 1e-6 * np.eye(3), rtol=0, atol=0)
