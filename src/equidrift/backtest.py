@@ -22,24 +22,25 @@ and leaves that window and the rest of the block to the chain itself. The
 stacked pass never warns or raises on the data.
 
 Each rebalance depends only on its own estimation window, so long runs
-stack contiguous chunks of rebalances in forked worker processes, one per
-CPU the process may run on, and send the stacked parts back. Only the
-calling process runs the public chain: for each part in row order it issues
-the chain's negative-kappa warning once per window that has one, then runs
-the chain on the part's leftover windows, so errors and warnings arise as
-in a serial run. The results are bitwise identical at any worker count.
+split the rebalances into contiguous chunks, one per CPU the process may run
+on, through the package's one fork helper (the simulator's paths use it
+too): forked workers stack all but the first chunk and send the stacked
+parts back. Only the calling process runs the public chain: for each part in
+row order it issues the chain's negative-kappa warning once per window that
+has one, then runs the chain on the part's leftover windows, so errors and
+warnings arise as in a serial run. The results are bitwise identical at any
+worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fanout import fan_out
 from .data import DateRange, ReturnPanel
 from .errors import (
     InsufficientHistory,
@@ -336,11 +337,6 @@ def _weight_block(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np
     return _chained(panel, _stacked_parts(panel, rows, config), config)
 
 
-def _cpus() -> int:
-    """CPUs in this process's affinity mask; 1 where the OS cannot say."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> None:
     """Forked-process body: send back the stacked parts of ``rows``. They
     never warn or raise on the data; the caller issues their warnings and
@@ -352,58 +348,21 @@ def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> N
 def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
     """Weights for every rebalance in ``rows``, one row each.
 
-    Contiguous chunks of at least ``_MIN_CHUNK`` rebalances run in parallel,
-    one per CPU: this process computes the first and a forked worker stacks
-    each of the rest. Forking is skipped where it is unavailable, in a
-    daemonic process (which may not have children) and where other threads
-    run, since a thread holding a lock at fork time can deadlock the child.
-    This process chains every chunk's parts in order, and stacks a chunk
-    itself when its worker sent nothing, so the public chain runs, and
-    errors and warnings arise, only here and exactly as in a serial run.
+    Contiguous chunks of at least ``_MIN_CHUNK`` rebalances run in parallel
+    through :func:`fan_out`: this process computes the first and a forked
+    worker stacks each of the rest. This process chains every chunk's parts
+    in order, and computes a chunk itself when its worker sent nothing, so
+    the public chain runs, and errors and warnings arise, only here and
+    exactly as in a serial run.
     """
-    import multiprocessing  # here, so that other commands skip its import time
-
-    lanes = min(_cpus(), len(rows) // _MIN_CHUNK)
-    if (
-        lanes < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
-        return _weight_block(panel, rows, config)
-    ctx = multiprocessing.get_context("fork")
-    edges = [len(rows) * k // lanes for k in range(lanes + 1)]
-    chunks = [rows[a:b] for a, b in zip(edges, edges[1:])]
-    procs, readers = [], []
-    try:
-        for chunk in chunks[1:]:
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            proc = ctx.Process(
-                target=_chunk_worker, args=(writer, panel, chunk, config), daemon=True
-            )
-            try:
-                proc.start()
-                procs.append(proc)
-            except OSError:  # no process to spare; the chunk is stacked here
-                pass
-            writer.close()
-        blocks = [_weight_block(panel, chunks[0], config)]
-        for reader, chunk in zip(readers, chunks[1:]):
-            try:
-                parts = reader.recv()
-            except EOFError:  # no worker, or it died before sending anything
-                parts = _stacked_parts(panel, chunk, config)
-            blocks.append(_chained(panel, parts, config))
-    except BaseException:
-        for proc in procs:
-            proc.kill()
-        raise
-    finally:
-        for reader in readers:
-            reader.close()
-        for proc in procs:
-            proc.join()
+    blocks = []
+    fan_out(
+        rows,
+        _MIN_CHUNK,
+        here=lambda chunk: blocks.append(_weight_block(panel, chunk, config)),
+        worker=lambda writer, chunk: _chunk_worker(writer, panel, chunk, config),
+        receive=lambda reader, chunk: blocks.append(_chained(panel, reader.recv(), config)),
+    )
     return np.concatenate(blocks)
 
 

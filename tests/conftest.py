@@ -1,14 +1,22 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
 from hypothesis import settings
 
-from equidrift import CovMatrix, random_rotation
+from equidrift import CovMatrix, _fanout, random_rotation
 
 # Property suites are deterministic: a fixed example sequence, no example
 # database and no per-example deadline. Each test sets its own max_examples.
 settings.register_profile("equidrift", derandomize=True, database=None, deadline=None)
 settings.load_profile("equidrift")
+
+
+@pytest.fixture
+def pin_lanes(monkeypatch):
+    """``pin_lanes(k)`` makes the fork helper see k CPUs, so a large enough
+    run splits into k chunks whatever the host has."""
+    return lambda k: monkeypatch.setattr(_fanout, "_cpus", lambda: k)
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -516,8 +516,8 @@ class TestParallelRebalances:
         return parent_rows
 
     @staticmethod
-    def run_with(monkeypatch, lanes, panel, cfg):
-        monkeypatch.setattr(backtest, "_cpus", lambda: lanes)
+    def run_with(pin_lanes, lanes, panel, cfg):
+        pin_lanes(lanes)
         return rolling_backtest(panel, cfg)
 
     @pytest.mark.parametrize(
@@ -536,10 +536,10 @@ class TestParallelRebalances:
         ],
         ids=["sym_sqrt", "every-2", "rotate-excluded"],
     )
-    def test_bitwise_equal_across_worker_counts(self, monkeypatch, cfg):
+    def test_bitwise_equal_across_worker_counts(self, monkeypatch, pin_lanes, cfg):
         panel = self.panel()
         parent_rows = self.spy_parent_rows(monkeypatch)
-        reports = [self.run_with(monkeypatch, lanes, panel, cfg) for lanes in self.LANES]
+        reports = [self.run_with(pin_lanes, lanes, panel, cfg) for lanes in self.LANES]
         n_rebalances = reports[0].rebalance_dates.size
         # the parent computes only the first chunk; workers compute the rest
         assert parent_rows == [n_rebalances] + [n_rebalances // k for k in self.LANES[1:]]
@@ -567,13 +567,13 @@ class TestParallelRebalances:
         ],
         ids=["singular", "masked-late", "same-row", "masked-early"],
     )
-    def test_errors_match_serial(self, monkeypatch, stretches, masked, error):
+    def test_errors_match_serial(self, pin_lanes, stretches, masked, error):
         panel = self.panel(stretches, masked)
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
         raised = []
         for lanes in self.LANES:
             with pytest.raises(EquidriftError) as exc_info:
-                self.run_with(monkeypatch, lanes, panel, cfg)
+                self.run_with(pin_lanes, lanes, panel, cfg)
             exc = exc_info.value
             cause = exc.__cause__
             raised.append(
@@ -590,7 +590,7 @@ class TestParallelRebalances:
         assert raised[1] == raised[0]
         assert raised[2] == raised[0]
 
-    def test_worker_warnings_reach_the_caller(self, monkeypatch):
+    def test_worker_warnings_reach_the_caller(self, monkeypatch, pin_lanes):
         panel = self.panel()
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
@@ -599,7 +599,7 @@ class TestParallelRebalances:
         seen = []
         for lanes in self.LANES:
             with pytest.warns(UserWarning, match="negative kappa") as record:
-                self.run_with(monkeypatch, lanes, panel, cfg)
+                self.run_with(pin_lanes, lanes, panel, cfg)
             seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
         assert len(seen[0]) == 480
         assert seen[1] == seen[0]
@@ -607,7 +607,7 @@ class TestParallelRebalances:
         # every kappa is negative, yet the workers stack their whole chunks
         assert parent_rows == [480] + [480 // k for k in self.LANES[1:]]
 
-    def test_shrinkage_repairs_run_in_the_caller(self, monkeypatch):
+    def test_shrinkage_repairs_run_in_the_caller(self, monkeypatch, pin_lanes):
         # the window ending at row 300 needs the diagonal repair, so it and
         # the rest of its 16-window block run on the public chain
         panel = self.panel(stretches=((0, (270, 300)),))
@@ -626,7 +626,7 @@ class TestParallelRebalances:
         reports = []
         for lanes in self.LANES:
             chained.clear()
-            reports.append(self.run_with(monkeypatch, lanes, panel, cfg))
+            reports.append(self.run_with(pin_lanes, lanes, panel, cfg))
             edges = [len(rows) * k // lanes for k in range(lanes + 1)]
             left = [
                 t
@@ -687,7 +687,7 @@ class TestParallelRebalances:
         assert {100, *range(201, 231), *range(351, 381)} <= set(left)
         assert len(left) < len(rows) // 4
 
-    def test_failing_rebalance_warns_once(self, monkeypatch):
+    def test_failing_rebalance_warns_once(self, pin_lanes):
         # every rebalance warns (negative kappa) and the one at row 300 then
         # raises inside a worker; the parent recomputes it, so no warning may
         # also come from the worker
@@ -699,14 +699,14 @@ class TestParallelRebalances:
         for lanes in self.LANES:
             with pytest.warns(UserWarning) as record:
                 with pytest.raises(SingularCovariance) as exc_info:
-                    self.run_with(monkeypatch, lanes, panel, cfg)
+                    self.run_with(pin_lanes, lanes, panel, cfg)
             assert [str(w.message) for w in record] == [str(record[0].message)] * (300 - 30)
             assert "negative kappa" in str(record[0].message)
             raised.append(str(exc_info.value))
         assert str(panel.dates[300]) in raised[0]
         assert raised == raised[:1] * 3
 
-    def test_warning_as_error_raises_as_serial(self, monkeypatch):
+    def test_warning_as_error_raises_as_serial(self, pin_lanes):
         panel = self.panel()
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
@@ -716,33 +716,33 @@ class TestParallelRebalances:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(UserWarning) as exc_info:
-                    self.run_with(monkeypatch, lanes, panel, cfg)
+                    self.run_with(pin_lanes, lanes, panel, cfg)
             raised.append(str(exc_info.value))
         assert raised == raised[:1] * 3
 
-    def test_dead_worker_is_recomputed(self, monkeypatch):
+    def test_dead_worker_is_recomputed(self, monkeypatch, pin_lanes):
         panel = self.panel()
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
-        want = self.run_with(monkeypatch, 1, panel, cfg)
+        want = self.run_with(pin_lanes, 1, panel, cfg)
         monkeypatch.setattr(backtest, "_chunk_worker", lambda *args: os._exit(1))
-        got = self.run_with(monkeypatch, 3, panel, cfg)
+        got = self.run_with(pin_lanes, 3, panel, cfg)
         assert got.weight_history.tobytes() == want.weight_history.tobytes()
         assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()
 
-    def test_failed_fork_is_computed_here(self, monkeypatch):
+    def test_failed_fork_is_computed_here(self, monkeypatch, pin_lanes):
         panel = self.panel()
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
-        want = self.run_with(monkeypatch, 1, panel, cfg)
+        want = self.run_with(pin_lanes, 1, panel, cfg)
 
         def no_fork(process_obj):
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
-        got = self.run_with(monkeypatch, 3, panel, cfg)
+        got = self.run_with(pin_lanes, 3, panel, cfg)
         assert got.weight_history.tobytes() == want.weight_history.tobytes()
         assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()
 
-    def test_serial_while_other_threads_run(self, monkeypatch):
+    def test_serial_while_other_threads_run(self, monkeypatch, pin_lanes):
         panel = self.panel()
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
         parent_rows = self.spy_parent_rows(monkeypatch)
@@ -750,7 +750,7 @@ class TestParallelRebalances:
         other = threading.Thread(target=release.wait, args=(10.0,))
         other.start()
         try:
-            self.run_with(monkeypatch, 3, panel, cfg)
+            self.run_with(pin_lanes, 3, panel, cfg)
         finally:
             release.set()
             other.join(timeout=10.0)

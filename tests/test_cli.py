@@ -20,7 +20,7 @@ from equidrift import (
     write_csv,
     write_matrix_csv,
 )
-from equidrift import cli
+from equidrift import cli, simulate
 from equidrift.cli import main
 
 EXAMPLE_COV = np.array([[4.0, 2.0], [2.0, 5.0]])
@@ -554,6 +554,21 @@ class TestSimulateCommand:
         lines = (out / "terminal_wealth.csv").read_text().splitlines()
         assert lines[0] == "path,wealth"
         assert len(lines) == 201
+
+    def test_output_does_not_depend_on_lane_count(self, tmp_path, capsys, pin_lanes):
+        paths = 2 * -(-simulate._MIN_LANE_WORK // (252 * 5))  # two lanes' worth
+        args = ["simulate", "--n", "5", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
+                "--paths", str(paths), "--steps", "252", "--seed", "4", "--save"]
+        outputs = []
+        for lanes in (1, 2):
+            pin_lanes(lanes)
+            out = tmp_path / f"lanes{lanes}"
+            code, stdout, _ = run(capsys, ["--out", str(out)] + args)
+            assert code == 0
+            saved = (out / "terminal_wealth.csv").read_bytes()
+            outputs.append((stdout.replace(str(out), "<out>"), saved))
+        assert outputs[1] == outputs[0]
+        assert len(outputs[0][1].splitlines()) == paths + 1
 
     def test_rejects_fewer_than_two_paths(self, capsys):
         args = [a if a != "200" else "1" for a in self.ARGS]

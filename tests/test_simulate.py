@@ -1,4 +1,8 @@
+import errno
 import math
+import multiprocessing
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -101,7 +105,13 @@ class TestSimulatePaths:
         monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
-        for horizon, steps, n_paths in ((0.0, 2, 2), (math.nan, 2, 2), (1.0, 0, 2), (1.0, 2, 0)):
+        for horizon, steps, n_paths in (
+            (0.0, 2, 2),
+            (math.nan, 2, 2),
+            (math.inf, 2, 2),
+            (1.0, 0, 2),
+            (1.0, 2, 0),
+        ):
             with pytest.raises(ValueError):
                 simulate_paths(params, horizon, steps, n_paths, seed=0)
             with pytest.raises(ValueError):
@@ -185,17 +195,20 @@ class TestReplayWealth:
             assert var_hat >= var_opt - 2 * se_var
 
     def test_rejects_nonpositive_initial_wealth(self, monkeypatch):
+        # a non-finite w0 is rejected too: inf gave inf wealth, nan gave nan
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
+        policy = WeightVector([0.5, 0.5], None, 1.0)
         paths = simulate_paths(params, 1.0, 2, 2, seed=0)
-        with pytest.raises(ValueError):
-            replay_wealth(paths, WeightVector([0.5, 0.5], None, 1.0), params, 0.0)
 
         def no_noise(*args):
             raise AssertionError("noise drawn before the inputs were checked")
 
         monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
-        with pytest.raises(ValueError):
-            simulate_terminal_wealth(params, WeightVector([0.5, 0.5], None, 1.0), 1.0, 2, 2, 0, 0.0)
+        for w0 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="initial wealth"):
+                replay_wealth(paths, policy, params, w0)
+            with pytest.raises(ValueError, match="initial wealth"):
+                simulate_terminal_wealth(params, policy, 1.0, 2, 2, 0, w0)
 
 
 def _engine_case(n: int):
@@ -259,20 +272,117 @@ class TestTerminalWealthEngine:
         replay_wealth(simulate_paths(params, 1.0, self.STEPS, self.PATHS, 0), counted, params, 1.0)
         assert calls == list(range(self.STEPS))
 
-    def test_memory_stays_within_block_budget(self):
+    def test_memory_stays_within_block_budget(self, pin_lanes):
         # The full increment tensor at this size would be 50 MB. Besides the
         # block and the wealth vector the engine holds only things of fixed
         # size: the per-step tables (12 kB here), numpy's ufunc iteration
-        # buffer (64 KiB) and interpreter objects.
+        # buffer (64 KiB) and interpreter objects. On two lanes the worker's
+        # half is received into the wealth vector in place. The first call
+        # imports numpy.random and multiprocessing, which is interpreter
+        # state and not engine memory, so it runs before tracing starts.
         params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
         policy = pi_star(params.sigma, 0.4)
-        tracemalloc.start()
-        try:
-            wealth = simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= simulate._BLOCK_BYTES + wealth.nbytes + (128 << 10)
+        for lanes in (1, 2):
+            pin_lanes(lanes)
+            simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
+            tracemalloc.start()
+            try:
+                wealth = simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= simulate._BLOCK_BYTES + wealth.nbytes + (128 << 10)
+
+
+class TestParallelPaths:
+    """The fan-out of paths to forked workers, forced on by pinning the lane
+    count. ``MIN`` is the fewest paths a lane takes at this size."""
+
+    STEPS, N = 252, 5
+    MIN = -(-simulate._MIN_LANE_WORK // (STEPS * N))
+    LANES = (1, 2, 3)
+
+    @staticmethod
+    def spy_parent_paths(monkeypatch):
+        """The (first path, path count) of each chunk this process folds."""
+        folded = []
+        stream = simulate._stream_wealth
+
+        def spy(log_w, seed, start, *args):
+            folded.append((start, log_w.size))
+            stream(log_w, seed, start, *args)
+
+        monkeypatch.setattr(simulate, "_stream_wealth", spy)
+        return folded
+
+    def run(self, n_paths):
+        params, _, per_step = _engine_case(self.N)
+        return simulate_terminal_wealth(params, per_step, 1.0, self.STEPS, n_paths, 11, 1.5)
+
+    def reference(self, n_paths):
+        params, _, per_step = _engine_case(self.N)
+        paths = simulate_paths(params, 1.0, self.STEPS, n_paths, 11)
+        return replay_wealth(paths, per_step, params, 1.5)
+
+    @pytest.mark.parametrize("share", ["below", "at", "indivisible"])
+    def test_bitwise_equal_across_lane_counts(self, monkeypatch, pin_lanes, share):
+        n_paths = {"below": 2 * self.MIN - 1, "at": 2 * self.MIN, "indivisible": 3 * self.MIN + 2}[share]
+        if share == "indivisible":
+            assert n_paths % 2 and n_paths % 3
+        folded = self.spy_parent_paths(monkeypatch)
+        want = self.reference(n_paths)
+        for lanes in self.LANES:
+            folded.clear()
+            pin_lanes(lanes)
+            assert self.run(n_paths).tobytes() == want.tobytes()
+            used = min(lanes, n_paths // self.MIN)
+            # this process folds only the first chunk; workers fold the rest
+            assert folded == [(0, n_paths // used if used > 1 else n_paths)]
+
+    def test_dead_worker_is_folded_here(self, monkeypatch, pin_lanes):
+        n_paths = 3 * self.MIN
+        want = self.reference(n_paths)
+        folded = self.spy_parent_paths(monkeypatch)
+        pin_lanes(3)
+
+        def dies_mid_message(writer, paths, *args):
+            # the length header and one of the len(paths) numbers
+            os.write(writer.fileno(), struct.pack("!i", 8 * len(paths)) + bytes(8))
+            os._exit(1)
+
+        for worker in (lambda *args: os._exit(1), dies_mid_message):
+            folded.clear()
+            monkeypatch.setattr(simulate, "_wealth_worker", worker)
+            assert self.run(n_paths).tobytes() == want.tobytes()
+            assert folded == [(0, self.MIN), (self.MIN, self.MIN), (2 * self.MIN, self.MIN)]
+
+    def test_failed_fork_is_folded_here(self, monkeypatch, pin_lanes):
+        n_paths = 3 * self.MIN
+
+        def no_fork(process_obj):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        want = self.reference(n_paths)
+        folded = self.spy_parent_paths(monkeypatch)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
+        pin_lanes(3)
+        assert self.run(n_paths).tobytes() == want.tobytes()
+        assert folded == [(0, self.MIN), (self.MIN, self.MIN), (2 * self.MIN, self.MIN)]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_raises_before_any_fork(self, monkeypatch, pin_lanes, capfd, seed):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            np.random.PCG64(seed)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        pin_lanes(2)
+        params, constant, _ = _engine_case(self.N)
+        with pytest.raises(expected.type) as exc_info:
+            simulate_terminal_wealth(params, constant, 1.0, self.STEPS, 2 * self.MIN, seed, 1.0)
+        assert str(exc_info.value) == str(expected.value)
+        assert forks == []
+        assert capfd.readouterr().err == ""
 
 
 class TestWealthLaw:
