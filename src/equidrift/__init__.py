@@ -57,7 +57,6 @@ from .strategy import (
     WeightVector,
     brownian_exposures,
     one_over_n,
-    oversized_positions,
     pi_star,
     pi_star_fully_invested,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "pi_star_fully_invested",
     "one_over_n",
     "brownian_exposures",
-    "oversized_positions",
     "PathSet",
     "WealthLaw",
     "simulate_paths",

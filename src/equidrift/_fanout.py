@@ -1,10 +1,11 @@
-"""Fan a run of independent items out to forked worker processes.
+"""Map a function over contiguous chunks of a run, one chunk per CPU.
 
 The backtest's rebalances and the simulator's paths both split into
 contiguous chunks whose results do not depend on where the chunks start, so
-both run through :func:`fan_out`: one chunk per CPU, the first computed by the
-calling process and each of the rest by a forked worker that sends its result
-back down a pipe of its own.
+both run through :func:`fan_out`, which returns ``part(chunk)`` for each
+chunk in order: the calling process computes the first, and each of the rest
+comes from a forked worker that sends its pickled result back down a pipe of
+its own. This module is the package's only user of processes and pipes.
 """
 
 from __future__ import annotations
@@ -18,18 +19,22 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def fan_out(items: range, min_chunk: int, here, worker, receive) -> None:
-    """Process ``items`` in contiguous chunks, one per CPU, in order.
+def _worker(writer, part, chunk) -> None:
+    """Forked-process body: send back ``part(chunk)``."""
+    writer.send(part(chunk))
+    writer.close()
 
-    Each chunk holds at least ``min_chunk`` items. ``here(chunk)`` computes a
-    chunk in this process: the first, every chunk whose worker could not be
-    forked or did not send all of its result, and all of ``items`` when the
-    run stays serial. ``worker(writer, chunk)`` is a forked child's body and
-    sends the chunk's result down ``writer``. ``receive(reader, chunk)``
-    takes it in this process, and must leave its output untouched when the
-    pipe raises ``EOFError`` (the worker sent nothing) or ``OSError`` (the
-    worker died partway through its message). Workers must never raise:
-    whatever can fail runs in this process before the call.
+
+def fan_out(items: range, min_chunk: int, part) -> list:
+    """``part(chunk)`` for contiguous chunks of ``items``, one per CPU, in
+    order.
+
+    Each chunk holds at least ``min_chunk`` items. This process computes the
+    first chunk, every chunk whose worker could not be forked or died before
+    sending all of its result, and the whole run when it stays serial.
+    ``part`` must give the same result in either process and must never
+    raise in a worker: whatever can fail runs in this process before the
+    call or after it.
 
     Forking is skipped where it is unavailable, in a daemonic process (which
     may not have children) and where other threads run, since a thread
@@ -38,8 +43,7 @@ def fan_out(items: range, min_chunk: int, here, worker, receive) -> None:
     """
     lanes = min(_cpus(), len(items) // min_chunk)
     if lanes < 2:
-        here(items)
-        return
+        return [part(items)]
     import multiprocessing  # here, so that serial runs skip its import time
 
     if (
@@ -47,8 +51,7 @@ def fan_out(items: range, min_chunk: int, here, worker, receive) -> None:
         or multiprocessing.current_process().daemon
         or threading.active_count() > 1
     ):
-        here(items)
-        return
+        return [part(items)]
     ctx = multiprocessing.get_context("fork")
     edges = [len(items) * k // lanes for k in range(lanes + 1)]
     chunks = [items[a:b] for a, b in zip(edges, edges[1:])]
@@ -57,19 +60,20 @@ def fan_out(items: range, min_chunk: int, here, worker, receive) -> None:
         for chunk in chunks[1:]:
             reader, writer = ctx.Pipe(duplex=False)
             readers.append(reader)
-            proc = ctx.Process(target=worker, args=(writer, chunk), daemon=True)
+            proc = ctx.Process(target=_worker, args=(writer, part, chunk), daemon=True)
             try:
                 proc.start()
                 procs.append(proc)
             except OSError:  # no process to spare; the chunk is computed here
                 pass
             writer.close()
-        here(chunks[0])
+        results = [part(chunks[0])]
         for reader, chunk in zip(readers, chunks[1:]):
             try:
-                receive(reader, chunk)
+                results.append(reader.recv())
             except (EOFError, OSError):  # no worker, or it died before sending it all
-                here(chunk)
+                results.append(part(chunk))
+        return results
     except BaseException:
         for proc in procs:
             proc.kill()

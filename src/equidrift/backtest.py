@@ -23,13 +23,13 @@ stacked pass never warns or raises on the data.
 
 Each rebalance depends only on its own estimation window, so long runs
 split the rebalances into contiguous chunks, one per CPU the process may run
-on, through the package's one fork helper (the simulator's paths use it
-too): forked workers stack all but the first chunk and send the stacked
-parts back. Only the calling process runs the public chain: for each part in
-row order it issues the chain's negative-kappa warning once per window that
-has one, then runs the chain on the part's leftover windows, so errors and
-warnings arise as in a serial run. The results are bitwise identical at any
-worker count.
+on, and map the stacked pass over them with the package's one fork helper
+(the simulator's paths use it too), which returns each chunk's stacked parts
+in order. Only the calling process runs the public chain, once every chunk
+is stacked: for each part in row order it issues the chain's negative-kappa
+warning once per window that has one, then runs the chain on the part's
+leftover windows, so errors and warnings arise as in a serial run. The
+results are bitwise identical at any worker count.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -73,7 +74,7 @@ __all__ = [
 ]
 
 #: Fewest rebalances worth a worker process of their own. On a 2-CPU Linux
-#: host with one BLAS thread, forking a worker, sending its weights back and
+#: host with one BLAS thread, forking a worker, returning its weights and
 #: joining it cost 7-12 ms, and a stacked rebalance took 0.09-0.1 ms at 10
 #: assets and 0.9 ms at 47. At 10 assets two lanes broke even near 80
 #: rebalances each (160 took 16.8 ms serially and 15.8 ms on 2 lanes) and
@@ -332,38 +333,12 @@ def _chained(panel: ReturnPanel, parts, config: BacktestConfig) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _weight_block(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
-    """Weights for every rebalance in ``rows``, one row each."""
-    return _chained(panel, _stacked_parts(panel, rows, config), config)
-
-
-def _chunk_worker(writer, panel: ReturnPanel, rows, config: BacktestConfig) -> None:
-    """Forked-process body: send back the stacked parts of ``rows``. They
-    never warn or raise on the data; the caller issues their warnings and
-    runs the public chain on their rests."""
-    writer.send(list(_stacked_parts(panel, rows, config)))
-    writer.close()
-
-
 def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
-    """Weights for every rebalance in ``rows``, one row each.
-
-    Contiguous chunks of at least ``_MIN_CHUNK`` rebalances run in parallel
-    through :func:`fan_out`: this process computes the first and a forked
-    worker stacks each of the rest. This process chains every chunk's parts
-    in order, and computes a chunk itself when its worker sent nothing, so
-    the public chain runs, and errors and warnings arise, only here and
-    exactly as in a serial run.
-    """
-    blocks = []
-    fan_out(
-        rows,
-        _MIN_CHUNK,
-        here=lambda chunk: blocks.append(_weight_block(panel, chunk, config)),
-        worker=lambda writer, chunk: _chunk_worker(writer, panel, chunk, config),
-        receive=lambda reader, chunk: blocks.append(_chained(panel, reader.recv(), config)),
-    )
-    return np.concatenate(blocks)
+    """Weights for every rebalance in ``rows``, one row each: chunks of at
+    least ``_MIN_CHUNK`` rebalances are stacked in parallel, then this
+    process chains their parts in order."""
+    stacked = fan_out(rows, _MIN_CHUNK, lambda chunk: list(_stacked_parts(panel, chunk, config)))
+    return _chained(panel, chain.from_iterable(stacked), config)
 
 
 def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -> BacktestReport:

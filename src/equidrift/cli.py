@@ -26,6 +26,7 @@ import logging
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,6 @@ from .errors import (
     LengthMismatch,
     MissingData,
     NonMonotonicDates,
-    NonPositiveGridPoint,
     NotPositiveDefinite,
     ParseError,
     SingularCovariance,
@@ -98,7 +98,6 @@ _ERROR_EXITS = (
             SingularCovariance,
             DimensionMismatch,
             DegenerateExposure,
-            NonPositiveGridPoint,
         ),
         "matrix",
     ),
@@ -118,10 +117,17 @@ _ERROR_EXITS = (
 
 
 _METHODS = ["cholesky", "sym_sqrt", "sqrt", "rotate"]
+_FORMATS = ["csv", "french"]
+
+
+def _one_of(names: list[str], text: str) -> str:
+    if text not in names:
+        raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
+    return text
 
 
 def _normalize_method(name: str) -> str:
-    return "sym_sqrt" if name == "sqrt" else name
+    return "sym_sqrt" if _one_of(_METHODS, name) == "sqrt" else name
 
 
 def _flag(convert):
@@ -133,6 +139,16 @@ def _flag(convert):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return flag_value
+
+
+def _above(bound, convert, rule: str):
+    """``convert`` as an argparse type that also rejects values not above
+    ``bound``."""
+    def value(text: str):
+        if not (x := convert(text)) > bound:
+            raise ValueError(f"must be {rule}, got {text!r}")
+        return x
+    return _flag(value)
 
 
 def _require_finite(values: dict[str, float]) -> None:
@@ -294,8 +310,6 @@ def _cmd_figure1(args) -> int:
     if args.grid_points < 1:
         raise ValueError("--grid-points must be at least 1")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
-    if args.grid_min <= 0.0:
-        raise NonPositiveGridPoint("--grid-min must be positive")
 
     results = []
     for n in args.n_list:
@@ -401,17 +415,15 @@ def _write_report(report: BacktestReport, outdir: Path) -> None:
 def _cmd_backtest(args) -> int:
     file_values = _read_config_file(args.config) if args.config else {}
 
-    fmt = _pick(args.format, file_values, "format")
+    fmt = _pick(args.format, file_values, "format", partial(_one_of, _FORMATS))
     drops = (_pick(None, file_values, "drop", _split_list) or []) + (args.drop or [])
 
     if fmt == "french":
         panel = load_french(args.returns, drop_assets=drops)
-    elif fmt in (None, "csv"):
+    else:
         panel = load_csv(args.returns)
         if drops:
             panel = panel.drop_assets(drops)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     if args.date_range is not None:
         panel = panel.slice(args.date_range)
 
@@ -517,6 +529,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     real, integer, date_range = map(_flag, (parse_real, parse_integer, DateRange.parse))
+    positive_real = _above(0.0, parse_real, "positive")
+    positive = _above(0, parse_integer, "positive")
+    natural = _above(-1, parse_integer, "non-negative")
 
     p = sub.add_parser("factor", help="factor a covariance CSV into a volatility matrix")
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
@@ -536,7 +551,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the optimal wealth law")
-    p.add_argument("--n", type=integer, default=None, help="asset count (with scaled-identity vol)")
+    p.add_argument(
+        "--n", type=positive, default=None, help="asset count (with scaled-identity vol)"
+    )
     p.add_argument("--vol", default=None, help="volatility matrix CSV (overrides --n)")
     p.add_argument("--sigma-scale", type=real, default=0.2, help="identity vol scale")
     p.add_argument("--lambda", dest="lam", type=real, required=True, help="required rate")
@@ -546,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=real, default=1.0)
     p.add_argument("--steps", type=integer, default=252)
     p.add_argument("--paths", type=integer, default=10000)
-    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--seed", type=natural, default=0)
     p.add_argument("--save", action="store_true", help="write terminal_wealth.csv")
     p.set_defaults(func=_cmd_simulate)
 
@@ -558,14 +575,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=real, default=1.0)
     integers = _flag(lambda text: [parse_integer(tok) for tok in _split_list(text)])
     p.add_argument("--n-list", type=integers, default="1,5,25", help="comma-separated asset counts")
-    p.add_argument("--grid-min", type=real, default=0.01)
-    p.add_argument("--grid-max", type=real, default=3.0)
+    p.add_argument("--grid-min", type=positive_real, default=0.01)
+    p.add_argument("--grid-max", type=positive_real, default=3.0)
     p.add_argument("--grid-points", type=integer, default=600)
     p.set_defaults(func=_cmd_figure1)
 
     p = sub.add_parser("backtest", help="rolling out-of-sample backtest on a return panel")
     p.add_argument("returns", help="return panel file")
-    p.add_argument("--format", choices=["csv", "french"], default=None)
+    p.add_argument("--format", choices=_FORMATS, default=None)
     p.add_argument("--config", default=None, help="key=value config file")
     for key, (flag, convert, options) in _SETTINGS.items():
         p.add_argument(flag, dest=key, type=_flag(convert), default=None, **options)

@@ -10,8 +10,9 @@ with piecewise-constant driver exposures. There are two entry points:
   noise. Memory is O(paths x steps x assets).
 - ``simulate_terminal_wealth`` streams the paths in blocks and keeps only
   terminal wealth. Memory is O(block) plus the wealth vector. Large runs
-  split the paths into contiguous chunks, one per CPU, and forked workers
-  fold all but the first, sending back only their log-wealth.
+  split the paths into contiguous chunks, one per CPU, and map the fold
+  over them with the package's one fork helper: forked workers fold all but
+  the first and return only their log-wealth, which is joined in order.
 
 Both share one noise kernel, in which path i's increments depend only on
 (seed, i), and one wealth fold whose per-path result does not depend on
@@ -97,7 +98,7 @@ _BLOCK_BYTES = 8 << 20
 
 #: Fewest normal draws (paths x steps x assets) worth a worker process of
 #: their own in ``simulate_terminal_wealth``. On a 2-CPU Linux host with one
-#: BLAS thread, forking a worker, sending its log-wealth back and joining it
+#: BLAS thread, forking a worker, returning its log-wealth and joining it
 #: cost 5-8 ms, and a path at 5 assets and 252 steps took 55 us (0.22 us a
 #: draw), about 10% more while a second lane ran. Two lanes broke even near
 #: 0.8-1M draws (600-800 paths at 5 assets, 60 at 47); 1,000 paths at 5
@@ -262,31 +263,19 @@ def replay_wealth(
 
 
 def _stream_wealth(
-    log_w: np.ndarray,
-    seed: int,
-    start: int,
-    dt: float,
-    exposures: np.ndarray,
-    drifts: np.ndarray,
-) -> None:
-    """Add the log-wealth of paths ``start``, ``start + 1``, ... to
-    ``log_w``, one per entry, drawing and folding a block of paths at a time
-    into one reused buffer."""
+    seed: int, paths: range, dt: float, exposures: np.ndarray, drifts: np.ndarray
+) -> np.ndarray:
+    """Log-wealth of each of ``paths``, drawing and folding a block of paths
+    at a time into one reused buffer."""
     steps, n = exposures.shape
+    log_w = np.zeros(len(paths))
     rows = min(log_w.size, _block_rows(steps, n))
     buffer = np.empty((rows, steps, n))
     for a in range(0, log_w.size, rows):
         block = buffer[: min(rows, log_w.size - a)]
-        _per_path_increments(seed, start + a, block, dt)
+        _per_path_increments(seed, paths.start + a, block, dt)
         _fold_wealth(log_w[a : a + rows], block, exposures, drifts)
-
-
-def _wealth_worker(writer, paths: range, seed: int, dt: float, exposures, drifts) -> None:
-    """Forked-process body: send back the raw log-wealth of ``paths``."""
-    log_w = np.zeros(len(paths))
-    _stream_wealth(log_w, seed, paths.start, dt, exposures, drifts)
-    writer.send_bytes(log_w)
-    writer.close()
+    return log_w
 
 
 def simulate_terminal_wealth(
@@ -306,24 +295,19 @@ def simulate_terminal_wealth(
     buffer and folded straight into log-wealth, so memory is O(block) plus
     the wealth vector. Runs of at least ``2 * _MIN_LANE_WORK`` draws split
     the paths into contiguous chunks, one per CPU, and fold all but the
-    first in forked workers, which send back only their log-wealth.
+    first in forked workers, which return only their log-wealth.
     """
     _check_run(horizon, steps, n_paths)
     _check_w0(w0)
     dt = horizon / steps
     exposures, drifts = _step_exposures(policy, params, steps, dt)
     np.random.PCG64(seed)  # a bad seed raises here, not in a worker
-    log_w = np.zeros(n_paths)
-    fan_out(
+    chunks = fan_out(
         range(n_paths),
         -(-_MIN_LANE_WORK // (steps * params.n)),
-        here=lambda paths: _stream_wealth(
-            log_w[paths.start : paths.stop], seed, paths.start, dt, exposures, drifts
-        ),
-        worker=lambda writer, paths: _wealth_worker(writer, paths, seed, dt, exposures, drifts),
-        receive=lambda reader, paths: reader.recv_bytes_into(log_w[paths.start : paths.stop]),
+        lambda paths: _stream_wealth(seed, paths, dt, exposures, drifts),
     )
-    return w0 * np.exp(log_w)
+    return w0 * np.exp(np.concatenate(chunks))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ __all__ = [
     "pi_star_fully_invested",
     "one_over_n",
     "brownian_exposures",
-    "oversized_positions",
 ]
 
 #: Max-norm residual allowed on the driver-exposure equations, relative to kappa.
@@ -212,11 +211,3 @@ def brownian_exposures(pi: WeightVector, sigma: VolMatrix) -> ExposureVector:
         )
     return ExposureVector(p=sigma.entries.T @ pi.weights)
 
-
-def oversized_positions(pi: WeightVector, limit: float = 1.0) -> list[int]:
-    """Indices of assets with |weight| above ``limit``; reporting only.
-
-    Large or negative positions are legitimate for the optimal strategy, so
-    this never alters the weights.
-    """
-    return [int(i) for i in np.flatnonzero(np.abs(pi.weights) > limit)]

@@ -25,7 +25,7 @@ from equidrift import (
     sym_sqrt,
     synthetic_panel,
 )
-from equidrift import backtest
+from equidrift import _fanout, backtest
 from equidrift.backtest import BLACK_MONDAY_WEEK
 from equidrift.errors import (
     EmptyPanel,
@@ -453,7 +453,7 @@ class TestRebalanceWorkCount:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        weights = backtest._weight_block(panel, rows, cfg)
+        weights = backtest._chained(panel, backtest._stacked_parts(panel, rows, cfg), cfg)
         assert weights.shape == (6, 3)
         assert counts == {
             "eigh": blocks,
@@ -477,7 +477,7 @@ class TestRebalanceWorkCount:
 
         monkeypatch.setattr(backtest, "pi_star_fully_invested", public_chain)
         with pytest.warns(UserWarning, match="negative kappa") as record:
-            got = backtest._weight_block(panel, rows, cfg)
+            got = backtest._chained(panel, backtest._stacked_parts(panel, rows, cfg), cfg)
         assert len(record) == len(rows)
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -505,13 +505,13 @@ class TestParallelRebalances:
 
     @staticmethod
     def spy_parent_rows(monkeypatch):
-        """The chunk lengths this process computes itself, in call order."""
+        """The chunk lengths this process stacks itself, in call order."""
         parent_rows = []
-        block = backtest._weight_block
+        stacked = backtest._stacked_parts
         monkeypatch.setattr(
             backtest,
-            "_weight_block",
-            lambda p, rows, c: parent_rows.append(len(rows)) or block(p, rows, c),
+            "_stacked_parts",
+            lambda p, rows, c: parent_rows.append(len(rows)) or stacked(p, rows, c),
         )
         return parent_rows
 
@@ -674,7 +674,9 @@ class TestParallelRebalances:
         rows = range(30, 510)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            backtest._chunk_worker(writer, panel, rows, cfg)
+            _fanout._worker(
+                writer, lambda chunk: list(backtest._stacked_parts(panel, chunk, cfg)), rows
+            )
         (parts,) = sent
         t, left = rows.start, []
         for weights, negative, rest in parts:
@@ -724,7 +726,7 @@ class TestParallelRebalances:
         panel = self.panel()
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
         want = self.run_with(pin_lanes, 1, panel, cfg)
-        monkeypatch.setattr(backtest, "_chunk_worker", lambda *args: os._exit(1))
+        monkeypatch.setattr(_fanout, "_worker", lambda *args: os._exit(1))
         got = self.run_with(pin_lanes, 3, panel, cfg)
         assert got.weight_history.tobytes() == want.weight_history.tobytes()
         assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()

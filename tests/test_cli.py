@@ -297,12 +297,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "value",
-        ["exposure=0_5", "window_days=３０", "window_days=abc", "exclude=2000_0103-20000104"],
+        [
+            "exposure=0_5",
+            "window_days=３０",
+            "window_days=abc",
+            "exclude=2000_0103-20000104",
+            "factorization=choleksy",
+            "format=xml",
+        ],
     )
     def test_config_value_outside_the_grammar_names_its_line(
         self, panel_csv, tmp_path, capsys, value
     ):
-        # int() and float() read the first two as 5.0 and 30
+        # int() and float() read the first two as 5.0 and 30; the last two
+        # name no method or format
         path, _ = panel_csv
         cfg = tmp_path / "cfg"
         cfg.write_text(f"# engine\nreestimate_every=5\n{value}\n")
@@ -324,14 +332,22 @@ class TestExitCodes:
             (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--seed", "７"], "--seed"),
             (["figure1", "--n-list", "1,٥"], "--n-list"),
             (["compare", "a.csv", "b.csv", "--rf-daily", "0_1"], "--rf-daily"),
+            # inside the grammar, outside the flag's range
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--n", "0"], "--n"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--n", "-1"], "--n"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--seed", "-1"], "--seed"),
+            (["figure1", "--grid-min", "0"], "--grid-min"),
+            (["figure1", "--grid-max", "-1"], "--grid-max"),
         ],
     )
     def test_flag_outside_the_grammar_is_usage_error(self, capsys, argv, flag):
-        # int() and float() read each of these values
+        # int() and float() read the values outside the grammar
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
-        assert f"error: argument {flag}: " in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: " in captured.err
+        assert captured.out == ""
 
 
 class TestBacktestCommand:

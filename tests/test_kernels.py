@@ -158,7 +158,8 @@ class TestEngineMatchesPublicChain:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a negative kappa only warns
-                got = backtest._weight_block(w.panel, w.rows, cfg)
+                parts = backtest._stacked_parts(w.panel, w.rows, cfg)
+                got = backtest._chained(w.panel, parts, cfg)
                 want = list(backtest._rebalance_weights(w.panel, w.rows, cfg))
         finally:
             backtest._STACK_BYTES = stack
@@ -180,6 +181,7 @@ class TestEngineMatchesPublicChain:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", fails_when_stacked)
-        got = backtest._weight_block(w.panel, w.rows, cfg)
+        parts = backtest._stacked_parts(w.panel, w.rows, cfg)
+        got = backtest._chained(w.panel, parts, cfg)
         assert len(alone) == len(w.rows) == 37
         assert got.tobytes() == np.array(want).tobytes()

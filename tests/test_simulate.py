@@ -23,7 +23,7 @@ from equidrift import (
     simulate_terminal_wealth,
     sym_sqrt,
 )
-from equidrift import simulate
+from equidrift import _fanout, simulate
 from equidrift.errors import DimensionMismatch, NonPositiveGridPoint
 
 FIG_LEFT = dict(w=1.0, lam=0.1, mu=0.2, r=0.03, t=1.0)
@@ -277,9 +277,10 @@ class TestTerminalWealthEngine:
         # block and the wealth vector the engine holds only things of fixed
         # size: the per-step tables (12 kB here), numpy's ufunc iteration
         # buffer (64 KiB) and interpreter objects. On two lanes the worker's
-        # half is received into the wealth vector in place. The first call
-        # imports numpy.random and multiprocessing, which is interpreter
-        # state and not engine memory, so it runs before tracing starts.
+        # half arrives as one pickled array after the caller's half is folded
+        # and its block freed. The first call imports numpy.random and
+        # multiprocessing, which is interpreter state and not engine memory,
+        # so it runs before tracing starts.
         params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
         policy = pi_star(params.sigma, 0.4)
         for lanes in (1, 2):
@@ -308,9 +309,9 @@ class TestParallelPaths:
         folded = []
         stream = simulate._stream_wealth
 
-        def spy(log_w, seed, start, *args):
-            folded.append((start, log_w.size))
-            stream(log_w, seed, start, *args)
+        def spy(seed, paths, *args):
+            folded.append((paths.start, len(paths)))
+            return stream(seed, paths, *args)
 
         monkeypatch.setattr(simulate, "_stream_wealth", spy)
         return folded
@@ -345,14 +346,14 @@ class TestParallelPaths:
         folded = self.spy_parent_paths(monkeypatch)
         pin_lanes(3)
 
-        def dies_mid_message(writer, paths, *args):
-            # the length header and one of the len(paths) numbers
+        def dies_mid_message(writer, part, paths):
+            # a length header and the first 8 of the bytes it announces
             os.write(writer.fileno(), struct.pack("!i", 8 * len(paths)) + bytes(8))
             os._exit(1)
 
         for worker in (lambda *args: os._exit(1), dies_mid_message):
             folded.clear()
-            monkeypatch.setattr(simulate, "_wealth_worker", worker)
+            monkeypatch.setattr(_fanout, "_worker", worker)
             assert self.run(n_paths).tobytes() == want.tobytes()
             assert folded == [(0, self.MIN), (self.MIN, self.MIN), (2 * self.MIN, self.MIN)]
 

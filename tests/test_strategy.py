@@ -15,7 +15,6 @@ from equidrift import (
     brownian_exposures,
     cholesky,
     one_over_n,
-    oversized_positions,
     pi_star,
     pi_star_fully_invested,
     procrustes_rotate,
@@ -274,6 +273,4 @@ class TestBrownianExposures:
 class TestOversizedPositions:
     def test_flags_but_never_alters(self):
         wv = WeightVector(weights=[1.5, -0.9, 0.4], kappa=None, exposure=1.0)
-        assert oversized_positions(wv) == [0]
-        assert oversized_positions(wv, limit=0.3) == [0, 1, 2]
         np.testing.assert_array_equal(wv.weights, [1.5, -0.9, 0.4])
