@@ -11,15 +11,15 @@ Rebalance weights come in two passes over a block of windows. The first
 fills a stack of n x n covariances, one window at a time, with the kernel
 :func:`estimate_covariance` uses, each reading a column slice of the
 asset-major panel with excluded rows removed once. The second runs the rest
-of the chain on the whole stack: the covariance checks, ``eigh``, the factor,
-the refined solve and the weight checks, one LAPACK call per step with
-vectorized verdicts. The public functions run the same kernels on a batch of
-one, so the weights are bitwise equal to the public chain
+of the chain on the whole stack: ``eigh`` with the ``shrinkage`` repair, the
+factor, the refined solve and the weight checks, one LAPACK call per step
+with vectorized verdicts. The public functions run the same kernels on a
+batch of one, so the weights are bitwise equal to the public chain
 ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
 ``pi_star_fully_invested``. A block keeps its weights up to the first window
 on which that chain would raise, or warn of anything but a negative kappa,
-and leaves that window and the rest of the block to the chain itself. The
-stacked pass never warns or raises on the data.
+and leaves the rest of the block, or all of it if a stacked LAPACK call
+fails, to the chain itself. The stacked pass never warns or raises on data.
 
 Each rebalance depends only on its own estimation window, so long runs
 split the rebalances into contiguous chunks, one per CPU the process may run
@@ -58,6 +58,7 @@ from .factorization import (
     TargetMatrix,
     _check_shrinkage,
     _factors,
+    _positive_eig,
     factor_covariance,
 )
 from .model import TRADING_DAYS_PER_YEAR
@@ -268,11 +269,11 @@ def _leading(ok: np.ndarray) -> int:
 
 def _stacked_weights(
     kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig, target
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Weights for the windows ``kept[:, lo[k]:hi[k]]`` from the stacked
-    kernels, up to the first window on which the public chain would raise or
-    warn of anything but a negative kappa, and whether each window's kappa is
-    negative; none if a LAPACK call fails, since it does not say on which."""
+    kernels, ``shrinkage`` repair included, up to the first window on which
+    the public chain would raise or warn of anything but a negative kappa, and
+    whether each kappa is negative; none if a LAPACK call fails on the block."""
     n = kept.shape[0]
     c = np.empty((len(lo), n, n))
     with np.errstate(all="ignore"):  # a failing window warns on the public path
@@ -280,7 +281,7 @@ def _stacked_weights(
             c[k] = _covariance(kept[:, a:b])
         c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)))]  # symmetric by construction
         try:
-            w, v = np.linalg.eigh(c)
+            c, w, v = _positive_eig(c, config.shrinkage)
             k = _leading(w[:, 0] > 0.0)
             sigma, ok = _factors(c[:k], w[:k], v[:k], config.factorization, target)
             weights, ok, negative = _fully_invested(sigma[: _leading(ok)], config.exposure)
@@ -296,8 +297,8 @@ def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     kappa is negative, and the ``range`` of rows left to the public chain,
     from the first window that would fail, or warn of anything but a negative
     kappa, on that chain (a masked row or too few rows fail before any
-    arithmetic). A block holds as many n x n stacks as fit ``_STACK_BYTES``.
-    Never warns and never raises on the data."""
+    arithmetic; a window that ``shrinkage`` repairs does not). A block holds as
+    many n x n stacks as fit ``_STACK_BYTES``. Never warns or raises on data."""
     n = panel.n_assets
     first = rows[0] - config.window_days
     span = slice(first, rows[-1])
@@ -329,7 +330,8 @@ def _chained(panel: ReturnPanel, parts, config: BacktestConfig) -> np.ndarray:
         for _ in range(np.count_nonzero(negative)):
             warnings.warn(NEGATIVE_KAPPA)
         blocks.append(weights)
-        blocks.extend(w[None] for w in _rebalance_weights(panel, rest, config))
+        if rest:
+            blocks.extend(w[None] for w in _rebalance_weights(panel, rest, config))
     return np.concatenate(blocks)
 
 

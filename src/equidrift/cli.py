@@ -272,6 +272,8 @@ def _cmd_simulate(args) -> int:
         n = args.n
         if n is None:
             raise ValueError("provide --n or --vol")
+        if args.sigma_scale == 0.0:
+            raise ValueError("--sigma-scale must be nonzero")
         sigma = VolMatrix(args.sigma_scale * np.eye(n))
     params = ModelParams(sigma=sigma, mu=args.mu, r=args.r)
     if not args.lam > args.r:
@@ -307,6 +309,12 @@ def _cmd_figure1(args) -> int:
                      "--t": args.t, "--grid-min": args.grid_min, "--grid-max": args.grid_max})
     if not args.n_list or any(n < 1 for n in args.n_list):
         raise ValueError("--n-list must be positive integers")
+    if len(set(args.n_list)) < len(args.n_list):
+        raise ValueError("--n-list must not repeat a count")
+    if not args.w > 0.0:
+        raise ValueError("--w must be positive")
+    if not args.t > 0.0:
+        raise ValueError("--t must be positive")
     if args.grid_points < 1:
         raise ValueError("--grid-points must be at least 1")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)

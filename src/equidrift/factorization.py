@@ -67,11 +67,11 @@ def _check_shrinkage(shrinkage: float | None) -> None:
 class CovMatrix:
     """Symmetric positive-definite covariance of per-period returns.
 
-    Positive-definiteness is enforced at construction.  ``shrinkage``, when
-    given, must be finite and positive; a failing matrix is repaired by adding
-    ``shrinkage * mean(diag(C))`` to the diagonal before re-checking (plain
-    ``shrinkage`` when the diagonal is identically zero, so an all-zero
-    sample covariance still gets a usable repair).
+    Positive-definiteness is enforced by :func:`_positive_eig`, the kernel the
+    backtest engine runs on its stacks. ``shrinkage``, when given, must be
+    finite and positive; a failing matrix is repaired by adding ``shrinkage *
+    mean(diag(C))`` (plain ``shrinkage`` when that mean is not positive, as
+    for an all-zero sample) to the diagonal, then re-checked.
 
     The eigendecomposition behind the positive-definiteness verdict is kept
     for :func:`sym_sqrt`, so a matrix is decomposed once.
@@ -84,31 +84,35 @@ class CovMatrix:
         a = _as_square(entries, "covariance matrix")
         if not _symmetric(a[None])[0]:
             raise ValueError("covariance matrix is not symmetric within tolerance")
-        w, v = (x[0] for x in np.linalg.eigh(a[None]))
+        a, w, v = (x[0] for x in _positive_eig(a[None], shrinkage))
         if w[0] <= 0.0:
             if shrinkage is None:
-                raise NotPositiveDefinite(
-                    "covariance matrix has a non-positive eigenvalue"
-                )
-            mean_var = float(np.diag(a).mean())
-            bump = shrinkage * mean_var if mean_var > 0.0 else shrinkage
-            repaired = a + bump * np.eye(a.shape[0])
-            w, v = (x[0] for x in np.linalg.eigh(repaired[None]))
-            if w[0] <= 0.0:
-                raise NotPositiveDefinite(
-                    "covariance matrix is not positive-definite even after "
-                    f"diagonal shrinkage (delta={shrinkage})"
-                )
-            repaired.setflags(write=False)
-            a = repaired
-        w.setflags(write=False)
-        v.setflags(write=False)
-        self.entries = a
-        self.dim = a.shape[0]
-        self._eig = (w, v)
+                raise NotPositiveDefinite("covariance matrix has a non-positive eigenvalue")
+            raise NotPositiveDefinite(
+                "covariance matrix is not positive-definite even after "
+                f"diagonal shrinkage (delta={shrinkage})"
+            )
+        for x in (a, w, v):
+            x.setflags(write=False)
+        self.entries, self.dim, self._eig = a, a.shape[0], (w, v)
 
     def __repr__(self):
         return f"CovMatrix(dim={self.dim})"
+
+
+def _positive_eig(c: np.ndarray, shrinkage: float | None):
+    """``(c, w, v)``: symmetric (B, n, n) and its eigenpairs, after the
+    :class:`CovMatrix` repair of each slice with ``w[:, 0] <= 0`` when
+    ``shrinkage`` is set. Raises LinAlgError if ``eigh`` fails."""
+    w, v = np.linalg.eigh(c)
+    bad = np.flatnonzero(w[:, 0] <= 0.0)
+    if shrinkage is not None and bad.size:
+        c, d = c.copy(), c[bad]
+        mean_var = np.diagonal(d, axis1=1, axis2=2).mean(axis=1)
+        bump = np.where(mean_var > 0.0, shrinkage * mean_var, shrinkage)
+        c[bad] = d + bump[:, None, None] * np.eye(c.shape[1])
+        w[bad], v[bad] = np.linalg.eigh(c[bad])
+    return c, w, v
 
 
 def _symmetric(a: np.ndarray) -> np.ndarray:

@@ -590,54 +590,67 @@ class TestParallelRebalances:
         assert raised[1] == raised[0]
         assert raised[2] == raised[0]
 
-    def test_worker_warnings_reach_the_caller(self, monkeypatch, pin_lanes):
-        panel = self.panel()
+    @pytest.mark.parametrize(
+        "stretches, shrinkage, budgets",
+        [
+            ((), None, (None,)),
+            # the window ending at row 300 needs the diagonal repair; a
+            # 16-window budget puts it mid-block
+            (((0, (270, 300)),), 1e-4, (16, None)),
+        ],
+        ids=["plain", "repaired"],
+    )
+    def test_worker_warnings_reach_the_caller(
+        self, monkeypatch, pin_lanes, stretches, shrinkage, budgets
+    ):
+        panel = self.panel(stretches)
         cfg = BacktestConfig(
-            window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
+            window_days=30,
+            reestimate_every=1,
+            exposure=-1.0,
+            shrinkage=shrinkage,
+            exclusion_windows=(),
         )
         parent_rows = self.spy_parent_rows(monkeypatch)
+        default = backtest._STACK_BYTES
         seen = []
-        for lanes in self.LANES:
-            with pytest.warns(UserWarning, match="negative kappa") as record:
-                self.run_with(pin_lanes, lanes, panel, cfg)
-            seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
+        for windows in budgets:
+            monkeypatch.setattr(
+                backtest, "_STACK_BYTES", default if windows is None else windows * 8 * 3 * 3
+            )
+            for lanes in self.LANES:
+                with pytest.warns(UserWarning, match="negative kappa") as record:
+                    self.run_with(pin_lanes, lanes, panel, cfg)
+                seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
         assert len(seen[0]) == 480
-        assert seen[1] == seen[0]
-        assert seen[2] == seen[0]
+        assert len({(filename, lineno) for *_, filename, lineno in seen[0]}) == 1
+        assert all(other == seen[0] for other in seen[1:])
         # every kappa is negative, yet the workers stack their whole chunks
-        assert parent_rows == [480] + [480 // k for k in self.LANES[1:]]
+        assert parent_rows == ([480] + [480 // k for k in self.LANES[1:]]) * len(budgets)
 
-    def test_shrinkage_repairs_run_in_the_caller(self, monkeypatch, pin_lanes):
-        # the window ending at row 300 needs the diagonal repair, so it and
-        # the rest of its 16-window block run on the public chain
+    def test_shrinkage_repairs_stay_stacked(self, monkeypatch, pin_lanes):
+        # the window ending at row 300 needs the diagonal repair, which the
+        # stacked kernels make, so no row is left to the public chain
         panel = self.panel(stretches=((0, (270, 300)),))
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, shrinkage=1e-4, exclusion_windows=()
         )
         monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
-        chained = []
-        chain = backtest._rebalance_weights
-        monkeypatch.setattr(
-            backtest,
-            "_rebalance_weights",
-            lambda p, rows, c: chained.extend(rows) or chain(p, rows, c),
-        )
+
+        def public_chain(*args, **kwargs):
+            raise AssertionError("a repaired window left the stacked kernels")
+
+        monkeypatch.setattr(backtest, "_rebalance_weights", public_chain)
         rows = range(30, 510)
         reports = []
         for lanes in self.LANES:
-            chained.clear()
             reports.append(self.run_with(pin_lanes, lanes, panel, cfg))
             edges = [len(rows) * k // lanes for k in range(lanes + 1)]
-            left = [
-                t
-                for a, b in zip(edges, edges[1:])
-                for *_, rest in backtest._stacked_parts(panel, rows[a:b], cfg)
-                for t in rest
-            ]
-            assert left == [300, 301]  # the rest of block [286, 302) at every lane count
-            assert chained == left
+            for a, b in zip(edges, edges[1:]):
+                assert all(not rest for *_, rest in backtest._stacked_parts(panel, rows[a:b], cfg))
         for other in reports[1:]:
-            assert other.weight_history.tobytes() == reports[0].weight_history.tobytes()
+            for name in ("weight_history", "strategy_returns", "benchmark_returns"):
+                assert getattr(other, name).tobytes() == getattr(reports[0], name).tobytes()
         for k, t in enumerate(rows):
             cov = estimate_covariance(estimation_window(panel, t, cfg), shrinkage=cfg.shrinkage)
             vol = factor_covariance(cov, cfg.factorization)

@@ -552,6 +552,18 @@ class TestFigure1Command:
         assert err.startswith("error: --grid-max ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--t", "0"), ("--t", "-1"), ("--w", "0"), ("--w", "-1"), ("--n-list", "1,1")],
+    )
+    def test_errors_name_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "fig"
+        code, stdout, err = run(capsys, ["--out", str(out), "figure1", flag, value])
+        assert code == 2
+        assert err.startswith(f"error: {flag} ")
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
@@ -602,6 +614,7 @@ class TestSimulateCommand:
         [
             ("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan"),
             ("--horizon", "inf"), ("--w0", "inf"), ("--lambda", "inf"), ("--sigma-scale", "inf"),
+            ("--sigma-scale", "0"),
         ],
     )
     def test_errors_name_the_flag(self, capsys, flag, value):

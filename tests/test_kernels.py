@@ -12,12 +12,21 @@ import datetime
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from equidrift import BacktestConfig, DateRange, ReturnPanel, backtest
+from equidrift import BacktestConfig, CovMatrix, DateRange, ReturnPanel, backtest
 from equidrift.backtest import _covariance, estimate_covariance, estimation_window
-from equidrift.factorization import _cholesky, _factors, _rotate, _sym_sqrt, _symmetric
+from equidrift.errors import NotPositiveDefinite
+from equidrift.factorization import (
+    _cholesky,
+    _factors,
+    _positive_eig,
+    _rotate,
+    _sym_sqrt,
+    _symmetric,
+)
 from equidrift.strategy import _fully_invested, _kappa, _scale_unit_solution, _solve_unit_exposures
 
 
@@ -88,6 +97,65 @@ class TestCovarianceKernel:
         # so the engine skips the symmetry check CovMatrix makes on outside input
         c = w.covariances()
         assert c.tobytes() == np.ascontiguousarray(c.transpose(0, 2, 1)).tobytes()
+
+
+def mixed_slice(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One symmetric n x n slice: positive-definite, rank-deficient with zero
+    rows (what a constant asset gives), all zero, or with an eigenvalue of -1
+    that no small diagonal repair lifts."""
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "unrepairable":
+        if n == 1:
+            return -np.ones((1, 1))
+        c = np.eye(n)
+        c[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        return c
+    x = 0.01 * rng.standard_normal((n, n + 3))
+    x[n if kind == "pd" else int(rng.integers(0, n)) :] = 0.0
+    c = x @ x.T
+    return 0.5 * (c + c.T)
+
+
+class TestPositiveEigKernel:
+    """The positive-definiteness kernel that :class:`CovMatrix` and the
+    backtest engine share, on stacks that mix every kind of slice."""
+
+    @settings(max_examples=80)
+    @given(
+        n=st.integers(1, 12),
+        kinds=st.lists(
+            st.sampled_from(["pd", "deficient", "zero", "unrepairable"]), min_size=1, max_size=9
+        ),
+        shrinkage=st.sampled_from([None, 1e-4, 1e-6, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slices_match_batches_of_one_and_cov_matrix(self, n, kinds, shrinkage, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([mixed_slice(kind, n, rng) for kind in kinds])
+        before = stack.tobytes()
+        c, w, v = _positive_eig(stack, shrinkage)
+        assert stack.tobytes() == before
+        unrepaired = np.linalg.eigh(stack)[0][:, 0]
+        for k, kind in enumerate(kinds):
+            alone = _positive_eig(stack[k : k + 1], shrinkage)
+            assert all(same(b, o, k) for b, o in zip((c, w, v), alone))
+            want = stack[k]
+            if shrinkage is not None and unrepaired[k] <= 0.0:  # the repair rule
+                mean_var = float(np.diag(want).mean())
+                want = want + (shrinkage * mean_var if mean_var > 0.0 else shrinkage) * np.eye(n)
+            assert c[k].tobytes() == want.tobytes()
+            if kind == "unrepairable":
+                assert w[k, 0] <= 0.0
+            if w[k, 0] > 0.0:
+                cov = CovMatrix(stack[k], shrinkage)
+                assert cov.entries.tobytes() == c[k].tobytes()
+                assert cov._eig[0].tobytes() == w[k].tobytes()
+                assert cov._eig[1].tobytes() == v[k].tobytes()
+            else:
+                message = "non-positive eigenvalue" if shrinkage is None else "even after diagonal"
+                with pytest.raises(NotPositiveDefinite, match=message):
+                    CovMatrix(stack[k], shrinkage)
 
 
 class TestBatchedKernels:
