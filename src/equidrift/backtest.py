@@ -41,7 +41,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._fanout import fan_out
+from ._fanout import fan_out, split
 from .data import DateRange, ReturnPanel
 from .errors import (
     InsufficientHistory,
@@ -339,7 +339,9 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
     """Weights for every rebalance in ``rows``, one row each: chunks of at
     least ``_MIN_CHUNK`` rebalances are stacked in parallel, then this
     process chains their parts in order."""
-    stacked = fan_out(rows, _MIN_CHUNK, lambda chunk: list(_stacked_parts(panel, chunk, config)))
+    stacked = fan_out(
+        split(rows, _MIN_CHUNK), lambda chunk: list(_stacked_parts(panel, chunk, config))
+    )
     return _chained(panel, chain.from_iterable(stacked), config)
 
 

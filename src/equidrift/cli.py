@@ -254,6 +254,15 @@ def _cmd_weights(args) -> int:
 
 # -- simulate -------------------------------------------------------------------
 
+def _require_rates(args) -> None:
+    """``simulate`` and ``figure1`` need kappa = (lambda - r) / (mu - r) to
+    be positive; checked on the flags, so that the message names them."""
+    if not args.mu > args.r:
+        raise ValueError("--mu must exceed --r")
+    if not args.lam > args.r:
+        raise ValueError("--lambda must exceed --r")
+
+
 def _cmd_simulate(args) -> int:
     _require_finite({"--sigma-scale": args.sigma_scale, "--lambda": args.lam, "--mu": args.mu,
                      "--r": args.r, "--w0": args.w0, "--horizon": args.horizon})
@@ -265,6 +274,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("--horizon must be positive")
     if not args.w0 > 0.0:
         raise ValueError("--w0 must be positive")
+    _require_rates(args)
     if args.vol is not None:
         sigma = VolMatrix(read_matrix_csv(args.vol))
         n = sigma.dim
@@ -276,8 +286,6 @@ def _cmd_simulate(args) -> int:
             raise ValueError("--sigma-scale must be nonzero")
         sigma = VolMatrix(args.sigma_scale * np.eye(n))
     params = ModelParams(sigma=sigma, mu=args.mu, r=args.r)
-    if not args.lam > args.r:
-        raise ValueError("--lambda must exceed --r")
     kappa = (args.lam - args.r) / (args.mu - args.r)
     wv = pi_star(sigma, kappa)
 
@@ -317,6 +325,7 @@ def _cmd_figure1(args) -> int:
         raise ValueError("--t must be positive")
     if args.grid_points < 1:
         raise ValueError("--grid-points must be at least 1")
+    _require_rates(args)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
 
     results = []

@@ -9,17 +9,19 @@ with piecewise-constant driver exposures. There are two entry points:
   retained increments, so competing strategies are compared on common
   noise. Memory is O(paths x steps x assets).
 - ``simulate_terminal_wealth`` streams the paths in blocks and keeps only
-  terminal wealth. Memory is O(block) plus the wealth vector. Large runs
-  split the paths into contiguous chunks, one per CPU, and map the fold
-  over them with the package's one fork helper: forked workers fold all but
-  the first and return only their log-wealth, which is joined in order.
+  terminal wealth. Memory is O(block) plus the wealth vector.
 
 Both share one noise kernel, in which path i's increments depend only on
 (seed, i), and one wealth fold whose per-path result does not depend on
-the block size or on where a chunk starts. So for the same arguments
+the block size or on where a chunk starts. So ``simulate_paths``,
+``replay_wealth`` and ``simulate_terminal_wealth`` each split a large run
+into contiguous chunks of paths, one per CPU, and map over them with the
+package's one fork helper, with the same bits at any lane count. Forked
+workers of ``simulate_paths`` write their paths into arrays the helper
+shares with the caller; those of the other two return only their chunk's
+log-wealth, which is joined in order. For the same arguments
 ``simulate_terminal_wealth`` is bitwise equal to
-``replay_wealth(simulate_paths(...))`` at any lane count. ``simulate_paths``
-and ``replay_wealth`` stay serial.
+``replay_wealth(simulate_paths(...))``.
 
 The closed-form law of the optimal wealth is lognormal:
 ``log W(t) ~ Normal(log w + (lambda - kappa^2 / (2n)) t, kappa^2 t / n)``.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fanout import fan_out
+from ._fanout import empty, fan_out, split
 from .errors import DimensionMismatch, NonPositiveGridPoint
 from .model import ModelParams
 from .strategy import PolicySource, WeightVector
@@ -96,20 +98,45 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 #: Bytes of working memory per block of paths.
 _BLOCK_BYTES = 8 << 20
 
+#: Bytes of increments per slab of the wealth fold's driver sum, whose
+#: strided reads of a whole 8 MiB block missed the cache. On a 2-CPU Xeon host
+#: with 2 MiB of L2 per core, a 594-path block at 5 assets and 252 steps
+#: folded in 4.3 ms, and in 2.2 ms in slabs of 1 MiB; 85 paths at 47 assets
+#: took 7.5 ms, then 5.8 ms.
+_SLAB_BYTES = 1 << 20
+
 #: Fewest normal draws (paths x steps x assets) worth a worker process of
-#: their own in ``simulate_terminal_wealth``. On a 2-CPU Linux host with one
-#: BLAS thread, forking a worker, returning its log-wealth and joining it
-#: cost 5-8 ms, and a path at 5 assets and 252 steps took 55 us (0.22 us a
-#: draw), about 10% more while a second lane ran. Two lanes broke even near
-#: 0.8-1M draws (600-800 paths at 5 assets, 60 at 47); 1,000 paths at 5
-#: assets took 51 ms, not 56 ms, and 20,000 took 0.58 s, not 1.01 s.
+#: their own in ``simulate_terminal_wealth`` and ``simulate_paths``. On a
+#: 2-CPU Linux host with one BLAS thread, forking a worker, returning its
+#: log-wealth and joining it cost 5-8 ms, and a path at 5 assets and 252
+#: steps took 55 us (0.22 us a draw), about 10% more while a second lane ran.
+#: Two lanes broke even near 0.8-1M draws (600-800 paths at 5 assets, 60 at
+#: 47); 1,000 paths at 5 assets took 51 ms, not 56 ms, and 20,000 took
+#: 0.58 s, not 1.01 s. ``simulate_paths`` also writes its paths into shared
+#: pages, and broke even at about the same size: in medians of 21 calls, 1M
+#: draws took 46 ms on two lanes and 53 ms on one at 5 assets, and 41 ms
+#: against 43 ms at 47; 0.5M draws took 26 against 31 ms at 5 assets and
+#: 24 against 22 ms at 47.
 _MIN_LANE_WORK = 500_000
+
+#: Fewest retained increments worth a worker process of their own in
+#: ``replay_wealth``, whose fold costs about a seventh of a draw: 10 ms for
+#: 2M increments on one lane, 21 ms on two. On the same host two lanes broke
+#: even near 4M (22 ms on either at 5 assets, 30 against 31 ms at 47) and
+#: won from 8M (41 against 33 ms); 25M took 120 ms on one lane, 75 on two.
+_MIN_REPLAY_WORK = 2_000_000
 
 
 def _block_rows(steps: int, n: int) -> int:
     """Paths per block: a block of increments plus two (paths, steps)
     temporaries fit in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (8 * steps * (n + 2)))
+
+
+def _lanes(n_paths: int, steps: int, n: int, min_work: int) -> list[range]:
+    """The chunks of paths a run maps over: one per CPU, each of at least
+    ``min_work`` increments, or all of them when the run stays serial."""
+    return split(range(n_paths), -(-min_work // (steps * n)))
 
 
 def _per_path_increments(seed: int, start: int, out: np.ndarray, dt: float) -> None:
@@ -130,11 +157,12 @@ def _per_path_increments(seed: int, start: int, out: np.ndarray, dt: float) -> N
     out *= math.sqrt(dt)
 
 
-def _check_run(horizon: float, steps: int, n_paths: int) -> None:
+def _check_run(horizon: float, steps: int, n_paths: int, seed: int) -> None:
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError("horizon must be finite and positive")
     if steps < 1 or n_paths < 1:
         raise ValueError("steps and n_paths must be >= 1")
+    np.random.PCG64(seed)  # a bad seed raises here, not in a worker
 
 
 def _check_w0(w0: float) -> None:
@@ -156,7 +184,7 @@ def simulate_paths(
     + sum_j sigma_ij dB_j``, so moment tests carry no discretization bias.
     Deterministic for a fixed seed.
     """
-    _check_run(horizon, steps, n_paths)
+    _check_run(horizon, steps, n_paths, seed)
     sig = params.sigma.entries
     n = params.n
     dt = horizon / steps
@@ -165,26 +193,30 @@ def simulate_paths(
     row_sq = (sig ** 2).sum(axis=1)
     row_sum = sig.sum(axis=1)
     drift = (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
+    log_s0 = np.log(params.s0)
 
-    increments = np.empty((n_paths, steps, n))
-    _per_path_increments(seed, 0, increments, dt)
-    # Log-prices are built in place a block of paths at a time, so the only
-    # temporary is one block of log increments.
-    log_prices = np.empty((n_paths, steps + 1, n))
-    log_prices[:, 0] = 0.0
+    chunks = _lanes(n_paths, steps, n, _MIN_LANE_WORK)
+    increments = empty((n_paths, steps, n), chunks)
+    prices = empty((n_paths, steps + 1, n), chunks)
     rows = _block_rows(steps, n)
-    for start in range(0, n_paths, rows):
-        block = slice(start, start + rows)
-        log_steps = increments[block] @ sig.T
-        log_steps += drift
-        np.cumsum(log_steps, axis=1, out=log_prices[block, 1:])
-    log_prices += np.log(params.s0)
-    return PathSet(
-        times=times,
-        prices=np.exp(log_prices, out=log_prices),
-        driver_increments=increments,
-        seed=seed,
-    )
+
+    def build(paths: range) -> None:
+        # Each block's noise is drawn into its rows of ``increments`` and its
+        # log-prices are built in place in its rows of ``prices``, so the only
+        # temporary is one block of log increments.
+        for start in range(paths.start, paths.stop, rows):
+            block = slice(start, min(start + rows, paths.stop))
+            _per_path_increments(seed, start, increments[block], dt)
+            log_steps = increments[block] @ sig.T
+            log_steps += drift
+            out = prices[block]
+            out[:, 0] = 0.0
+            np.cumsum(log_steps, axis=1, out=out[:, 1:])
+            out += log_s0
+            np.exp(out, out=out)
+
+    fan_out(chunks, build)
+    return PathSet(times=times, prices=prices, driver_increments=increments, seed=seed)
 
 
 def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:
@@ -224,14 +256,37 @@ def _fold_wealth(
 
     The driver sum is an elementwise multiply-accumulate rather than a
     matrix product, whose rounding can depend on the row count, so every
-    row's result is independent of how paths are split into blocks.
+    row's result is independent of how paths are split into blocks. It runs
+    on slabs of ``_SLAB_BYTES`` of increments, whose strided reads stay in
+    cache, and lands step-major, so that each step adds one contiguous row.
     """
-    step_sums = increments[:, :, 0] * exposures[:, 0]
-    for j in range(1, increments.shape[2]):
-        step_sums += increments[:, :, j] * exposures[:, j]
-    for k, drift in enumerate(drifts):
+    rows, steps, n = increments.shape
+    step_sums = np.empty((steps, rows))
+    slab = max(1, _SLAB_BYTES // (8 * steps * n))
+    for a in range(0, rows, slab):
+        part = increments[a : a + slab]
+        sums = part[:, :, 0] * exposures[:, 0]
+        for j in range(1, n):
+            sums += part[:, :, j] * exposures[:, j]
+        step_sums[:, a : a + slab] = sums.T
+    for drift, step in zip(drifts, step_sums):
         log_w += drift
-        log_w += step_sums[:, k]
+        log_w += step
+
+
+def _fold_paths(
+    paths: range, increments, exposures: np.ndarray, drifts: np.ndarray
+) -> np.ndarray:
+    """Log-wealth of each of ``paths``, folded a block of paths at a time;
+    ``increments(block)`` gives the Brownian increments of the paths in the
+    slice ``block``."""
+    steps, n = exposures.shape
+    log_w = np.zeros(len(paths))
+    rows = _block_rows(steps, n)
+    for a in range(0, log_w.size, rows):
+        block = slice(paths.start + a, min(paths.start + a + rows, paths.stop))
+        _fold_wealth(log_w[a : a + rows], increments(block), exposures, drifts)
+    return log_w
 
 
 def replay_wealth(
@@ -245,7 +300,8 @@ def replay_wealth(
     Wealth follows the exact exponential wealth equation with the driver
     exposures p = sigma' pi held constant within each step, driven by the
     path set's retained increments; every terminal wealth is therefore
-    strictly positive.
+    strictly positive. Large path sets split into contiguous chunks, one per
+    CPU, and forked workers return the log-wealth of all but the first.
     """
     _check_w0(w0)
     n = params.n
@@ -254,28 +310,28 @@ def replay_wealth(
             f"path set has {paths.n_assets} assets but parameters have {n}"
         )
     exposures, drifts = _step_exposures(policy, params, paths.n_steps, paths.dt)
-    log_w = np.zeros(paths.n_paths)
-    rows = _block_rows(paths.n_steps, n)
-    for start in range(0, paths.n_paths, rows):
-        block = slice(start, start + rows)
-        _fold_wealth(log_w[block], paths.driver_increments[block], exposures, drifts)
-    return w0 * np.exp(log_w)
+    retained = paths.driver_increments.__getitem__
+    chunks = fan_out(
+        _lanes(paths.n_paths, paths.n_steps, n, _MIN_REPLAY_WORK),
+        lambda chunk: _fold_paths(chunk, retained, exposures, drifts),
+    )
+    return w0 * np.exp(np.concatenate(chunks))
 
 
 def _stream_wealth(
     seed: int, paths: range, dt: float, exposures: np.ndarray, drifts: np.ndarray
 ) -> np.ndarray:
-    """Log-wealth of each of ``paths``, drawing and folding a block of paths
-    at a time into one reused buffer."""
+    """Log-wealth of each of ``paths``, drawing each block of paths into one
+    reused buffer."""
     steps, n = exposures.shape
-    log_w = np.zeros(len(paths))
-    rows = min(log_w.size, _block_rows(steps, n))
-    buffer = np.empty((rows, steps, n))
-    for a in range(0, log_w.size, rows):
-        block = buffer[: min(rows, log_w.size - a)]
-        _per_path_increments(seed, paths.start + a, block, dt)
-        _fold_wealth(log_w[a : a + rows], block, exposures, drifts)
-    return log_w
+    buffer = np.empty((min(len(paths), _block_rows(steps, n)), steps, n))
+
+    def draw(block: slice) -> np.ndarray:
+        out = buffer[: block.stop - block.start]
+        _per_path_increments(seed, block.start, out, dt)
+        return out
+
+    return _fold_paths(paths, draw, exposures, drifts)
 
 
 def simulate_terminal_wealth(
@@ -297,14 +353,12 @@ def simulate_terminal_wealth(
     the paths into contiguous chunks, one per CPU, and fold all but the
     first in forked workers, which return only their log-wealth.
     """
-    _check_run(horizon, steps, n_paths)
+    _check_run(horizon, steps, n_paths, seed)
     _check_w0(w0)
     dt = horizon / steps
     exposures, drifts = _step_exposures(policy, params, steps, dt)
-    np.random.PCG64(seed)  # a bad seed raises here, not in a worker
     chunks = fan_out(
-        range(n_paths),
-        -(-_MIN_LANE_WORK // (steps * params.n)),
+        _lanes(n_paths, steps, params.n, _MIN_LANE_WORK),
         lambda paths: _stream_wealth(seed, paths, dt, exposures, drifts),
     )
     return w0 * np.exp(np.concatenate(chunks))

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import mmap
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +19,18 @@ def pin_lanes(monkeypatch):
     """``pin_lanes(k)`` makes the fork helper see k CPUs, so a large enough
     run splits into k chunks whatever the host has."""
     return lambda k: monkeypatch.setattr(_fanout, "_cpus", lambda: k)
+
+
+#: The mapping type, kept here so that a test may patch ``mmap.mmap``.
+MMAP = mmap.mmap
+
+
+def shared(array) -> bool:
+    """Whether ``array``'s memory is a mapping that forked workers share."""
+    owner = array
+    while isinstance(owner, (np.ndarray, memoryview)):
+        owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
+    return isinstance(owner, MMAP)
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

@@ -564,6 +564,22 @@ class TestFigure1Command:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "rates, flag",
+        [
+            (["--mu", "0.01", "--r", "0.03"], "--mu"),
+            (["--lambda", "0.01", "--r", "0.03"], "--lambda"),
+            (["--lambda", "0.03", "--r", "0.03"], "--lambda"),
+        ],
+    )
+    def test_rate_order_names_the_flag(self, tmp_path, capsys, rates, flag):
+        out = tmp_path / "fig"
+        code, stdout, err = run(capsys, ["--out", str(out), "figure1"] + rates)
+        assert code == 2
+        assert err == f"error: {flag} must exceed --r\n"
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     ARGS = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
@@ -622,6 +638,22 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith(f"error: {flag} ")
         assert stdout == ""
+
+    @pytest.mark.parametrize(
+        "rates, flag",
+        [
+            (["--mu", "0.03"], "--mu"),
+            (["--mu", "0.01"], "--mu"),
+            (["--lambda", "0.03"], "--lambda"),
+        ],
+    )
+    def test_rate_order_names_the_flag(self, tmp_path, capsys, rates, flag):
+        out = tmp_path / "sim"
+        code, stdout, err = run(capsys, ["--out", str(out)] + self.ARGS + rates + ["--save"])
+        assert code == 2
+        assert err == f"error: {flag} must exceed --r\n"
+        assert stdout == ""
+        assert not out.exists()
 
 
 class TestCompareCommand:

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import math
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_cov
+from conftest import random_cov, shared
 from equidrift import (
     CovMatrix,
     ModelParams,
@@ -22,6 +23,7 @@ from equidrift import (
     simulate_paths,
     simulate_terminal_wealth,
     sym_sqrt,
+    synthetic_panel,
 )
 from equidrift import _fanout, simulate
 from equidrift.errors import DimensionMismatch, NonPositiveGridPoint
@@ -384,6 +386,167 @@ class TestParallelPaths:
         assert str(exc_info.value) == str(expected.value)
         assert forks == []
         assert capfd.readouterr().err == ""
+
+
+def _digest(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+class TestParallelSimulator:
+    """``simulate_paths`` and ``replay_wealth`` fanned out over pinned lanes.
+
+    ``small`` patches both minimum chunks to ``MIN`` paths and splits each
+    chunk into several blocks and fold slabs; ``full`` runs the real
+    constants on three lanes' worth of ``simulate_paths`` work, which
+    ``replay_wealth`` folds serially. Each digest is SHA-256 of the
+    output's bytes, recorded with the serial simulator that kept every path
+    in one private array, so the fan-out moves no bit (numpy 2.4, x86-64).
+    """
+
+    MIN = 10
+    CASES = {
+        "small": dict(steps=12, n=3, n_paths=3 * MIN + 2),
+        "full": dict(steps=252, n=5, n_paths=3 * -(-simulate._MIN_LANE_WORK // 1260) + 2),
+    }
+    DIGESTS = {
+        "small": {
+            "prices": "5011dfc430ee78e327fa6501d1cebbdb9f9ad5c6b84d04d5f9ba711af6497895",
+            "increments": "56d6ca6180dfac60cd9993be7859e2ca4daeb730e2881be7889f92bbf3e2255c",
+            "wealth": "6dea3bdc487c7011f9d576097b4df15ba6255e5890828f6f82f5e6e2fe9971ef",
+        },
+        "full": {
+            "prices": "d0c3365abdf769d63e43411dd9f5375e48c5fc783e32f5f7b8a97dee09423824",
+            "increments": "42aa3c3bde2019cc2bafbc60aea70dbf675a6a62f02ba54388f170a568ea4965",
+            "wealth": "ed1bf31a313a1759d0643ab0b92e32bba8ac61a265f8c1737526493950cc7a04",
+        },
+    }
+
+    @pytest.fixture
+    def small(self, monkeypatch):
+        """The small case's patches: chunks of at least ``MIN`` paths,
+        blocks of 4 paths and fold slabs of 3."""
+        steps, n = self.CASES["small"]["steps"], self.CASES["small"]["n"]
+        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", self.MIN * steps * n)
+        monkeypatch.setattr(simulate, "_MIN_REPLAY_WORK", self.MIN * steps * n)
+        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
+        monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * steps * n)
+
+    @staticmethod
+    def spy_parent_draws(monkeypatch):
+        """The (first path, path count) of each block this process draws."""
+        drawn, caller = [], os.getpid()
+        draw = simulate._per_path_increments
+
+        def spy(seed, start, out, dt):
+            if os.getpid() == caller:
+                drawn.append((start, len(out)))
+            return draw(seed, start, out, dt)
+
+        monkeypatch.setattr(simulate, "_per_path_increments", spy)
+        return drawn
+
+    def run(self, case):
+        steps, n, n_paths = (self.CASES[case][k] for k in ("steps", "n", "n_paths"))
+        params, _, per_step = _engine_case(n)
+        paths = simulate_paths(params, 1.0, steps, n_paths, 11)
+        wealth = replay_wealth(paths, per_step, params, 1.5)
+        return paths, wealth
+
+    @pytest.mark.parametrize("case", ["small", "full"])
+    def test_outputs_match_the_serial_simulator(self, request, pin_lanes, case):
+        if case == "small":
+            request.getfixturevalue("small")
+        steps, n, n_paths = (self.CASES[case][k] for k in ("steps", "n", "n_paths"))
+        params, _, per_step = _engine_case(n)
+        for lanes in (1, 2, 3):
+            pin_lanes(lanes)
+            paths, wealth = self.run(case)
+            got = {"prices": paths.prices, "increments": paths.driver_increments, "wealth": wealth}
+            assert {k: _digest(v) for k, v in got.items()} == self.DIGESTS[case]
+            streamed = simulate_terminal_wealth(params, per_step, 1.0, steps, n_paths, 11, 1.5)
+            assert streamed.tobytes() == wealth.tobytes()
+
+    def test_chunks_are_computed_by_their_workers(self, monkeypatch, pin_lanes, small):
+        drawn = self.spy_parent_draws(monkeypatch)
+        folded, fold = [], simulate._fold_paths
+
+        def spy(paths, *args):
+            folded.append(paths)
+            return fold(paths, *args)
+
+        monkeypatch.setattr(simulate, "_fold_paths", spy)
+        pin_lanes(3)
+        self.run("small")
+        # this process draws and folds only the first chunk of 10 paths
+        assert drawn == [(0, 4), (4, 4), (8, 2)]
+        assert folded == [range(0, 10)]
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_outputs_are_shared_exactly_when_forked(self, monkeypatch, pin_lanes, small, lanes):
+        n_paths = self.CASES["small"]["n_paths"]
+        for pinned, serial in ((lanes, False), (1, True)):
+            pin_lanes(pinned)
+            paths, _ = self.run("small")
+            for array in (paths.prices, paths.driver_increments):
+                assert shared(array) != serial
+                assert not array.flags.writeable
+            assert paths.n_paths == n_paths
+
+    @pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])
+    def test_no_rows_are_lost_with_a_worker(self, monkeypatch, pin_lanes, small, failure):
+        pin_lanes(1)
+        want = self.run("small")
+        drawn = self.spy_parent_draws(monkeypatch)
+        if failure == "cannot fork":
+
+            def no_fork(process_obj):
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(
+                multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork)
+            )
+        elif failure == "dies at once":
+            monkeypatch.setattr(_fanout, "_worker", lambda *args: os._exit(1))
+        else:
+
+            def dies_mid_chunk(writer, part, chunk):
+                part(chunk[: len(chunk) // 2])
+                os._exit(1)
+
+            monkeypatch.setattr(_fanout, "_worker", dies_mid_chunk)
+        pin_lanes(3)
+        paths, wealth = self.run("small")
+        assert paths.prices.tobytes() == want[0].prices.tobytes()
+        assert paths.driver_increments.tobytes() == want[0].driver_increments.tobytes()
+        assert wealth.tobytes() == want[1].tobytes()
+        # this process drew every chunk, the lost ones after its own
+        assert [start for start, _ in drawn] == [0, 4, 8, 10, 14, 18, 21, 25, 29]
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_bad_seed_raises_before_any_fork(self, monkeypatch, pin_lanes, small, capfd, seed):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            np.random.PCG64(seed)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        pin_lanes(3)
+        params, _, _ = _engine_case(self.CASES["small"]["n"])
+        with pytest.raises(expected.type) as exc_info:
+            simulate_paths(params, 1.0, self.CASES["small"]["steps"], 3 * self.MIN, seed)
+        assert str(exc_info.value) == str(expected.value)
+        assert forks == []
+        assert capfd.readouterr().err == ""
+
+    def test_one_path_panel_stays_serial_and_private(self, monkeypatch, pin_lanes):
+        def no_mapping(*args):
+            raise AssertionError("a serial run mapped shared memory")
+
+        monkeypatch.setattr(_fanout.mmap, "mmap", no_mapping)
+        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
+        pin_lanes(3)
+        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(3)), mu=0.2, r=0.03)
+        panel = synthetic_panel(params, days=60, seed=0)
+        assert panel.returns.shape == (60, 3)
 
 
 class TestWealthLaw:
