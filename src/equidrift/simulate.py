@@ -4,22 +4,22 @@ Stock paths are sampled from the exact lognormal transition of the model
 (no Euler bias), and wealth follows the exact exponential wealth equation
 with piecewise-constant driver exposures. There are two entry points:
 
-- ``simulate_paths`` keeps the prices and the Brownian increments of every
-  path in a ``PathSet``; ``replay_wealth`` folds a policy over those
-  retained increments, so competing strategies are compared on common
-  noise. Memory is O(paths x steps x assets).
+- ``simulate_paths`` keeps the Brownian increments of every path in a
+  ``PathSet``, which builds the prices the first time they are read;
+  ``replay_wealth`` folds a policy over the increments, so competing
+  strategies are compared on common noise. Memory is O(paths x steps x assets).
 - ``simulate_terminal_wealth`` streams the paths in blocks and keeps only
   terminal wealth. Memory is O(block) plus the wealth vector.
 
 Both share one noise kernel, in which path i's increments depend only on
 (seed, i), and one wealth fold whose per-path result does not depend on
-the block size or on where a chunk starts. So ``simulate_paths``,
-``replay_wealth`` and ``simulate_terminal_wealth`` each split a large run
-into contiguous chunks of paths, one per CPU, and map over them with the
+the block size or on where a chunk starts. So ``simulate_paths``, the price
+build, ``replay_wealth`` and ``simulate_terminal_wealth`` each split a large
+run into contiguous chunks of paths, one per CPU, and map over them with the
 package's one fork helper, with the same bits at any lane count. Forked
-workers of ``simulate_paths`` write their paths into arrays the helper
-shares with the caller; those of the other two return only their chunk's
-log-wealth, which is joined in order. For the same arguments
+workers of ``simulate_paths`` and of the price build write their paths into
+arrays the helper shares with the caller; those of the other two return only
+their chunk's log-wealth, which is joined in order. For the same arguments
 ``simulate_terminal_wealth`` is bitwise equal to
 ``replay_wealth(simulate_paths(...))``.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,31 +53,56 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSet:
-    """Simulated stock paths plus the Brownian increments that drove them.
+    """Brownian increments of simulated stock paths, and their prices.
 
-    ``prices`` has shape (paths, steps + 1, assets) including the t = 0
-    row; ``driver_increments`` has shape (paths, steps, drivers) and is
-    retained so wealth replay runs on identical randomness.
+    ``prices`` (paths, steps + 1, assets) is built from ``driver_increments``
+    (paths, steps, drivers), ``sigma``, the per-step ``drift`` and ``log_s0``
+    on first read and kept; that read raises ``ValueError`` if a price underflows.
     """
 
     times: np.ndarray
-    prices: np.ndarray
     driver_increments: np.ndarray
     seed: int
+    sigma: np.ndarray
+    drift: np.ndarray
+    log_s0: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "prices", "driver_increments"):
+        for name in ("times", "driver_increments", "sigma", "drift", "log_s0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.prices.ndim != 3 or self.driver_increments.ndim != 3:
-            raise ValueError("prices and driver_increments must be 3-d arrays")
-        if not np.all(self.prices > 0.0):
+
+    @cached_property
+    def prices(self) -> np.ndarray:
+        n_paths, steps, n = self.driver_increments.shape
+        chunks = _lanes(n_paths, steps, n, _MIN_PRICE_WORK)
+        prices = empty((n_paths, steps + 1, n), chunks)
+        rows = _block_rows(steps, n)
+
+        def build(paths: range) -> bool:
+            # In place, block by block: the one temporary is a block of log steps.
+            positive = True
+            for start in range(paths.start, paths.stop, rows):
+                block = slice(start, min(start + rows, paths.stop))
+                log_steps = self.driver_increments[block] @ self.sigma.T
+                log_steps += self.drift
+                out = prices[block]
+                out[:, 0] = 0.0
+                np.cumsum(log_steps, axis=1, out=out[:, 1:])
+                out += self.log_s0
+                np.exp(out, out=out)
+                positive = positive and out.min() > 0.0
+            return positive
+
+        if not all(fan_out(chunks, build)):
             raise ValueError("prices must be strictly positive")
+        prices.setflags(write=False)
+        return prices
 
     @property
     def n_paths(self) -> int:
-        return self.prices.shape[0]
+        return self.driver_increments.shape[0]
 
     @property
     def n_steps(self) -> int:
@@ -84,7 +110,7 @@ class PathSet:
 
     @property
     def n_assets(self) -> int:
-        return self.prices.shape[2]
+        return self.sigma.shape[0]
 
     @property
     def dt(self) -> float:
@@ -125,6 +151,11 @@ _MIN_LANE_WORK = 500_000
 #: even near 4M (22 ms on either at 5 assets, 30 against 31 ms at 47) and
 #: won from 8M (41 against 33 ms); 25M took 120 ms on one lane, 75 on two.
 _MIN_REPLAY_WORK = 2_000_000
+
+#: Fewest prices (paths x steps x assets) worth a worker of their own in
+#: ``PathSet.prices``: in medians of 15 builds on one lane against two, 4M took
+#: 74 against 84 ms, 6M 112 against 115 (5 assets) and 117 against 109 ms (47).
+_MIN_PRICE_WORK = 3_000_000
 
 
 def _block_rows(steps: int, n: int) -> int:
@@ -188,35 +219,20 @@ def simulate_paths(
     sig = params.sigma.entries
     n = params.n
     dt = horizon / steps
-    times = np.linspace(0.0, horizon, steps + 1)
-
     row_sq = (sig ** 2).sum(axis=1)
     row_sum = sig.sum(axis=1)
     drift = (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
-    log_s0 = np.log(params.s0)
 
     chunks = _lanes(n_paths, steps, n, _MIN_LANE_WORK)
     increments = empty((n_paths, steps, n), chunks)
-    prices = empty((n_paths, steps + 1, n), chunks)
     rows = _block_rows(steps, n)
 
-    def build(paths: range) -> None:
-        # Each block's noise is drawn into its rows of ``increments`` and its
-        # log-prices are built in place in its rows of ``prices``, so the only
-        # temporary is one block of log increments.
+    def draw(paths: range) -> None:
         for start in range(paths.start, paths.stop, rows):
-            block = slice(start, min(start + rows, paths.stop))
-            _per_path_increments(seed, start, increments[block], dt)
-            log_steps = increments[block] @ sig.T
-            log_steps += drift
-            out = prices[block]
-            out[:, 0] = 0.0
-            np.cumsum(log_steps, axis=1, out=out[:, 1:])
-            out += log_s0
-            np.exp(out, out=out)
+            _per_path_increments(seed, start, increments[start : min(start + rows, paths.stop)], dt)
 
-    fan_out(chunks, build)
-    return PathSet(times=times, prices=prices, driver_increments=increments, seed=seed)
+    fan_out(chunks, draw)
+    return PathSet(np.linspace(0.0, horizon, steps + 1), increments, seed, sig, drift, np.log(params.s0))
 
 
 def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:

@@ -80,14 +80,26 @@ class TestSimulatePaths:
         paths = simulate_paths(params, 1.0, 3, 2, seed=0)
         np.testing.assert_allclose(paths.prices[:, 0, :], [[5.0, 7.0]] * 2, rtol=1e-15)
 
-    @pytest.mark.parametrize("rows", [1, 7, 23, 30])
-    def test_prices_match_whole_tensor_build(self, monkeypatch, rows):
-        # Prices are built a block of paths at a time; the reference is the
-        # whole-tensor formula applied to the returned increments.
+    @pytest.mark.parametrize(
+        "rows, lanes",
+        [
+            pytest.param(rows, lanes, id=str(rows) if lanes == 1 else f"{rows}-{lanes}lanes")
+            for lanes in (1, 2, 3)
+            for rows in (1, 7, 23, 30)
+        ],
+    )
+    def test_prices_match_whole_tensor_build(self, monkeypatch, pin_lanes, rows, lanes):
+        # Prices are built a block of paths at a time, in chunks of paths
+        # mapped over the lanes; the reference is the whole-tensor formula
+        # applied to the returned increments.
         sigma = sym_sqrt(random_cov(np.random.default_rng(2), 4, scale=0.05))
         params = ModelParams(sigma=sigma, mu=0.2, r=0.03, s0=[1.0, 2.0, 30.0, 0.5])
         monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
+        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
+        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
+        pin_lanes(lanes)
         paths = simulate_paths(params, 1.5, 9, 23, seed=5)
+        assert shared(paths.prices) == (lanes > 1)
         sig = sigma.entries
         excess = params.mu - params.r
         drift = (params.r - 0.5 * (sig ** 2).sum(axis=1) + excess * sig.sum(axis=1)) * (1.5 / 9)
@@ -99,6 +111,47 @@ class TestSimulatePaths:
         params = ModelParams(sigma=VolMatrix(2.0 * np.eye(2)), mu=0.2, r=0.03)
         paths = simulate_paths(params, 5.0, 50, 200, seed=8)
         assert np.all(paths.prices > 0.0)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_underflow_raises_on_the_first_prices_read(self, monkeypatch, pin_lanes, capfd, lanes):
+        # At seed 0 path 2's one-step log price is about -749.4, below exp's
+        # underflow point near -745.1, while paths 0 and 1 end near -743.2
+        # and -737.5; so on two and three lanes only a worker's chunk
+        # underflows. The paths still simulate and replay; reading the prices
+        # raises here, every time, and no worker raises or prints.
+        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
+        pin_lanes(lanes)
+        params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03, s0=[1e-318])
+        paths = simulate_paths(params, 1.0, 1, 3, seed=0)
+        final = paths.log_s0 + paths.drift + paths.driver_increments[:, 0] @ paths.sigma.T
+        assert (np.exp(final[:, 0]) > 0.0).tolist() == [True, True, False]
+        cash = WeightVector(weights=[0.0], kappa=None, exposure=0.0)
+        assert np.all(replay_wealth(paths, cash, params, 1.0) > 0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="prices must be strictly positive"):
+                paths.prices
+        assert "prices" not in vars(paths)
+        assert capfd.readouterr().err == ""
+
+    def test_replay_never_builds_prices(self, monkeypatch):
+        shapes, allocate = [], simulate.empty
+
+        def spy(shape, chunks):
+            shapes.append(shape)
+            return allocate(shape, chunks)
+
+        monkeypatch.setattr(simulate, "empty", spy)
+        params = ModelParams(sigma=VolMatrix(0.3 * np.eye(3)), mu=0.2, r=0.03)
+        paths = simulate_paths(params, 1.0, 6, 5, seed=1)
+        policy = WeightVector(weights=[0.2, 0.3, 0.1], kappa=None, exposure=0.6)
+        replay_wealth(paths, policy, params, 1.0)
+        assert shapes == [(5, 6, 3)]
+        assert "prices" not in vars(paths)
+        prices = paths.prices
+        assert shapes == [(5, 6, 3), (5, 7, 3)]
+        assert paths.prices is prices
+        assert not prices.flags.writeable
+        assert shapes == [(5, 6, 3), (5, 7, 3)]  # the second read allocated nothing
 
     def test_rejects_bad_grid(self, monkeypatch):
         def no_noise(*args):
@@ -395,12 +448,13 @@ def _digest(array) -> str:
 class TestParallelSimulator:
     """``simulate_paths`` and ``replay_wealth`` fanned out over pinned lanes.
 
-    ``small`` patches both minimum chunks to ``MIN`` paths and splits each
-    chunk into several blocks and fold slabs; ``full`` runs the real
-    constants on three lanes' worth of ``simulate_paths`` work, which
-    ``replay_wealth`` folds serially. Each digest is SHA-256 of the
-    output's bytes, recorded with the serial simulator that kept every path
-    in one private array, so the fan-out moves no bit (numpy 2.4, x86-64).
+    ``small`` patches the three minimum chunks to ``MIN`` paths and splits
+    each chunk into several blocks and fold slabs; ``full`` runs the real
+    constants on three lanes' worth of ``simulate_paths`` work, whose prices
+    are built and whose wealth ``replay_wealth`` folds serially. Each digest
+    is SHA-256 of the output's bytes, recorded with the serial simulator that
+    kept every path in one private array, so the fan-out moves no bit (numpy
+    2.4, x86-64).
     """
 
     MIN = 10
@@ -428,6 +482,7 @@ class TestParallelSimulator:
         steps, n = self.CASES["small"]["steps"], self.CASES["small"]["n"]
         monkeypatch.setattr(simulate, "_MIN_LANE_WORK", self.MIN * steps * n)
         monkeypatch.setattr(simulate, "_MIN_REPLAY_WORK", self.MIN * steps * n)
+        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", self.MIN * steps * n)
         monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
         monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * steps * n)
 
