@@ -35,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fanout import empty, fan_out, split
+from ._fanout import empty, fan_out, resident, split
 from .errors import DimensionMismatch, NonPositiveGridPoint
 from .model import ModelParams
 from .strategy import PolicySource, WeightVector
@@ -98,7 +98,7 @@ class PathSet:
         if not all(fan_out(chunks, build)):
             raise ValueError("prices must be strictly positive")
         prices.setflags(write=False)
-        return prices
+        return resident(prices)
 
     @property
     def n_paths(self) -> int:
@@ -232,7 +232,8 @@ def simulate_paths(
             _per_path_increments(seed, start, increments[start : min(start + rows, paths.stop)], dt)
 
     fan_out(chunks, draw)
-    return PathSet(np.linspace(0.0, horizon, steps + 1), increments, seed, sig, drift, np.log(params.s0))
+    times = np.linspace(0.0, horizon, steps + 1)
+    return PathSet(times, resident(increments), seed, sig, drift, np.log(params.s0))
 
 
 def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import mmap
+import os
 
 import numpy as np
 import pytest
@@ -31,6 +32,16 @@ def shared(array) -> bool:
     while isinstance(owner, (np.ndarray, memoryview)):
         owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
     return isinstance(owner, MMAP)
+
+
+#: Whether :func:`shmem_bytes` can read its figure here.
+HAS_SHMEM_STAT = os.path.exists("/proc/self/status")
+
+
+def shmem_bytes() -> int:
+    """Bytes of shared memory mapped in this process (Linux's ``RssShmem``)."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("RssShmem:"))
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:

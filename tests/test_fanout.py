@@ -9,6 +9,7 @@ reports the process that computed it.
 
 import contextlib
 import errno
+import gc
 import mmap
 import multiprocessing
 import os
@@ -18,9 +19,9 @@ import time
 
 import pytest
 
-from conftest import shared
+from conftest import HAS_SHMEM_STAT, shared, shmem_bytes
 from equidrift import _fanout
-from equidrift._fanout import empty, fan_out, split
+from equidrift._fanout import empty, fan_out, resident, split
 
 ITEMS = range(10, 40)
 
@@ -182,6 +183,21 @@ def test_forked_run_gets_a_shared_mapping(pin_lanes, lanes):
     assert pids[0] == os.getpid() and len(set(pids)) == lanes
     assert array[:, 0].tolist() == list(ITEMS)
     assert array[:, 1].tolist() == [pid for chunk, pid in zip(chunks, pids) for _ in chunk]
+
+
+@pytest.mark.skipif(not HAS_SHMEM_STAT, reason="reads Linux's RssShmem")
+def test_resident_maps_the_workers_rows_here(pin_lanes):
+    pin_lanes(2)
+    chunks = split(range(2048), 1)
+    array = empty((2048, 1024), chunks)  # 16 MiB, 8 MiB a chunk
+    gc.collect()
+    before = shmem_bytes()
+    fan_out(chunks, lambda chunk: array[chunk.start : chunk.stop].fill(1.0))
+    # the worker's pages count here only once this process maps them
+    assert shmem_bytes() - before < array.nbytes
+    assert resident(array) is array
+    assert shmem_bytes() - before >= array.nbytes
+    assert (array == 1.0).all()
 
 
 @pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_cov, shared
+from conftest import HAS_SHMEM_STAT, random_cov, shared, shmem_bytes
 from equidrift import (
     CovMatrix,
     ModelParams,
@@ -546,6 +547,23 @@ class TestParallelSimulator:
                 assert shared(array) != serial
                 assert not array.flags.writeable
             assert paths.n_paths == n_paths
+
+    @pytest.mark.skipif(not HAS_SHMEM_STAT, reason="reads Linux's RssShmem")
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_this_process_maps_every_shared_page(self, monkeypatch, pin_lanes, lanes):
+        # So its peak RSS is the whole of both arrays, forked or not: here
+        # 1,600 paths x 252 steps x 5 assets, 16 MB of increments, 16 of prices.
+        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
+        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
+        pin_lanes(lanes)
+        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
+        gc.collect()
+        before = shmem_bytes()
+        paths = simulate_paths(params, 1.0, 252, 1_600, 0)
+        increments = paths.driver_increments
+        assert shared(increments) and shmem_bytes() - before >= increments.nbytes
+        prices = paths.prices
+        assert shared(prices) and shmem_bytes() - before >= increments.nbytes + prices.nbytes
 
     @pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])
     def test_no_rows_are_lost_with_a_worker(self, monkeypatch, pin_lanes, small, failure):
