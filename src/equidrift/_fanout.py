@@ -6,21 +6,14 @@ contiguous chunks whose results do not depend on where the chunks start.
 run stays serial, one per CPU when it forks. :func:`fan_out` returns
 ``part(chunk)`` for each chunk in order: the calling process computes the
 first, and each of the rest comes from a forked worker that sends its pickled
-result back down a pipe of its own. A ``part`` that writes into arrays
-instead of returning its result writes into arrays from :func:`empty`, which
-are shared with the workers exactly when the chunks are run by them, and
-:func:`resident` maps such an array into this process once they are done. This
-module is the package's only user of processes, pipes and shared memory.
+result back down a pipe of its own. This module is the package's only user
+of processes and pipes.
 """
 
 from __future__ import annotations
 
-import math
-import mmap
 import os
 import threading
-
-import numpy as np
 
 
 def _cpus() -> int:
@@ -52,31 +45,6 @@ def split(items: range, min_chunk: int) -> list[range]:
     return [items[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def empty(shape: tuple, chunks: list[range]) -> np.ndarray:
-    """An uninitialised float array that every process computing one of
-    ``chunks`` can write into: private when there is one chunk, else one
-    shared anonymous mapping.
-
-    Shared pages get no transparent huge pages, so a serial run never allocates
-    them, though a serial draw of 20,000 paths x 252 steps x 5 assets took 0.88 s
-    on either and its price build 0.59-0.60 s on them, 0.61-0.66 s on private.
-    """
-    if len(chunks) < 2:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
-
-
-def resident(array: np.ndarray) -> np.ndarray:
-    """``array`` from :func:`empty` with every page mapped in this process, whose
-    RSS counts a page that a worker wrote only once it maps it, so that its peak
-    RSS does not hang on whether a run forked. Reading one value a page took 8-9
-    ms per 100 MB on a 2-CPU host; populating the mapping before the fork made
-    the price build's two lanes barely beat one.
-    """
-    np.count_nonzero(array.reshape(-1)[:: mmap.PAGESIZE // array.itemsize])
-    return array
-
-
 def _worker(writer, part, chunk) -> None:
     """Forked-process body: send back ``part(chunk)``."""
     writer.send(part(chunk))
@@ -88,10 +56,9 @@ def fan_out(chunks: list[range], part) -> list:
 
     This process computes the first chunk, every chunk whose worker could
     not be forked or died before sending all of its result, and the whole
-    run when there is one chunk. ``part`` must give the same result, and
-    write the same values into arrays from :func:`empty`, in either process,
-    and must never raise in a worker: whatever can fail runs in this process
-    before the call or after it.
+    run when there is one chunk. ``part`` must give the same result in either
+    process, and must never raise in a worker: whatever can fail runs in this
+    process before the call or after it.
     """
     if len(chunks) < 2:
         return [part(chunks[0])]

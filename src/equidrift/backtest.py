@@ -26,10 +26,11 @@ split the rebalances into contiguous chunks, one per CPU the process may run
 on, and map the stacked pass over them with the package's one fork helper
 (the simulator's paths use it too), which returns each chunk's stacked parts
 in order. Only the calling process runs the public chain, once every chunk
-is stacked: for each part in row order it issues the chain's negative-kappa
-warning once per window that has one, then runs the chain on the part's
-leftover windows, so errors and warnings arise as in a serial run. The
-results are bitwise identical at any worker count.
+is stacked: for each part in row order it takes the stacked windows, then
+runs the chain on the part's leftover windows, issuing the chain's
+negative-kappa warning from one line for every window that has one, so
+errors and warnings arise as in a serial run. The results, and the warnings'
+source line, are identical at any worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from .factorization import (
 )
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel, sharpe
-from .strategy import NEGATIVE_KAPPA, _fully_invested, one_over_n, pi_star_fully_invested
+from .strategy import NEGATIVE_KAPPA, _fully_invested, _unit_kappa, _weights, one_over_n
 
 __all__ = [
     "BacktestConfig",
@@ -239,11 +241,16 @@ def _outside_exclusions(dates: np.ndarray, config: BacktestConfig) -> np.ndarray
 
 
 def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
-    """Yield the weights taking effect at each of ``rows``, in order.
+    """Yield ``(negative, finish)`` for each of ``rows``, in order: whether
+    the window's kappa is negative, and a call that returns the weights
+    taking effect there.
 
-    Each comes from the public chain ``estimation_window`` ->
+    Both come from the public chain ``estimation_window`` ->
     ``estimate_covariance`` -> ``factor_covariance`` ->
-    ``pi_star_fully_invested``, so callers can reproduce it exactly.
+    ``pi_star_fully_invested``, so callers can reproduce the weights exactly.
+    The last step is split where it would warn of a negative kappa: the
+    caller issues that warning, then ``finish()`` runs the rest of the step,
+    which may still raise.
     """
     target = None
     if config.factorization == "rotate":
@@ -258,7 +265,8 @@ def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
                 f"is not factorable: {exc}"
             ) from exc
         vol = factor_covariance(cov, config.factorization, target)
-        yield pi_star_fully_invested(vol, exposure=config.exposure).weights
+        x, kappa = _unit_kappa(vol, config.exposure)
+        yield kappa[0] < 0.0, partial(_weights, vol, x, kappa)
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -322,16 +330,20 @@ def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
 
 def _chained(panel: ReturnPanel, parts, config: BacktestConfig) -> np.ndarray:
     """Weights for every rebalance that ``parts`` from :func:`_stacked_parts`
-    cover, one row each. Each part's negative-kappa warnings come first, then
-    its rest runs through :func:`_rebalance_weights`, so errors and warnings
-    arise exactly as in a serial run of the public chain."""
+    cover, one row each. Each part's stacked windows come first, then its
+    rest runs through :func:`_rebalance_weights`, so errors and warnings arise
+    exactly as in a serial run of the public chain. Every negative-kappa
+    warning, stacked or not, comes from one line here, so its source does not
+    depend on where blocks and chunks start."""
     blocks = []
     for weights, negative, rest in parts:
-        for _ in range(np.count_nonzero(negative)):
-            warnings.warn(NEGATIVE_KAPPA)
         blocks.append(weights)
-        if rest:
-            blocks.extend(w[None] for w in _rebalance_weights(panel, rest, config))
+        public = _rebalance_weights(panel, rest, config) if rest else ()
+        for warns, finish in chain(zip(negative.tolist(), repeat(None)), public):
+            if warns:
+                warnings.warn(NEGATIVE_KAPPA)
+            if finish:
+                blocks.append(finish().weights[None])
     return np.concatenate(blocks)
 
 

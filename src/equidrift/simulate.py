@@ -2,26 +2,22 @@
 
 Stock paths are sampled from the exact lognormal transition of the model
 (no Euler bias), and wealth follows the exact exponential wealth equation
-with piecewise-constant driver exposures. There are two entry points:
+with piecewise-constant driver exposures. Path i's Brownian increments depend
+only on (seed, i), so a set of paths is fully described by its seed, its
+grid and the model: ``simulate_paths`` validates a run and returns that
+recipe as a ``PathSet``, which draws its increments and builds its prices
+only when they are read.
 
-- ``simulate_paths`` keeps the Brownian increments of every path in a
-  ``PathSet``, which builds the prices the first time they are read;
-  ``replay_wealth`` folds a policy over the increments, so competing
-  strategies are compared on common noise. Memory is O(paths x steps x assets).
-- ``simulate_terminal_wealth`` streams the paths in blocks and keeps only
-  terminal wealth. Memory is O(block) plus the wealth vector.
-
-Both share one noise kernel, in which path i's increments depend only on
-(seed, i), and one wealth fold whose per-path result does not depend on
-the block size or on where a chunk starts. So ``simulate_paths``, the price
-build, ``replay_wealth`` and ``simulate_terminal_wealth`` each split a large
-run into contiguous chunks of paths, one per CPU, and map over them with the
-package's one fork helper, with the same bits at any lane count. Forked
-workers of ``simulate_paths`` and of the price build write their paths into
-arrays the helper shares with the caller; those of the other two return only
-their chunk's log-wealth, which is joined in order. For the same arguments
-``simulate_terminal_wealth`` is bitwise equal to
-``replay_wealth(simulate_paths(...))``.
+There is one wealth engine. ``simulate_terminal_wealth`` streams the paths in
+blocks, drawing each block's noise into one reused buffer and folding it
+straight into log-wealth, so memory is O(block) plus the wealth vector.
+``replay_wealth`` runs the same engine on a ``PathSet``'s recipe, so
+policies replayed on one path set, or run at the same seed, see common noise;
+each replay redraws it. The fold's per-path result does not depend on the
+block size or on where a chunk starts, so a large run splits into contiguous
+chunks of paths, one per CPU, that the package's one fork helper maps over;
+forked workers return only their chunk's log-wealth, which is joined in
+order, with the same bits at any lane count.
 
 The closed-form law of the optimal wealth is lognormal:
 ``log W(t) ~ Normal(log w + (lambda - kappa^2 / (2n)) t, kappa^2 t / n)``.
@@ -35,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._fanout import empty, fan_out, resident, split
+from ._fanout import fan_out, split
 from .errors import DimensionMismatch, NonPositiveGridPoint
 from .model import ModelParams
 from .strategy import PolicySource, WeightVector
@@ -53,60 +49,54 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSet:
-    """Brownian increments of simulated stock paths, and their prices.
+    """``n_paths`` stock paths on the grid ``times``, drawn from ``seed``.
 
-    ``prices`` (paths, steps + 1, assets) is built from ``driver_increments``
-    (paths, steps, drivers), ``sigma``, the per-step ``drift`` and ``log_s0``
-    on first read and kept; that read raises ``ValueError`` if a price underflows.
+    ``driver_increments`` (paths, steps, drivers) are drawn on first read,
+    and ``prices`` (paths, steps + 1, assets) are built from them,
+    ``sigma``, the per-step ``drift`` and ``log_s0`` on first read; both are
+    kept. A ``prices`` read raises ``ValueError`` if a price underflows.
     """
 
     times: np.ndarray
-    driver_increments: np.ndarray
+    n_paths: int
     seed: int
     sigma: np.ndarray
     drift: np.ndarray
     log_s0: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "driver_increments", "sigma", "drift", "log_s0"):
+        for name in ("times", "sigma", "drift", "log_s0"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @cached_property
+    def driver_increments(self) -> np.ndarray:
+        increments = np.empty((self.n_paths, self.n_steps, self.n_assets))
+        _per_path_increments(self.seed, 0, increments, self.dt)
+        increments.setflags(write=False)
+        return increments
+
+    @cached_property
     def prices(self) -> np.ndarray:
-        n_paths, steps, n = self.driver_increments.shape
-        chunks = _lanes(n_paths, steps, n, _MIN_PRICE_WORK)
-        prices = empty((n_paths, steps + 1, n), chunks)
-        rows = _block_rows(steps, n)
-
-        def build(paths: range) -> bool:
-            # In place, block by block: the one temporary is a block of log steps.
-            positive = True
-            for start in range(paths.start, paths.stop, rows):
-                block = slice(start, min(start + rows, paths.stop))
-                log_steps = self.driver_increments[block] @ self.sigma.T
-                log_steps += self.drift
-                out = prices[block]
-                out[:, 0] = 0.0
-                np.cumsum(log_steps, axis=1, out=out[:, 1:])
-                out += self.log_s0
-                np.exp(out, out=out)
-                positive = positive and out.min() > 0.0
-            return positive
-
-        if not all(fan_out(chunks, build)):
+        prices = np.empty((self.n_paths, self.n_steps + 1, self.n_assets))
+        rows = _block_rows(self.n_steps, self.n_assets)
+        for start in range(0, self.n_paths, rows):  # the one temporary is a block
+            log_steps = self.driver_increments[start : start + rows] @ self.sigma.T
+            log_steps += self.drift
+            out = prices[start : start + rows]
+            out[:, 0] = 0.0
+            np.cumsum(log_steps, axis=1, out=out[:, 1:])
+        prices += self.log_s0
+        np.exp(prices, out=prices)
+        if not prices.min() > 0.0:
             raise ValueError("prices must be strictly positive")
         prices.setflags(write=False)
-        return resident(prices)
-
-    @property
-    def n_paths(self) -> int:
-        return self.driver_increments.shape[0]
+        return prices
 
     @property
     def n_steps(self) -> int:
-        return self.driver_increments.shape[1]
+        return self.times.size - 1
 
     @property
     def n_assets(self) -> int:
@@ -132,42 +122,19 @@ _BLOCK_BYTES = 8 << 20
 _SLAB_BYTES = 1 << 20
 
 #: Fewest normal draws (paths x steps x assets) worth a worker process of
-#: their own in ``simulate_terminal_wealth`` and ``simulate_paths``. On a
-#: 2-CPU Linux host with one BLAS thread, forking a worker, returning its
-#: log-wealth and joining it cost 5-8 ms, and a path at 5 assets and 252
-#: steps took 55 us (0.22 us a draw), about 10% more while a second lane ran.
-#: Two lanes broke even near 0.8-1M draws (600-800 paths at 5 assets, 60 at
-#: 47); 1,000 paths at 5 assets took 51 ms, not 56 ms, and 20,000 took
-#: 0.58 s, not 1.01 s. ``simulate_paths`` also writes its paths into shared
-#: pages, and broke even at about the same size: in medians of 21 calls, 1M
-#: draws took 46 ms on two lanes and 53 ms on one at 5 assets, and 41 ms
-#: against 43 ms at 47; 0.5M draws took 26 against 31 ms at 5 assets and
-#: 24 against 22 ms at 47.
+#: their own in the wealth engine. On a 2-CPU Linux host with one BLAS
+#: thread, forking a worker, returning its log-wealth and joining it cost
+#: 5-8 ms, and a path at 5 assets and 252 steps took 55 us (0.22 us a draw),
+#: about 10% more while a second lane ran. Two lanes broke even near 0.8-1M
+#: draws (600-800 paths at 5 assets, 60 at 47); 1,000 paths at 5 assets took
+#: 51 ms, not 56 ms, and 20,000 took 0.58 s, not 1.01 s.
 _MIN_LANE_WORK = 500_000
-
-#: Fewest retained increments worth a worker process of their own in
-#: ``replay_wealth``, whose fold costs about a seventh of a draw: 10 ms for
-#: 2M increments on one lane, 21 ms on two. On the same host two lanes broke
-#: even near 4M (22 ms on either at 5 assets, 30 against 31 ms at 47) and
-#: won from 8M (41 against 33 ms); 25M took 120 ms on one lane, 75 on two.
-_MIN_REPLAY_WORK = 2_000_000
-
-#: Fewest prices (paths x steps x assets) worth a worker of their own in
-#: ``PathSet.prices``: in medians of 15 builds on one lane against two, 4M took
-#: 74 against 84 ms, 6M 112 against 115 (5 assets) and 117 against 109 ms (47).
-_MIN_PRICE_WORK = 3_000_000
 
 
 def _block_rows(steps: int, n: int) -> int:
     """Paths per block: a block of increments plus two (paths, steps)
     temporaries fit in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (8 * steps * (n + 2)))
-
-
-def _lanes(n_paths: int, steps: int, n: int, min_work: int) -> list[range]:
-    """The chunks of paths a run maps over: one per CPU, each of at least
-    ``min_work`` increments, or all of them when the run stays serial."""
-    return split(range(n_paths), -(-min_work // (steps * n)))
 
 
 def _per_path_increments(seed: int, start: int, out: np.ndarray, dt: float) -> None:
@@ -208,7 +175,8 @@ def simulate_paths(
     n_paths: int,
     seed: int,
 ) -> PathSet:
-    """Sample stock paths on a uniform grid over [0, horizon].
+    """Stock paths on a uniform grid over [0, horizon], as the ``PathSet``
+    that draws them; nothing is drawn here.
 
     Sampling is exact in distribution: per-step log increments are
     ``(r - 0.5 sum_j sigma_ij^2 + (mu - r) sum_j sigma_ij) dt
@@ -217,23 +185,12 @@ def simulate_paths(
     """
     _check_run(horizon, steps, n_paths, seed)
     sig = params.sigma.entries
-    n = params.n
     dt = horizon / steps
     row_sq = (sig ** 2).sum(axis=1)
     row_sum = sig.sum(axis=1)
     drift = (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
-
-    chunks = _lanes(n_paths, steps, n, _MIN_LANE_WORK)
-    increments = empty((n_paths, steps, n), chunks)
-    rows = _block_rows(steps, n)
-
-    def draw(paths: range) -> None:
-        for start in range(paths.start, paths.stop, rows):
-            _per_path_increments(seed, start, increments[start : min(start + rows, paths.stop)], dt)
-
-    fan_out(chunks, draw)
     times = np.linspace(0.0, horizon, steps + 1)
-    return PathSet(times, resident(increments), seed, sig, drift, np.log(params.s0))
+    return PathSet(times, n_paths, seed, sig, drift, np.log(params.s0))
 
 
 def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:
@@ -291,18 +248,19 @@ def _fold_wealth(
         log_w += step
 
 
-def _fold_paths(
-    paths: range, increments, exposures: np.ndarray, drifts: np.ndarray
+def _stream_wealth(
+    seed: int, paths: range, dt: float, exposures: np.ndarray, drifts: np.ndarray
 ) -> np.ndarray:
-    """Log-wealth of each of ``paths``, folded a block of paths at a time;
-    ``increments(block)`` gives the Brownian increments of the paths in the
-    slice ``block``."""
+    """Log-wealth of each of ``paths``, drawing each block of paths into one
+    reused buffer and folding it."""
     steps, n = exposures.shape
-    log_w = np.zeros(len(paths))
     rows = _block_rows(steps, n)
-    for a in range(0, log_w.size, rows):
-        block = slice(paths.start + a, min(paths.start + a + rows, paths.stop))
-        _fold_wealth(log_w[a : a + rows], increments(block), exposures, drifts)
+    buffer = np.empty((min(len(paths), rows), steps, n))
+    log_w = np.zeros(len(paths))
+    for a in range(0, len(paths), rows):
+        block = buffer[: min(rows, len(paths) - a)]
+        _per_path_increments(seed, paths.start + a, block, dt)
+        _fold_wealth(log_w[a : a + rows], block, exposures, drifts)
     return log_w
 
 
@@ -312,43 +270,23 @@ def replay_wealth(
     params: ModelParams,
     w0: float,
 ) -> np.ndarray:
-    """Terminal wealth per path under a (possibly per-step) weight policy.
+    """Terminal wealth per path of ``paths`` under a (possibly per-step)
+    weight policy.
 
     Wealth follows the exact exponential wealth equation with the driver
-    exposures p = sigma' pi held constant within each step, driven by the
-    path set's retained increments; every terminal wealth is therefore
-    strictly positive. Large path sets split into contiguous chunks, one per
-    CPU, and forked workers return the log-wealth of all but the first.
+    exposures p = sigma' pi held constant within each step; every terminal
+    wealth is therefore strictly positive. The paths' noise is redrawn from
+    their seed by :func:`simulate_terminal_wealth`; the replay neither reads
+    nor keeps the path set's increments or prices.
     """
-    _check_w0(w0)
-    n = params.n
-    if paths.n_assets != n:
+    if paths.n_assets != params.n:
         raise DimensionMismatch(
-            f"path set has {paths.n_assets} assets but parameters have {n}"
+            f"path set has {paths.n_assets} assets but parameters have {params.n}"
         )
-    exposures, drifts = _step_exposures(policy, params, paths.n_steps, paths.dt)
-    retained = paths.driver_increments.__getitem__
-    chunks = fan_out(
-        _lanes(paths.n_paths, paths.n_steps, n, _MIN_REPLAY_WORK),
-        lambda chunk: _fold_paths(chunk, retained, exposures, drifts),
+    horizon = float(paths.times[-1])
+    return simulate_terminal_wealth(
+        params, policy, horizon, paths.n_steps, paths.n_paths, paths.seed, w0
     )
-    return w0 * np.exp(np.concatenate(chunks))
-
-
-def _stream_wealth(
-    seed: int, paths: range, dt: float, exposures: np.ndarray, drifts: np.ndarray
-) -> np.ndarray:
-    """Log-wealth of each of ``paths``, drawing each block of paths into one
-    reused buffer."""
-    steps, n = exposures.shape
-    buffer = np.empty((min(len(paths), _block_rows(steps, n)), steps, n))
-
-    def draw(block: slice) -> np.ndarray:
-        out = buffer[: block.stop - block.start]
-        _per_path_increments(seed, block.start, out, dt)
-        return out
-
-    return _fold_paths(paths, draw, exposures, drifts)
 
 
 def simulate_terminal_wealth(
@@ -362,20 +300,20 @@ def simulate_terminal_wealth(
 ) -> np.ndarray:
     """Terminal wealth per path, streamed in blocks of paths.
 
-    Bitwise equal to ``replay_wealth(simulate_paths(params, horizon, steps,
-    n_paths, seed), policy, params, w0)``, but no price path or full
-    increment tensor is kept: each block's noise is drawn into one reused
-    buffer and folded straight into log-wealth, so memory is O(block) plus
-    the wealth vector. Runs of at least ``2 * _MIN_LANE_WORK`` draws split
-    the paths into contiguous chunks, one per CPU, and fold all but the
-    first in forked workers, which return only their log-wealth.
+    Equal to ``replay_wealth(simulate_paths(params, horizon, steps, n_paths,
+    seed), policy, params, w0)``. No price path or full increment tensor is
+    kept: each block's noise is drawn into one reused buffer and folded
+    straight into log-wealth, so memory is O(block) plus the wealth vector.
+    Runs of at least ``2 * _MIN_LANE_WORK`` draws split the paths into
+    contiguous chunks, one per CPU, and fold all but the first in forked
+    workers, which return only their log-wealth.
     """
     _check_run(horizon, steps, n_paths, seed)
     _check_w0(w0)
     dt = horizon / steps
     exposures, drifts = _step_exposures(policy, params, steps, dt)
     chunks = fan_out(
-        _lanes(n_paths, steps, params.n, _MIN_LANE_WORK),
+        split(range(n_paths), -(-_MIN_LANE_WORK // (steps * params.n))),
         lambda paths: _stream_wealth(seed, paths, dt, exposures, drifts),
     )
     return w0 * np.exp(np.concatenate(chunks))

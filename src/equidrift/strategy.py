@@ -170,14 +170,9 @@ def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
     return _weights(sigma, _unit_solution(sigma), np.array([float(kappa)]))
 
 
-def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
-    """Optimal weights scaled so the fractions of wealth sum to ``exposure``.
-
-    The total-exposure constraint determines kappa = n * exposure / (1'
-    (sigma')^-1 1), so no drift or rate parameters are needed.  Negative
-    exposure requests are honored but flagged, since the optimality
-    argument assumes a nonnegative total driver exposure.
-    """
+def _unit_kappa(sigma: VolMatrix, exposure: float) -> tuple[np.ndarray, np.ndarray]:
+    """The unit solution and kappa of :func:`pi_star_fully_invested`, with
+    every check it makes before it may warn that kappa is negative."""
     if exposure == 0.0:
         raise ValueError("exposure must be nonzero")
     x = _unit_solution(sigma)
@@ -187,6 +182,18 @@ def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
             "unnormalized optimal weights sum to ~0; no finite kappa reaches "
             "the requested exposure"
         )
+    return x, kappa
+
+
+def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
+    """Optimal weights scaled so the fractions of wealth sum to ``exposure``.
+
+    The total-exposure constraint determines kappa = n * exposure / (1'
+    (sigma')^-1 1), so no drift or rate parameters are needed.  Negative
+    exposure requests are honored but flagged, since the optimality
+    argument assumes a nonnegative total driver exposure.
+    """
+    x, kappa = _unit_kappa(sigma, exposure)
     if kappa[0] < 0.0:
         warnings.warn(NEGATIVE_KAPPA, stacklevel=2)
     return _weights(sigma, x, kappa)

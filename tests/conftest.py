@@ -1,13 +1,19 @@
 """Shared helpers for the test suite."""
 
-import mmap
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from equidrift import CovMatrix, _fanout, random_rotation
+from equidrift import (
+    CovMatrix,
+    TargetMatrix,
+    _fanout,
+    estimate_covariance,
+    estimation_window,
+    factor_covariance,
+    pi_star_fully_invested,
+    random_rotation,
+)
 
 # Property suites are deterministic: a fixed example sequence, no example
 # database and no per-example deadline. Each test sets its own max_examples.
@@ -20,28 +26,6 @@ def pin_lanes(monkeypatch):
     """``pin_lanes(k)`` makes the fork helper see k CPUs, so a large enough
     run splits into k chunks whatever the host has."""
     return lambda k: monkeypatch.setattr(_fanout, "_cpus", lambda: k)
-
-
-#: The mapping type, kept here so that a test may patch ``mmap.mmap``.
-MMAP = mmap.mmap
-
-
-def shared(array) -> bool:
-    """Whether ``array``'s memory is a mapping that forked workers share."""
-    owner = array
-    while isinstance(owner, (np.ndarray, memoryview)):
-        owner = owner.base if isinstance(owner, np.ndarray) else owner.obj
-    return isinstance(owner, MMAP)
-
-
-#: Whether :func:`shmem_bytes` can read its figure here.
-HAS_SHMEM_STAT = os.path.exists("/proc/self/status")
-
-
-def shmem_bytes() -> int:
-    """Bytes of shared memory mapped in this process (Linux's ``RssShmem``)."""
-    with open("/proc/self/status", encoding="ascii") as fh:
-        return next(int(line.split()[1]) << 10 for line in fh if line.startswith("RssShmem:"))
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -62,3 +46,16 @@ def conditioned_cov(n: int, seed: int, log_cond: float, scale: float) -> CovMatr
     q = random_rotation(n, seed).entries
     c = (q * lam) @ q.T
     return CovMatrix(0.5 * (c + c.T))
+
+
+def public_chain(panel, rows, config) -> list:
+    """The weights taking effect at each of ``rows`` from the public chain
+    ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance``
+    -> ``pi_star_fully_invested``."""
+    target = TargetMatrix(config.rotation_target) if config.factorization == "rotate" else None
+    weights = []
+    for t in rows:
+        cov = estimate_covariance(estimation_window(panel, t, config), shrinkage=config.shrinkage)
+        vol = factor_covariance(cov, config.factorization, target)
+        weights.append(pi_star_fully_invested(vol, config.exposure).weights)
+    return weights

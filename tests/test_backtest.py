@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import public_chain
 from equidrift import (
     BacktestConfig,
     DateRange,
@@ -431,7 +432,7 @@ class TestRebalanceWorkCount:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        weights = list(backtest._rebalance_weights(panel, rows, cfg))
+        weights = public_chain(panel, rows, cfg)
         assert len(weights) == len(rows) == 6
         assert counts == {"svd": svds * len(rows), "det": 0}
 
@@ -470,12 +471,12 @@ class TestRebalanceWorkCount:
         cfg = BacktestConfig(exposure=-0.8, **SMALL)
         rows = range(30, 60, 5)
         with pytest.warns(UserWarning, match="negative kappa"):
-            want = list(backtest._rebalance_weights(panel, rows, cfg))
+            want = public_chain(panel, rows, cfg)
 
-        def public_chain(*args, **kwargs):
+        def left(*args, **kwargs):
             raise AssertionError("a block left the stacked kernels")
 
-        monkeypatch.setattr(backtest, "pi_star_fully_invested", public_chain)
+        monkeypatch.setattr(backtest, "_rebalance_weights", left)
         with pytest.warns(UserWarning, match="negative kappa") as record:
             got = backtest._chained(panel, backtest._stacked_parts(panel, rows, cfg), cfg)
         assert len(record) == len(rows)
@@ -591,19 +592,37 @@ class TestParallelRebalances:
         assert raised[2] == raised[0]
 
     @pytest.mark.parametrize(
-        "stretches, shrinkage, budgets",
+        "stretches, shrinkage, budgets, failing",
         [
-            ((), None, (None,)),
+            ((), None, (None,), None),
             # the window ending at row 300 needs the diagonal repair; a
             # 16-window budget puts it mid-block
-            (((0, (270, 300)),), 1e-4, (16, None)),
+            (((0, (270, 300)),), 1e-4, (16, None), None),
+            # the stacked solve raises LinAlgError on every full block of 50
+            # windows, which falls back to the public chain, while each
+            # chunk's shorter last block stays stacked
+            ((), None, (50,), 50),
         ],
-        ids=["plain", "repaired"],
+        ids=["plain", "repaired", "linalg-error"],
     )
     def test_worker_warnings_reach_the_caller(
-        self, monkeypatch, pin_lanes, stretches, shrinkage, budgets
+        self, monkeypatch, pin_lanes, stretches, shrinkage, budgets, failing
     ):
         panel = self.panel(stretches)
+        solve, chained = np.linalg.solve, backtest._rebalance_weights
+        fallback = []
+
+        def fails_on_full_blocks(a, b):
+            if len(a) == failing:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        def spy(panel, rows, config):
+            fallback.append(len(rows))
+            return chained(panel, rows, config)
+
+        monkeypatch.setattr(np.linalg, "solve", fails_on_full_blocks)
+        monkeypatch.setattr(backtest, "_rebalance_weights", spy)
         cfg = BacktestConfig(
             window_days=30,
             reestimate_every=1,
@@ -619,9 +638,12 @@ class TestParallelRebalances:
                 backtest, "_STACK_BYTES", default if windows is None else windows * 8 * 3 * 3
             )
             for lanes in self.LANES:
+                fallback.clear()
                 with pytest.warns(UserWarning, match="negative kappa") as record:
                     self.run_with(pin_lanes, lanes, panel, cfg)
                 seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
+                # blocks of 50 in chunks of 480, 240 and 160 windows
+                assert sum(fallback) == (0 if failing is None else (450, 400, 450)[lanes - 1])
         assert len(seen[0]) == 480
         assert len({(filename, lineno) for *_, filename, lineno in seen[0]}) == 1
         assert all(other == seen[0] for other in seen[1:])
@@ -637,10 +659,10 @@ class TestParallelRebalances:
         )
         monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
 
-        def public_chain(*args, **kwargs):
+        def left(*args, **kwargs):
             raise AssertionError("a repaired window left the stacked kernels")
 
-        monkeypatch.setattr(backtest, "_rebalance_weights", public_chain)
+        monkeypatch.setattr(backtest, "_rebalance_weights", left)
         rows = range(30, 510)
         reports = []
         for lanes in self.LANES:
@@ -672,16 +694,16 @@ class TestParallelRebalances:
         )
         monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
 
-        def public_chain(*args, **kwargs):
+        def forbidden(*args, **kwargs):
             raise AssertionError("the worker ran the public chain")
 
         for name in (
             "estimate_covariance",
             "factor_covariance",
-            "pi_star_fully_invested",
+            "_unit_kappa",
             "_rebalance_weights",
         ):
-            monkeypatch.setattr(backtest, name, public_chain)
+            monkeypatch.setattr(backtest, name, forbidden)
         sent = []
         writer = types.SimpleNamespace(send=sent.append, close=lambda: None)
         rows = range(30, 510)

@@ -1,7 +1,6 @@
 """The fork map both engines fan out through.
 
-``split(items, min_chunk)`` decides the contiguous chunks of a run,
-``empty(shape, chunks)`` allocates the arrays its parts may write into, and
+``split(items, min_chunk)`` decides the contiguous chunks of a run, and
 ``fan_out(chunks, part)`` returns ``part(chunk)`` for each chunk, in order.
 The lane count is pinned, so runs split whatever the host has, and ``part``
 reports the process that computed it.
@@ -9,8 +8,6 @@ reports the process that computed it.
 
 import contextlib
 import errno
-import gc
-import mmap
 import multiprocessing
 import os
 import struct
@@ -19,9 +16,8 @@ import time
 
 import pytest
 
-from conftest import HAS_SHMEM_STAT, shared, shmem_bytes
 from equidrift import _fanout
-from equidrift._fanout import empty, fan_out, resident, split
+from equidrift._fanout import fan_out, split
 
 ITEMS = range(10, 40)
 
@@ -112,21 +108,8 @@ def another_thread():
     assert not other.is_alive()
 
 
-def pid_rows(array):
-    """A ``part`` that writes each of its items and this process's id into
-    its rows of ``array``, and returns the id."""
-
-    def part(chunk):
-        rows = slice(chunk.start - ITEMS.start, chunk.stop - ITEMS.start)
-        array[rows, 0] = chunk
-        array[rows, 1] = os.getpid()
-        return os.getpid()
-
-    return part
-
-
 @pytest.mark.parametrize("lanes", [2, 3])
-@pytest.mark.parametrize("worker", [dies_at_once, dies_mid_message])
+@pytest.mark.parametrize("worker", [dies_at_once, dies_mid_message, dies_mid_chunk])
 def test_dead_worker_is_computed_here(monkeypatch, pin_lanes, spied, lanes, worker):
     part, calls = spied
     monkeypatch.setattr(_fanout, "_worker", worker)
@@ -153,67 +136,6 @@ def test_serial_while_other_threads_run(pin_lanes, spied):
         results = mapped(part)
     assert results == [(ITEMS, os.getpid())]
     assert calls == [ITEMS]
-
-
-@pytest.mark.parametrize("case", ["one lane", "below the minimum", "another thread"])
-def test_serial_run_gets_private_arrays(monkeypatch, pin_lanes, case):
-    def no_mapping(*args):
-        raise AssertionError("a serial run mapped shared memory")
-
-    monkeypatch.setattr(mmap, "mmap", no_mapping)
-    pin_lanes(1 if case == "one lane" else 3)
-    items = range(13) if case == "below the minimum" else ITEMS
-    with another_thread() if case == "another thread" else contextlib.nullcontext():
-        chunks = split(items, 7)
-    array = empty((len(items), 2), chunks)
-    assert chunks == [items]
-    assert array.shape == (len(items), 2) and array.dtype == float
-    assert not shared(array)
-
-
-@pytest.mark.parametrize("lanes", [2, 3])
-def test_forked_run_gets_a_shared_mapping(pin_lanes, lanes):
-    pin_lanes(lanes)
-    chunks = split(ITEMS, 7)
-    array = empty((len(ITEMS), 2), chunks)
-    assert chunks == CHUNKS[lanes]
-    assert shared(array)
-    pids = fan_out(chunks, pid_rows(array))
-    # every worker's rows reach this process, in place
-    assert pids[0] == os.getpid() and len(set(pids)) == lanes
-    assert array[:, 0].tolist() == list(ITEMS)
-    assert array[:, 1].tolist() == [pid for chunk, pid in zip(chunks, pids) for _ in chunk]
-
-
-@pytest.mark.skipif(not HAS_SHMEM_STAT, reason="reads Linux's RssShmem")
-def test_resident_maps_the_workers_rows_here(pin_lanes):
-    pin_lanes(2)
-    chunks = split(range(2048), 1)
-    array = empty((2048, 1024), chunks)  # 16 MiB, 8 MiB a chunk
-    gc.collect()
-    before = shmem_bytes()
-    fan_out(chunks, lambda chunk: array[chunk.start : chunk.stop].fill(1.0))
-    # the worker's pages count here only once this process maps them
-    assert shmem_bytes() - before < array.nbytes
-    assert resident(array) is array
-    assert shmem_bytes() - before >= array.nbytes
-    assert (array == 1.0).all()
-
-
-@pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])
-def test_rows_of_a_lost_worker_are_written_here(monkeypatch, pin_lanes, failure):
-    if failure == "cannot fork":
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
-    else:
-        worker = dies_at_once if failure == "dies at once" else dies_mid_chunk
-        monkeypatch.setattr(_fanout, "_worker", worker)
-    pin_lanes(3)
-    chunks = split(ITEMS, 7)
-    array = empty((len(ITEMS), 2), chunks)
-    assert fan_out(chunks, pid_rows(array)) == [os.getpid()] * 3
-    # a dead worker's half-written rows are written again here
-    assert array[:, 0].tolist() == list(ITEMS)
-    assert array[:, 1].tolist() == [os.getpid()] * len(ITEMS)
 
 
 def test_error_here_kills_the_workers(pin_lanes):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import public_chain
 from equidrift import BacktestConfig, CovMatrix, DateRange, ReturnPanel, backtest
 from equidrift.backtest import _covariance, estimate_covariance, estimation_window
 from equidrift.errors import NotPositiveDefinite
@@ -228,7 +229,7 @@ class TestEngineMatchesPublicChain:
                 warnings.simplefilter("ignore")  # a negative kappa only warns
                 parts = backtest._stacked_parts(w.panel, w.rows, cfg)
                 got = backtest._chained(w.panel, parts, cfg)
-                want = list(backtest._rebalance_weights(w.panel, w.rows, cfg))
+                want = public_chain(w.panel, w.rows, cfg)
         finally:
             backtest._STACK_BYTES = stack
         assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
@@ -238,7 +239,7 @@ class TestEngineMatchesPublicChain:
         cfg = BacktestConfig(
             window_days=w.window, reestimate_every=1, factorization="cholesky", exclusion_windows=()
         )
-        want = list(backtest._rebalance_weights(w.panel, w.rows, cfg))
+        want = public_chain(w.panel, w.rows, cfg)
         real = np.linalg.cholesky
         alone = []
 

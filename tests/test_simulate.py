@@ -1,5 +1,4 @@
 import errno
-import gc
 import hashlib
 import math
 import multiprocessing
@@ -10,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import HAS_SHMEM_STAT, random_cov, shared, shmem_bytes
+from conftest import random_cov
 from equidrift import (
     CovMatrix,
     ModelParams,
@@ -24,7 +23,6 @@ from equidrift import (
     simulate_paths,
     simulate_terminal_wealth,
     sym_sqrt,
-    synthetic_panel,
 )
 from equidrift import _fanout, simulate
 from equidrift.errors import DimensionMismatch, NonPositiveGridPoint
@@ -81,26 +79,14 @@ class TestSimulatePaths:
         paths = simulate_paths(params, 1.0, 3, 2, seed=0)
         np.testing.assert_allclose(paths.prices[:, 0, :], [[5.0, 7.0]] * 2, rtol=1e-15)
 
-    @pytest.mark.parametrize(
-        "rows, lanes",
-        [
-            pytest.param(rows, lanes, id=str(rows) if lanes == 1 else f"{rows}-{lanes}lanes")
-            for lanes in (1, 2, 3)
-            for rows in (1, 7, 23, 30)
-        ],
-    )
-    def test_prices_match_whole_tensor_build(self, monkeypatch, pin_lanes, rows, lanes):
-        # Prices are built a block of paths at a time, in chunks of paths
-        # mapped over the lanes; the reference is the whole-tensor formula
-        # applied to the returned increments.
+    @pytest.mark.parametrize("rows", [1, 7, 23, 30])
+    def test_prices_match_whole_tensor_build(self, monkeypatch, rows):
+        # Prices are built a block of paths at a time; the reference is the
+        # whole-tensor formula applied to the drawn increments.
         sigma = sym_sqrt(random_cov(np.random.default_rng(2), 4, scale=0.05))
         params = ModelParams(sigma=sigma, mu=0.2, r=0.03, s0=[1.0, 2.0, 30.0, 0.5])
         monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
-        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
-        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
-        pin_lanes(lanes)
         paths = simulate_paths(params, 1.5, 9, 23, seed=5)
-        assert shared(paths.prices) == (lanes > 1)
         sig = sigma.entries
         excess = params.mu - params.r
         drift = (params.r - 0.5 * (sig ** 2).sum(axis=1) + excess * sig.sum(axis=1)) * (1.5 / 9)
@@ -117,10 +103,10 @@ class TestSimulatePaths:
     def test_underflow_raises_on_the_first_prices_read(self, monkeypatch, pin_lanes, capfd, lanes):
         # At seed 0 path 2's one-step log price is about -749.4, below exp's
         # underflow point near -745.1, while paths 0 and 1 end near -743.2
-        # and -737.5; so on two and three lanes only a worker's chunk
-        # underflows. The paths still simulate and replay; reading the prices
-        # raises here, every time, and no worker raises or prints.
-        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
+        # and -737.5. The paths still simulate and replay, on two and three
+        # lanes in forked workers too; reading the prices raises here, every
+        # time, and no worker raises or prints.
+        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
         pin_lanes(lanes)
         params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03, s0=[1e-318])
         paths = simulate_paths(params, 1.0, 1, 3, seed=0)
@@ -134,25 +120,18 @@ class TestSimulatePaths:
         assert "prices" not in vars(paths)
         assert capfd.readouterr().err == ""
 
-    def test_replay_never_builds_prices(self, monkeypatch):
-        shapes, allocate = [], simulate.empty
-
-        def spy(shape, chunks):
-            shapes.append(shape)
-            return allocate(shape, chunks)
-
-        monkeypatch.setattr(simulate, "empty", spy)
+    def test_replay_never_builds_prices(self):
+        # nor keeps increments: the path set holds only its recipe until read
         params = ModelParams(sigma=VolMatrix(0.3 * np.eye(3)), mu=0.2, r=0.03)
         paths = simulate_paths(params, 1.0, 6, 5, seed=1)
         policy = WeightVector(weights=[0.2, 0.3, 0.1], kappa=None, exposure=0.6)
         replay_wealth(paths, policy, params, 1.0)
-        assert shapes == [(5, 6, 3)]
-        assert "prices" not in vars(paths)
+        assert "driver_increments" not in vars(paths) and "prices" not in vars(paths)
         prices = paths.prices
-        assert shapes == [(5, 6, 3), (5, 7, 3)]
         assert paths.prices is prices
-        assert not prices.flags.writeable
-        assert shapes == [(5, 6, 3), (5, 7, 3)]  # the second read allocated nothing
+        assert paths.driver_increments is vars(paths)["driver_increments"]
+        for array in (prices, paths.driver_increments):
+            assert not array.flags.writeable
 
     def test_rejects_bad_grid(self, monkeypatch):
         def no_noise(*args):
@@ -267,6 +246,17 @@ class TestReplayWealth:
                 simulate_terminal_wealth(params, policy, 1.0, 2, 2, 0, w0)
 
 
+def _folded(params, policy, horizon, steps, n_paths, seed, w0):
+    """Terminal wealth from one ``_fold_wealth`` call over the whole serial
+    increment tensor: a row's result does not depend on how the paths are
+    split, so this reference shares no block or chunk loop with the engine."""
+    paths = simulate_paths(params, horizon, steps, n_paths, seed)
+    exposures, drifts = simulate._step_exposures(policy, params, steps, paths.dt)
+    log_w = np.zeros(n_paths)
+    simulate._fold_wealth(log_w, paths.driver_increments, exposures, drifts)
+    return w0 * np.exp(log_w)
+
+
 def _engine_case(n: int):
     """Model, constant policy and per-step policy on an n-asset random vol."""
     sigma = sym_sqrt(random_cov(np.random.default_rng(n), n, scale=0.05))
@@ -290,7 +280,7 @@ class TestTerminalWealthEngine:
         params, constant, per_step = _engine_case(n)
         policy = constant if policy_kind == "constant" else per_step
         paths = simulate_paths(params, 1.5, self.STEPS, self.PATHS, seed=31)
-        expected = replay_wealth(paths, policy, params, 2.0)
+        expected = _folded(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
 
         if rows == "budget":
             # The real row formula, on a budget small enough to split the paths.
@@ -300,7 +290,7 @@ class TestTerminalWealthEngine:
             monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
         got = simulate_terminal_wealth(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
         assert got.tobytes() == expected.tobytes()
-        # replay_wealth folds in blocks of the same size; its rows must not move either.
+        # replay_wealth streams in blocks of the same size; its rows must not move either.
         assert replay_wealth(paths, policy, params, 2.0).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("start", [0, 1, 2, 19_999, 10**6, 2**40 + 3])
@@ -378,8 +368,7 @@ class TestParallelPaths:
 
     def reference(self, n_paths):
         params, _, per_step = _engine_case(self.N)
-        paths = simulate_paths(params, 1.0, self.STEPS, n_paths, 11)
-        return replay_wealth(paths, per_step, params, 1.5)
+        return _folded(params, per_step, 1.0, self.STEPS, n_paths, 11, 1.5)
 
     @pytest.mark.parametrize("share", ["below", "at", "indivisible"])
     def test_bitwise_equal_across_lane_counts(self, monkeypatch, pin_lanes, share):
@@ -447,15 +436,14 @@ def _digest(array) -> str:
 
 
 class TestParallelSimulator:
-    """``simulate_paths`` and ``replay_wealth`` fanned out over pinned lanes.
+    """A ``PathSet``'s reads and ``replay_wealth`` over pinned lanes.
 
-    ``small`` patches the three minimum chunks to ``MIN`` paths and splits
-    each chunk into several blocks and fold slabs; ``full`` runs the real
-    constants on three lanes' worth of ``simulate_paths`` work, whose prices
-    are built and whose wealth ``replay_wealth`` folds serially. Each digest
-    is SHA-256 of the output's bytes, recorded with the serial simulator that
-    kept every path in one private array, so the fan-out moves no bit (numpy
-    2.4, x86-64).
+    ``small`` patches the minimum chunk to ``MIN`` paths and splits each
+    chunk into several blocks and fold slabs; ``full`` runs the real
+    constants on three lanes' worth of work. Each digest is SHA-256 of the
+    output's bytes, recorded with the serial simulator that kept every path
+    in one private array, so neither the fan-out nor the redraw from the
+    seed moves a bit (numpy 2.4, x86-64).
     """
 
     MIN = 10
@@ -482,8 +470,6 @@ class TestParallelSimulator:
         blocks of 4 paths and fold slabs of 3."""
         steps, n = self.CASES["small"]["steps"], self.CASES["small"]["n"]
         monkeypatch.setattr(simulate, "_MIN_LANE_WORK", self.MIN * steps * n)
-        monkeypatch.setattr(simulate, "_MIN_REPLAY_WORK", self.MIN * steps * n)
-        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", self.MIN * steps * n)
         monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
         monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * steps * n)
 
@@ -512,63 +498,29 @@ class TestParallelSimulator:
     def test_outputs_match_the_serial_simulator(self, request, pin_lanes, case):
         if case == "small":
             request.getfixturevalue("small")
-        steps, n, n_paths = (self.CASES[case][k] for k in ("steps", "n", "n_paths"))
-        params, _, per_step = _engine_case(n)
         for lanes in (1, 2, 3):
             pin_lanes(lanes)
             paths, wealth = self.run(case)
             got = {"prices": paths.prices, "increments": paths.driver_increments, "wealth": wealth}
             assert {k: _digest(v) for k, v in got.items()} == self.DIGESTS[case]
-            streamed = simulate_terminal_wealth(params, per_step, 1.0, steps, n_paths, 11, 1.5)
-            assert streamed.tobytes() == wealth.tobytes()
 
     def test_chunks_are_computed_by_their_workers(self, monkeypatch, pin_lanes, small):
         drawn = self.spy_parent_draws(monkeypatch)
-        folded, fold = [], simulate._fold_paths
+        folded, stream = [], simulate._stream_wealth
 
-        def spy(paths, *args):
+        def spy(seed, paths, *args):
             folded.append(paths)
-            return fold(paths, *args)
+            return stream(seed, paths, *args)
 
-        monkeypatch.setattr(simulate, "_fold_paths", spy)
+        monkeypatch.setattr(simulate, "_stream_wealth", spy)
         pin_lanes(3)
         self.run("small")
         # this process draws and folds only the first chunk of 10 paths
         assert drawn == [(0, 4), (4, 4), (8, 2)]
         assert folded == [range(0, 10)]
 
-    @pytest.mark.parametrize("lanes", [2, 3])
-    def test_outputs_are_shared_exactly_when_forked(self, monkeypatch, pin_lanes, small, lanes):
-        n_paths = self.CASES["small"]["n_paths"]
-        for pinned, serial in ((lanes, False), (1, True)):
-            pin_lanes(pinned)
-            paths, _ = self.run("small")
-            for array in (paths.prices, paths.driver_increments):
-                assert shared(array) != serial
-                assert not array.flags.writeable
-            assert paths.n_paths == n_paths
-
-    @pytest.mark.skipif(not HAS_SHMEM_STAT, reason="reads Linux's RssShmem")
-    @pytest.mark.parametrize("lanes", [2, 3])
-    def test_this_process_maps_every_shared_page(self, monkeypatch, pin_lanes, lanes):
-        # So its peak RSS is the whole of both arrays, forked or not: here
-        # 1,600 paths x 252 steps x 5 assets, 16 MB of increments, 16 of prices.
-        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
-        monkeypatch.setattr(simulate, "_MIN_PRICE_WORK", 1)
-        pin_lanes(lanes)
-        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
-        gc.collect()
-        before = shmem_bytes()
-        paths = simulate_paths(params, 1.0, 252, 1_600, 0)
-        increments = paths.driver_increments
-        assert shared(increments) and shmem_bytes() - before >= increments.nbytes
-        prices = paths.prices
-        assert shared(prices) and shmem_bytes() - before >= increments.nbytes + prices.nbytes
-
     @pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])
     def test_no_rows_are_lost_with_a_worker(self, monkeypatch, pin_lanes, small, failure):
-        pin_lanes(1)
-        want = self.run("small")
         drawn = self.spy_parent_draws(monkeypatch)
         if failure == "cannot fork":
 
@@ -588,10 +540,8 @@ class TestParallelSimulator:
 
             monkeypatch.setattr(_fanout, "_worker", dies_mid_chunk)
         pin_lanes(3)
-        paths, wealth = self.run("small")
-        assert paths.prices.tobytes() == want[0].prices.tobytes()
-        assert paths.driver_increments.tobytes() == want[0].driver_increments.tobytes()
-        assert wealth.tobytes() == want[1].tobytes()
+        _, wealth = self.run("small")
+        assert _digest(wealth) == self.DIGESTS["small"]["wealth"]
         # this process drew every chunk, the lost ones after its own
         assert [start for start, _ in drawn] == [0, 4, 8, 10, 14, 18, 21, 25, 29]
 
@@ -609,17 +559,6 @@ class TestParallelSimulator:
         assert str(exc_info.value) == str(expected.value)
         assert forks == []
         assert capfd.readouterr().err == ""
-
-    def test_one_path_panel_stays_serial_and_private(self, monkeypatch, pin_lanes):
-        def no_mapping(*args):
-            raise AssertionError("a serial run mapped shared memory")
-
-        monkeypatch.setattr(_fanout.mmap, "mmap", no_mapping)
-        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
-        pin_lanes(3)
-        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(3)), mu=0.2, r=0.03)
-        panel = synthetic_panel(params, days=60, seed=0)
-        assert panel.returns.shape == (60, 3)
 
 
 class TestWealthLaw:

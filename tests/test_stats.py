@@ -2,15 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from equidrift.errors import LengthMismatch, TooFewObservations, ZeroVariance
 from equidrift.stats import (
+    ZERO_SD_TOL,
     jobson_korkie_memmel,
     normal_upper_tail,
     sharpe,
 )
 
 mpmath = pytest.importorskip("mpmath")
+
+#: Pairs of finite daily returns, 3 to 60 days long.
+return_pairs = st.lists(
+    st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=3, max_size=60
+)
+
+_rng = np.random.default_rng(3)
+SEED_3_A = _rng.normal(0.0008, 0.012, size=400)
+SEED_3_B = 0.6 * SEED_3_A + _rng.normal(0.0002, 0.009, size=400)
 
 
 class TestSharpe:
@@ -76,10 +88,12 @@ class TestJobsonKorkieMemmel:
         assert res.p_one_sided == 0.5
         assert res.rho == pytest.approx(1.0, abs=1e-12)
 
-    def test_swap_negates_z_bitwise(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(0.0008, 0.012, size=400)
-        b = 0.6 * a + rng.normal(0.0002, 0.009, size=400)
+    @settings(max_examples=150)
+    @given(pairs=return_pairs)
+    @example(pairs=list(zip(SEED_3_A, SEED_3_B)))
+    def test_swap_negates_z_bitwise(self, pairs):
+        a, b = np.array(pairs).T
+        assume(a.std(ddof=1) > ZERO_SD_TOL and b.std(ddof=1) > ZERO_SD_TOL)
         fwd = jobson_korkie_memmel(a, b)
         rev = jobson_korkie_memmel(b, a)
         assert rev.z == -fwd.z
