@@ -35,23 +35,7 @@ from . import __version__
 from .backtest import BacktestConfig, BacktestReport, rolling_backtest
 from .data import DateRange, load_csv, load_french, read_lines, read_matrix_csv
 from .data import parse_integer, parse_real
-from .errors import (
-    DegenerateExposure,
-    DimensionMismatch,
-    EmptyPanel,
-    EquidriftError,
-    InsufficientHistory,
-    InsufficientObservations,
-    LengthMismatch,
-    MissingData,
-    NonMonotonicDates,
-    NotPositiveDefinite,
-    ParseError,
-    SingularCovariance,
-    SingularMatrix,
-    TooFewObservations,
-    ZeroVariance,
-)
+from .errors import EquidriftError, LengthMismatch, MissingData, ParseError
 from .factorization import (
     CovMatrix,
     TargetMatrix,
@@ -87,35 +71,6 @@ EXIT_CODES = {
     "stats": 7,
 }
 
-#: Exception classes -> EXIT_CODES name, first match wins.
-_ERROR_EXITS = (
-    ((ParseError, OSError), "parse"),
-    ((NonMonotonicDates, EmptyPanel), "panel"),
-    (
-        (
-            NotPositiveDefinite,
-            SingularMatrix,
-            SingularCovariance,
-            DimensionMismatch,
-            DegenerateExposure,
-        ),
-        "matrix",
-    ),
-    (
-        (
-            InsufficientHistory,
-            InsufficientObservations,
-            MissingData,
-            TooFewObservations,
-        ),
-        "data",
-    ),
-    ((ZeroVariance, LengthMismatch), "stats"),
-    ((ValueError,), "usage"),
-    ((EquidriftError,), "internal"),
-)
-
-
 _METHODS = ["cholesky", "sym_sqrt", "sqrt", "rotate"]
 _FORMATS = ["csv", "french"]
 
@@ -141,21 +96,14 @@ def _flag(convert):
     return flag_value
 
 
-def _above(bound, convert, rule: str):
-    """``convert`` as an argparse type that also rejects values not above
-    ``bound``."""
+def _checked(convert, ok, rule: str):
+    """``convert`` as an argparse type that also rejects values for which
+    ``ok`` is false; the message states ``rule``."""
     def value(text: str):
-        if not (x := convert(text)) > bound:
+        if not ok(x := convert(text)):
             raise ValueError(f"must be {rule}, got {text!r}")
         return x
     return _flag(value)
-
-
-def _require_finite(values: dict[str, float]) -> None:
-    """ValueError naming the first flag in ``values`` whose value is not finite."""
-    for flag, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value!r}")
 
 
 def _outdir(args) -> Path:
@@ -170,7 +118,6 @@ def _load_vol(path, method: str, target_path, is_vol: bool, shrinkage):
     if is_vol:
         return VolMatrix(entries)
     cov = CovMatrix(entries, shrinkage=shrinkage)
-    method = _normalize_method(method)
     target = None
     if method == "rotate":
         if target_path is None:
@@ -223,7 +170,7 @@ def _cmd_factor(args) -> int:
             "row_sums.csv": _csv("asset,row_sum", range(1, vol.dim + 1), row_sums[:, None]),
         },
     )
-    print(f"method={_normalize_method(args.method)} dim={vol.dim}")
+    print(f"method={args.method} dim={vol.dim}")
     for i, s in enumerate(row_sums):
         print(f"row_sum[{i + 1}] = {s:.6f}")
     print(f"wrote {outdir / 'volatility.csv'} and {outdir / 'row_sums.csv'}")
@@ -264,16 +211,6 @@ def _require_rates(args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    _require_finite({"--sigma-scale": args.sigma_scale, "--lambda": args.lam, "--mu": args.mu,
-                     "--r": args.r, "--w0": args.w0, "--horizon": args.horizon})
-    if args.paths < 2:
-        raise ValueError("--paths must be at least 2: the sample variance needs two paths")
-    if args.steps < 1:
-        raise ValueError("--steps must be at least 1")
-    if not args.horizon > 0.0:
-        raise ValueError("--horizon must be positive")
-    if not args.w0 > 0.0:
-        raise ValueError("--w0 must be positive")
     _require_rates(args)
     if args.vol is not None:
         sigma = VolMatrix(read_matrix_csv(args.vol))
@@ -282,8 +219,6 @@ def _cmd_simulate(args) -> int:
         n = args.n
         if n is None:
             raise ValueError("provide --n or --vol")
-        if args.sigma_scale == 0.0:
-            raise ValueError("--sigma-scale must be nonzero")
         sigma = VolMatrix(args.sigma_scale * np.eye(n))
     params = ModelParams(sigma=sigma, mu=args.mu, r=args.r)
     kappa = (args.lam - args.r) / (args.mu - args.r)
@@ -313,18 +248,6 @@ def _cmd_simulate(args) -> int:
 # -- figure1 --------------------------------------------------------------------
 
 def _cmd_figure1(args) -> int:
-    _require_finite({"--lambda": args.lam, "--mu": args.mu, "--r": args.r, "--w": args.w,
-                     "--t": args.t, "--grid-min": args.grid_min, "--grid-max": args.grid_max})
-    if not args.n_list or any(n < 1 for n in args.n_list):
-        raise ValueError("--n-list must be positive integers")
-    if len(set(args.n_list)) < len(args.n_list):
-        raise ValueError("--n-list must not repeat a count")
-    if not args.w > 0.0:
-        raise ValueError("--w must be positive")
-    if not args.t > 0.0:
-        raise ValueError("--t must be positive")
-    if args.grid_points < 1:
-        raise ValueError("--grid-points must be at least 1")
     _require_rates(args)
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
 
@@ -545,26 +468,31 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $EQUIDRIFT_OUTPUT_DIR or '.')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    real, integer, date_range = map(_flag, (parse_real, parse_integer, DateRange.parse))
-    positive_real = _above(0.0, parse_real, "positive")
-    positive = _above(0, parse_integer, "positive")
-    natural = _above(-1, parse_integer, "non-negative")
+    # any_real serves --shrinkage, whose range is _check_shrinkage's
+    any_real, method, date_range = map(_flag, (parse_real, _normalize_method, DateRange.parse))
+    real = _checked(parse_real, math.isfinite, "finite")
+    positive_real = _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive")
+    nonzero_real = _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero")
+    positive = _checked(parse_integer, lambda n: n > 0, "positive")
+    natural = _checked(parse_integer, lambda n: n >= 0, "non-negative")
 
     p = sub.add_parser("factor", help="factor a covariance CSV into a volatility matrix")
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
-    p.add_argument("--method", choices=_METHODS, default="sym_sqrt")
+    p.add_argument("--method", type=method, choices=_METHODS, default="sym_sqrt")
     p.add_argument("--target", default=None, help="target matrix CSV for --method rotate")
-    p.add_argument("--shrinkage", type=real, default=None, help="diagonal repair delta")
+    p.add_argument("--shrinkage", type=any_real, default=None, help="diagonal repair delta")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("weights", help="optimal weights from a covariance or volatility CSV")
     p.add_argument("matrix", help="matrix CSV (covariance unless --vol)")
     p.add_argument("--vol", action="store_true", help="input is already a volatility matrix")
-    p.add_argument("--method", choices=_METHODS, default="sym_sqrt")
+    p.add_argument("--method", type=method, choices=_METHODS, default="sym_sqrt")
     p.add_argument("--target", default=None)
-    p.add_argument("--shrinkage", type=real, default=None)
-    p.add_argument("--exposure", type=real, default=1.0, help="weight sum (default 1)")
-    p.add_argument("--kappa", type=real, default=None, help="explicit ratio; overrides --exposure")
+    p.add_argument("--shrinkage", type=any_real, default=None)
+    p.add_argument("--exposure", type=nonzero_real, default=1.0, help="weight sum (default 1)")
+    p.add_argument(
+        "--kappa", type=positive_real, default=None, help="explicit ratio; overrides --exposure"
+    )
     p.set_defaults(func=_cmd_weights)
 
     p = sub.add_parser("simulate", help="Monte Carlo check of the optimal wealth law")
@@ -572,14 +500,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n", type=positive, default=None, help="asset count (with scaled-identity vol)"
     )
     p.add_argument("--vol", default=None, help="volatility matrix CSV (overrides --n)")
-    p.add_argument("--sigma-scale", type=real, default=0.2, help="identity vol scale")
+    p.add_argument("--sigma-scale", type=nonzero_real, default=0.2, help="identity vol scale")
     p.add_argument("--lambda", dest="lam", type=real, required=True, help="required rate")
     p.add_argument("--mu", type=real, required=True)
-    p.add_argument("--r", type=real, required=True)
-    p.add_argument("--w0", type=real, default=1.0)
-    p.add_argument("--horizon", type=real, default=1.0)
-    p.add_argument("--steps", type=integer, default=252)
-    p.add_argument("--paths", type=integer, default=10000)
+    p.add_argument("--r", type=positive_real, required=True)
+    p.add_argument("--w0", type=positive_real, default=1.0)
+    p.add_argument("--horizon", type=positive_real, default=1.0)
+    p.add_argument("--steps", type=positive, default=252)
+    # the sample variance needs two paths
+    p.add_argument("--paths", type=_checked(parse_integer, lambda n: n > 1, "at least 2"),
+                   default=10000)
     p.add_argument("--seed", type=natural, default=0)
     p.add_argument("--save", action="store_true", help="write terminal_wealth.csv")
     p.set_defaults(func=_cmd_simulate)
@@ -588,13 +518,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=real, default=0.1)
     p.add_argument("--mu", type=real, default=0.2)
     p.add_argument("--r", type=real, default=0.03)
-    p.add_argument("--w", type=real, default=1.0)
-    p.add_argument("--t", type=real, default=1.0)
-    integers = _flag(lambda text: [parse_integer(tok) for tok in _split_list(text)])
-    p.add_argument("--n-list", type=integers, default="1,5,25", help="comma-separated asset counts")
+    p.add_argument("--w", type=positive_real, default=1.0)
+    p.add_argument("--t", type=positive_real, default=1.0)
+    counts = _checked(
+        lambda text: [parse_integer(tok) for tok in _split_list(text)],
+        lambda ns: 0 < len(ns) == len(set(ns)) and min(ns) > 0,
+        "positive integers without repeats",
+    )
+    p.add_argument("--n-list", type=counts, default="1,5,25", help="comma-separated asset counts")
     p.add_argument("--grid-min", type=positive_real, default=0.01)
     p.add_argument("--grid-max", type=positive_real, default=3.0)
-    p.add_argument("--grid-points", type=integer, default=600)
+    p.add_argument("--grid-points", type=positive, default=600)
     p.set_defaults(func=_cmd_figure1)
 
     p = sub.add_parser("backtest", help="rolling out-of-sample backtest on a return panel")
@@ -640,14 +574,18 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
+    except EquidriftError as exc:
+        error, kind = exc, exc.EXIT_KIND
+    except OSError as exc:
+        error, kind = exc, "parse"
+    except ValueError as exc:
+        error, kind = exc, "usage"
     except Exception as exc:
-        for classes, name in _ERROR_EXITS:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_CODES[name]
         log.exception("unexpected failure")
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CODES["internal"]
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

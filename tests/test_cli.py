@@ -20,9 +20,11 @@ from equidrift import (
     write_csv,
     write_matrix_csv,
 )
-from equidrift import cli, simulate
+from equidrift import cli, errors, simulate
 from equidrift.cli import main
 
+SIMULATE = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
+            "--paths", "200", "--steps", "8", "--seed", "1"]
 EXAMPLE_COV = np.array([[4.0, 2.0], [2.0, 5.0]])
 EXAMPLE_SQRT = (EXAMPLE_COV + 4.0 * np.eye(2)) / math.sqrt(17.0)
 
@@ -75,11 +77,46 @@ def test_one_grammar_and_one_declaration_per_setting():
         assert subparsers.choices["backtest"]._option_string_actions[flag].dest == key
 
 
+@pytest.mark.parametrize("command", ["simulate", "figure1", "weights", "compare"])
+def test_every_real_flag_rejects_inf_and_nan(command):
+    # --shrinkage's range is checked where backtest and the config file check it
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    real_flags = []
+    for action in subparsers.choices[command]._actions:
+        try:
+            if not isinstance(action.type("1.5"), float):
+                continue
+        except (TypeError, argparse.ArgumentTypeError):  # no type, or not a real
+            continue
+        real_flags.append(action.dest)
+        for value in ("inf", "-inf", "nan"):
+            if "--shrinkage" in action.option_strings:
+                assert not math.isfinite(action.type(value))
+            else:
+                with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+                    action.type(value)
+    assert real_flags
+
+
+def test_every_error_names_an_exit_kind():
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.EquidriftError)
+    ]
+    assert len(classes) > 1
+    for cls in classes:
+        assert "EXIT_KIND" in vars(cls), cls
+        assert cls.EXIT_KIND in cli.EXIT_CODES, cls
+        assert (cls.EXIT_KIND == "internal") == (cls is errors.EquidriftError), cls
+
+
 class TestFactorCommand:
     def test_symmetric_root_and_row_sums(self, cov_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code, stdout, _ = run(capsys, ["--out", str(out), "factor", cov_csv, "--method", "sqrt"])
         assert code == 0
+        assert stdout.startswith("method=sym_sqrt dim=2\n")
         assert "row_sum[1] = 2.425356" in stdout
         assert "row_sum[2] = 2.667892" in stdout
         vol = read_matrix_csv(out / "volatility.csv")
@@ -327,27 +364,48 @@ class TestExitCodes:
             (["backtest", "p.csv", "--window", "３０"], "--window"),
             (["backtest", "p.csv", "--exclude", "2000_0103-20000104"], "--exclude"),
             (["backtest", "p.csv", "--date-range", "+20000103"], "--date-range"),
-            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--paths", "1_000"],
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03", "--paths", "1_000"],
              "--paths"),
-            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--seed", "７"], "--seed"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03", "--seed", "７"],
+             "--seed"),
             (["figure1", "--n-list", "1,٥"], "--n-list"),
             (["compare", "a.csv", "b.csv", "--rf-daily", "0_1"], "--rf-daily"),
             # inside the grammar, outside the flag's range
-            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--n", "0"], "--n"),
-            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--n", "-1"], "--n"),
-            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0", "--seed", "-1"], "--seed"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03", "--n", "0"], "--n"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03", "--n", "-1"], "--n"),
+            (["simulate", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03", "--seed", "-1"],
+             "--seed"),
             (["figure1", "--grid-min", "0"], "--grid-min"),
             (["figure1", "--grid-max", "-1"], "--grid-max"),
+            *((SIMULATE + [flag, value], flag) for flag, value in [
+                ("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan"),
+                ("--horizon", "inf"), ("--w0", "inf"), ("--lambda", "inf"),
+                ("--sigma-scale", "inf"), ("--sigma-scale", "0"), ("--paths", "1"),
+                ("--r", "0"), ("--r", "-0.01"),
+            ]),
+            *((["figure1", flag, value], flag) for flag, value in [
+                ("--t", "0"), ("--t", "-1"), ("--w", "0"), ("--w", "-1"), ("--n-list", "1,1"),
+                ("--grid-points", "0"), ("--grid-points", "-3"), ("--grid-max", "inf"),
+            ]),
+            (["weights", "m.csv", "--kappa", "0"], "--kappa"),
+            (["weights", "m.csv", "--kappa", "inf"], "--kappa"),
+            (["weights", "m.csv", "--exposure", "0"], "--exposure"),
+            (["weights", "m.csv", "--exposure", "nan"], "--exposure"),
+            (["weights", "m.csv", "--exposure", "inf"], "--exposure"),
+            (["compare", "a.csv", "b.csv", "--rf-daily", "inf"], "--rf-daily"),
         ],
     )
-    def test_flag_outside_the_grammar_is_usage_error(self, capsys, argv, flag):
-        # int() and float() read the values outside the grammar
+    def test_flag_outside_the_grammar_is_usage_error(self, capsys, tmp_path, argv, flag):
+        # int() and float() read the values outside the grammar; the parser
+        # rejects both kinds before any file is read or written
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc_info:
-            main(argv)
+            main(["--out", str(out)] + argv)
         assert exc_info.value.code == 2
         captured = capsys.readouterr()
         assert f"error: argument {flag}: " in captured.err
         assert captured.out == ""
+        assert not out.exists()
 
 
 class TestBacktestCommand:
@@ -537,33 +595,6 @@ class TestFigure1Command:
         assert (out / "density_n2.csv").is_file()
         assert (out / "density_n7.csv").is_file()
 
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_rejects_fewer_than_one_grid_point(self, tmp_path, capsys, points):
-        out = tmp_path / "fig"
-        code, _, err = run(capsys, ["--out", str(out), "figure1", "--grid-points", points])
-        assert code == 2
-        assert "--grid-points" in err
-        assert not out.exists()
-
-    def test_rejects_infinite_grid_end(self, tmp_path, capsys):
-        out = tmp_path / "fig"
-        code, _, err = run(capsys, ["--out", str(out), "figure1", "--grid-max", "inf"])
-        assert code == 2
-        assert err.startswith("error: --grid-max ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--t", "0"), ("--t", "-1"), ("--w", "0"), ("--w", "-1"), ("--n-list", "1,1")],
-    )
-    def test_errors_name_the_flag(self, tmp_path, capsys, flag, value):
-        out = tmp_path / "fig"
-        code, stdout, err = run(capsys, ["--out", str(out), "figure1", flag, value])
-        assert code == 2
-        assert err.startswith(f"error: {flag} ")
-        assert stdout == ""
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "rates, flag",
         [
@@ -582,8 +613,7 @@ class TestFigure1Command:
 
 
 class TestSimulateCommand:
-    ARGS = ["simulate", "--n", "2", "--lambda", "0.1", "--mu", "0.2", "--r", "0.03",
-            "--paths", "200", "--steps", "8", "--seed", "1"]
+    ARGS = SIMULATE
 
     def test_prints_moment_comparison(self, capsys):
         code, stdout, _ = run(capsys, self.ARGS)
@@ -614,30 +644,27 @@ class TestSimulateCommand:
         assert outputs[1] == outputs[0]
         assert len(outputs[0][1].splitlines()) == paths + 1
 
-    def test_rejects_fewer_than_two_paths(self, capsys):
-        args = [a if a != "200" else "1" for a in self.ARGS]
-        code, stdout, err = run(capsys, args)
-        assert code == 2
-        assert "--paths" in err
-        assert "nan" not in stdout
+    def test_rejects_nonpositive_initial_wealth(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        for w0 in ("0", "-0.5"):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["--out", str(out)] + self.ARGS + ["--w0", w0, "--save"])
+            assert exc_info.value.code == 2
+            assert capsys.readouterr().out == ""
+            assert not out.exists()
 
-    def test_rejects_nonpositive_initial_wealth(self, capsys):
-        code, _, _ = run(capsys, self.ARGS + ["--w0", "0"])
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--steps", "0"), ("--w0", "0"), ("--horizon", "0"), ("--horizon", "nan"),
-            ("--horizon", "inf"), ("--w0", "inf"), ("--lambda", "inf"), ("--sigma-scale", "inf"),
-            ("--sigma-scale", "0"),
-        ],
-    )
+    @pytest.mark.parametrize("flag, value", [("--w0", "0"), ("--horizon", "-1")])
     def test_errors_name_the_flag(self, capsys, flag, value):
-        code, stdout, err = run(capsys, self.ARGS + [flag, value])
-        assert code == 2
-        assert err.startswith(f"error: {flag} ")
-        assert stdout == ""
+        # the whole line: the subcommand, the flag and the rule its type declares
+        with pytest.raises(SystemExit) as exc_info:
+            main(self.ARGS + [flag, value])
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"equidrift simulate: error: argument {flag}: "
+            f"must be finite and positive, got '{value}'"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "rates, flag",
