@@ -5,7 +5,7 @@ matrix from the trailing ``window_days`` rows (minus any exclusion windows,
 which apply to estimation only), factors it, and computes the optimal and
 equal-weight target vectors. Weights are re-fixed to the target every day;
 day-t returns use only data through day t-1. Accounting always runs on the
-full return series, including excluded dates.
+full return series, including excluded dates, as one batched product.
 
 Rebalance weights come in two passes over a block of windows. The first
 fills a stack of n x n covariances, one window at a time, with the kernel
@@ -78,10 +78,10 @@ __all__ = [
 
 #: Fewest rebalances worth a worker process of their own. On a 2-CPU Linux
 #: host with one BLAS thread, forking a worker, returning its weights and
-#: joining it cost 7-12 ms, and a stacked rebalance took 0.09-0.1 ms at 10
-#: assets and 0.9 ms at 47. At 10 assets two lanes broke even near 80
-#: rebalances each (160 took 16.8 ms serially and 15.8 ms on 2 lanes) and
-#: gained 17% at 128; at 47 assets, 160 rebalances took 86 ms, not 141 ms.
+#: joining it cost 7-12 ms, and a stacked rebalance took 0.13-0.15 ms at 10
+#: assets (daily rotate) and 1 ms at 47. At 10 assets two lanes broke even
+#: near 80 rebalances each (160 took 23.6 ms serially and 23.0 ms on 2 lanes)
+#: and gained 20% at 160 each; at 47 assets, 160 took 105 ms, not 168 ms.
 _MIN_CHUNK = 80
 
 #: Bytes of one n x n stack in a block of stacked rebalances: 1,638 windows at
@@ -205,17 +205,24 @@ def estimate_covariance(window: ReturnPanel, shrinkage: float | None = None) -> 
         raise InsufficientObservations(
             f"need at least {n + 1} observations for {n} assets, got {m}"
         )
-    return CovMatrix(_covariance(window.returns.T), shrinkage=shrinkage)
+    return CovMatrix(_covariance(window.returns.T, [0], [m])[0], shrinkage=shrinkage)
 
 
-def _covariance(x: np.ndarray) -> np.ndarray:
-    """Sample covariance (divisor m - 1) of the n series in the rows of ``x``
-    (n, m), symmetrized. Each row must be contiguous; the row stride may be
-    anything, so a column slice of the asset-major panel gives the same bits
-    as its copy."""
-    xc = x - x.mean(axis=1)[:, None]
-    c = (xc @ xc.T) / (x.shape[1] - 1)
-    return 0.5 * (c + c.T)
+def _covariance(x: np.ndarray, lo, hi) -> np.ndarray:
+    """Sample covariances (divisor m - 1) of the windows ``x[:, lo[k]:hi[k]]``,
+    centred in one reused buffer. Each row of ``x`` must be contiguous; the row
+    stride may be anything, so a column slice of the asset-major panel gives the
+    same bits as its copy. numpy runs ``xc @ xc.T`` as ``syrk`` and mirrors the
+    triangle, so each slice is exactly symmetric."""
+    n, m = x.shape[0], np.subtract(hi, lo)
+    c, means, work = np.empty((m.size, n, n)), np.empty(n), np.empty((n, m.max(initial=0)))
+    for k, (a, b) in enumerate(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())):
+        np.add.reduce(x[:, a:b], axis=1, out=means)
+        means /= b - a
+        xc = np.subtract(x[:, a:b], means[:, None], out=work[:, : b - a])
+        np.matmul(xc, xc.T, out=c[k])
+    c /= (m - 1)[:, None, None]
+    return c
 
 
 def estimation_window(panel: ReturnPanel, end_row: int, config: BacktestConfig) -> ReturnPanel:
@@ -283,10 +290,8 @@ def _stacked_weights(
     the public chain would raise or warn of anything but a negative kappa, and
     whether each kappa is negative; none if a LAPACK call fails on the block."""
     n = kept.shape[0]
-    c = np.empty((len(lo), n, n))
     with np.errstate(all="ignore"):  # a failing window warns on the public path
-        for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
-            c[k] = _covariance(kept[:, a:b])
+        c = _covariance(kept, lo, hi)
         c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)))]  # symmetric by construction
         try:
             c, w, v = _positive_eig(c, config.shrinkage)
@@ -388,10 +393,11 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
 
     rf_daily = config.rf_daily
     held = panel.returns[start:]
-    strat = np.empty(held.shape[0])
-    for weights, t0 in zip(weight_history, range(0, held.shape[0], every)):
-        cash = 1.0 - float(weights.sum())
-        strat[t0 : t0 + every] = held[t0 : t0 + every] @ weights + cash * rf_daily
+    k = held.shape[0] // every  # full blocks; each view slice strides as held[t0 : t0 + every]
+    cash = (1.0 - weight_history.sum(axis=1)) * rf_daily
+    full = np.matmul(held[: k * every].reshape(k, every, -1), weight_history[:k, :, None])
+    tail = held[k * every :] @ weight_history[-1] + cash[-1]  # empty unless the last block is short
+    strat = np.concatenate(((full[..., 0] + cash[:k, None]).ravel(), tail))
     bench = one_over_n(panel.n_assets, exposure=config.exposure).weights
     bench_series = held @ bench + (1.0 - float(bench.sum())) * rf_daily
     dates = panel.dates[start:]

@@ -97,13 +97,13 @@ def _flag(convert):
 
 
 def _checked(convert, ok, rule: str):
-    """``convert`` as an argparse type that also rejects values for which
-    ``ok`` is false; the message states ``rule``."""
+    """``convert``, also rejecting values for which ``ok`` is false; the
+    message states ``rule``."""
     def value(text: str):
         if not ok(x := convert(text)):
             raise ValueError(f"must be {rule}, got {text!r}")
         return x
-    return _flag(value)
+    return value
 
 
 def _outdir(args) -> Path:
@@ -273,16 +273,19 @@ def _cmd_figure1(args) -> int:
 
 # -- backtest -------------------------------------------------------------------
 
+_finite = _checked(parse_real, math.isfinite, "finite")
+_positive = _checked(parse_integer, lambda n: n > 0, "positive")
+
 #: Each backtest setting, declared once: BacktestConfig field (also its
 #: config-file key) -> its backtest flag, the converter that reads both the
 #: flag and the file value, and the flag's other argparse options. Flags
 #: override the file, which overrides the dataclass's own defaults.
 _SETTINGS = {
-    "window_days": ("--window", parse_integer, {"help": "estimation window days"}),
-    "reestimate_every": ("--every", parse_integer, {"help": "re-estimation cadence days"}),
+    "window_days": ("--window", _positive, {"help": "estimation window days"}),
+    "reestimate_every": ("--every", _positive, {"help": "re-estimation cadence days"}),
     "factorization": ("--method", _normalize_method, {"choices": _METHODS}),
-    "exposure": ("--exposure", parse_real, {}),
-    "rf_annual": ("--rf", parse_real, {"help": "annual risk-free rate"}),
+    "exposure": ("--exposure", _finite, {}),
+    "rf_annual": ("--rf", _finite, {"help": "annual risk-free rate"}),
     "shrinkage": ("--shrinkage", parse_real, {}),
 }
 _CONFIG_KEYS = {*_SETTINGS, "exclude", "drop", "format", "target"}
@@ -470,11 +473,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # any_real serves --shrinkage, whose range is _check_shrinkage's
     any_real, method, date_range = map(_flag, (parse_real, _normalize_method, DateRange.parse))
-    real = _checked(parse_real, math.isfinite, "finite")
-    positive_real = _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive")
-    nonzero_real = _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero")
-    positive = _checked(parse_integer, lambda n: n > 0, "positive")
-    natural = _checked(parse_integer, lambda n: n >= 0, "non-negative")
+    real, positive, formats = map(_flag, (_finite, _positive, partial(_one_of, _FORMATS)))
+    positive_real, nonzero_real, natural, paths = map(_flag, (
+        _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive"),
+        _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero"),
+        _checked(parse_integer, lambda n: n >= 0, "non-negative"),
+        _checked(parse_integer, lambda n: n > 1, "at least 2"),  # a sample variance
+    ))
 
     p = sub.add_parser("factor", help="factor a covariance CSV into a volatility matrix")
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
@@ -507,9 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w0", type=positive_real, default=1.0)
     p.add_argument("--horizon", type=positive_real, default=1.0)
     p.add_argument("--steps", type=positive, default=252)
-    # the sample variance needs two paths
-    p.add_argument("--paths", type=_checked(parse_integer, lambda n: n > 1, "at least 2"),
-                   default=10000)
+    p.add_argument("--paths", type=paths, default=10000)
     p.add_argument("--seed", type=natural, default=0)
     p.add_argument("--save", action="store_true", help="write terminal_wealth.csv")
     p.set_defaults(func=_cmd_simulate)
@@ -520,11 +523,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=real, default=0.03)
     p.add_argument("--w", type=positive_real, default=1.0)
     p.add_argument("--t", type=positive_real, default=1.0)
-    counts = _checked(
+    counts = _flag(_checked(
         lambda text: [parse_integer(tok) for tok in _split_list(text)],
         lambda ns: 0 < len(ns) == len(set(ns)) and min(ns) > 0,
         "positive integers without repeats",
-    )
+    ))
     p.add_argument("--n-list", type=counts, default="1,5,25", help="comma-separated asset counts")
     p.add_argument("--grid-min", type=positive_real, default=0.01)
     p.add_argument("--grid-max", type=positive_real, default=3.0)
@@ -533,7 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backtest", help="rolling out-of-sample backtest on a return panel")
     p.add_argument("returns", help="return panel file")
-    p.add_argument("--format", choices=_FORMATS, default=None)
+    p.add_argument("--format", type=formats, default=None, help="csv (default) or french")
     p.add_argument("--config", default=None, help="key=value config file")
     for key, (flag, convert, options) in _SETTINGS.items():
         p.add_argument(flag, dest=key, type=_flag(convert), default=None, **options)

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import public_chain
 from equidrift import (
@@ -409,6 +411,40 @@ class TestPanelLayout:
         ]
         for name in ("weight_history", "strategy_returns"):
             assert getattr(reports[0], name).tobytes() == getattr(reports[1], name).tobytes()
+
+
+class TestAccounting:
+    """The batched daily accounting against a loop over rebalance blocks."""
+
+    @settings(max_examples=120)
+    @given(
+        n=st.integers(1, 48),
+        every=st.integers(1, 30),
+        blocks=st.integers(1, 6),
+        partial=st.booleans(),
+        layout=st.sampled_from([np.ascontiguousarray, np.asfortranarray]),
+        exposure=st.sampled_from([1.0, 0.7]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batched_product_is_bitwise_the_per_block_loop(
+        self, n, every, blocks, partial, layout, exposure, seed
+    ):
+        assume(every > 1 or not partial)
+        rng = np.random.default_rng(seed)
+        window = max(n + 2, every + 1)
+        days = window + blocks * every + (int(rng.integers(1, every)) if partial else 0)
+        base = gbm_panel(days, seed=seed, n=n)
+        panel = ReturnPanel(base.dates, base.assets, layout(np.array(base.returns)), base.missing_mask)
+        cfg = BacktestConfig(
+            window_days=window, reestimate_every=every, exposure=exposure, exclusion_windows=()
+        )
+        report = rolling_backtest(panel, cfg)
+        held, rf = panel.returns[window:], cfg.rf_daily
+        want = [
+            held[t0 : t0 + every] @ w + (1 - w.sum()) * rf
+            for w, t0 in zip(report.weight_history, range(0, held.shape[0], every))
+        ]
+        assert report.strategy_returns.tobytes() == np.concatenate(want).tobytes()
 
 
 class TestRebalanceWorkCount:

@@ -77,7 +77,7 @@ def test_one_grammar_and_one_declaration_per_setting():
         assert subparsers.choices["backtest"]._option_string_actions[flag].dest == key
 
 
-@pytest.mark.parametrize("command", ["simulate", "figure1", "weights", "compare"])
+@pytest.mark.parametrize("command", ["simulate", "figure1", "weights", "compare", "backtest"])
 def test_every_real_flag_rejects_inf_and_nan(command):
     # --shrinkage's range is checked where backtest and the config file check it
     parser = cli._build_parser()
@@ -406,6 +406,37 @@ class TestExitCodes:
         assert f"error: argument {flag}: " in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flag, key, value, message",
+        [
+            ("--rf", "rf_annual", "inf", "must be finite"),
+            ("--rf", "rf_annual", "nan", "must be finite"),
+            ("--exposure", "exposure", "nan", "must be finite"),
+            ("--exposure", "exposure", "-inf", "must be finite"),
+            ("--window", "window_days", "0", "must be positive"),
+            ("--window", "window_days", "-30", "must be positive"),
+            ("--every", "reestimate_every", "0", "must be positive"),
+            ("--format", "format", "xml", "expected one of csv, french"),
+        ],
+    )
+    def test_backtest_range_errors_name_the_flag_or_the_key_and_line(
+        self, panel_csv, tmp_path, capsys, flag, key, value, message
+    ):
+        path, _ = panel_csv
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--out", str(out), "backtest", path, f"{flag}={value}"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == f"equidrift backtest: error: argument {flag}: {message}, got '{value}'"
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"# engine\n{key}={value}\n")
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", path, "--config", str(cfg)])
+        assert code == 3
+        assert err == f"error: line 2: {key}: {message}, got '{value}'\n"
+        assert stdout == "" and not out.exists()
 
 
 class TestBacktestCommand:

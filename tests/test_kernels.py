@@ -62,7 +62,8 @@ class Windows:
         self.target = rng.standard_normal((n, n))
 
     def covariances(self) -> np.ndarray:
-        return np.stack([_covariance(self.kept[:, a:b]) for a, b in self.spans])
+        lo, hi = np.array(self.spans).T
+        return _covariance(self.kept, lo, hi)
 
 
 def windows(max_n: int = 48):
@@ -86,9 +87,9 @@ class TestCovarianceKernel:
     @given(w=windows())
     def test_strided_slice_reads_as_contiguous_copy(self, w):
         for (a, b), t in zip(w.spans, w.rows):
-            view = w.kept[:, a:b]
-            got = _covariance(view)
-            assert got.tobytes() == _covariance(np.ascontiguousarray(view)).tobytes()
+            got = _covariance(w.kept, [a], [b])[0]
+            copy = np.ascontiguousarray(w.kept[:, a:b])
+            assert got.tobytes() == _covariance(copy, [0], [b - a])[0].tobytes()
             public = estimate_covariance(estimation_window(w.panel, t, w.config))
             assert got.tobytes() == public.entries.tobytes()
 
@@ -98,6 +99,46 @@ class TestCovarianceKernel:
         # so the engine skips the symmetry check CovMatrix makes on outside input
         c = w.covariances()
         assert c.tobytes() == np.ascontiguousarray(c.transpose(0, 2, 1)).tobytes()
+
+
+class TestCovarianceStack:
+    @settings(max_examples=40)
+    @given(
+        n=st.integers(1, 12),
+        extra=st.integers(0, 40),
+        enter=st.integers(0, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_of_mixed_window_lengths_matches_estimate_covariance(
+        self, n, extra, enter, seed
+    ):
+        # 37 daily windows in blocks of 16; the exclusion week enters them at
+        # window enter + 1, inside the first block, so that block holds windows
+        # with none, part or all of the week removed: of different lengths
+        w = Windows(n, batch=37, extra=extra, excluded=False, seed=seed)
+        e = w.window + enter
+        cfg = BacktestConfig(
+            window_days=w.window,
+            reestimate_every=1,
+            exclusion_windows=(DateRange(int(w.panel.dates[e]), int(w.panel.dates[e + 4])),),
+        )
+        stacks = []
+
+        def recorded(x, lo, hi):
+            c = _covariance(x, lo, hi)
+            stacks.append((np.subtract(hi, lo), c))
+            return c
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backtest, "_covariance", recorded)
+            mp.setattr(backtest, "_STACK_BYTES", 16 * 8 * n * n)
+            list(backtest._stacked_parts(w.panel, w.rows, cfg))
+        assert [len(lengths) for lengths, _ in stacks] == [16, 16, 5]
+        assert len(set(stacks[0][0].tolist())) > 1
+        c = np.concatenate([c for _, c in stacks])
+        for k, t in enumerate(w.rows):
+            public = estimate_covariance(estimation_window(w.panel, t, cfg))
+            assert c[k].tobytes() == public.entries.tobytes()
 
 
 def mixed_slice(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
