@@ -72,6 +72,7 @@ EXIT_CODES = {
 }
 
 _METHODS = ["cholesky", "sym_sqrt", "sqrt", "rotate"]
+_METHOD_HELP = "cholesky, sym_sqrt (default; alias sqrt) or rotate"
 _FORMATS = ["csv", "french"]
 
 
@@ -283,7 +284,7 @@ _positive = _checked(parse_integer, lambda n: n > 0, "positive")
 _SETTINGS = {
     "window_days": ("--window", _positive, {"help": "estimation window days"}),
     "reestimate_every": ("--every", _positive, {"help": "re-estimation cadence days"}),
-    "factorization": ("--method", _normalize_method, {"choices": _METHODS}),
+    "factorization": ("--method", _normalize_method, {"help": _METHOD_HELP}),
     "exposure": ("--exposure", _finite, {}),
     "rf_annual": ("--rf", _finite, {"help": "annual risk-free rate"}),
     "shrinkage": ("--shrinkage", parse_real, {}),
@@ -483,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor a covariance CSV into a volatility matrix")
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
-    p.add_argument("--method", type=method, choices=_METHODS, default="sym_sqrt")
+    p.add_argument("--method", type=method, default="sym_sqrt", help=_METHOD_HELP)
     p.add_argument("--target", default=None, help="target matrix CSV for --method rotate")
     p.add_argument("--shrinkage", type=any_real, default=None, help="diagonal repair delta")
     p.set_defaults(func=_cmd_factor)
@@ -491,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="optimal weights from a covariance or volatility CSV")
     p.add_argument("matrix", help="matrix CSV (covariance unless --vol)")
     p.add_argument("--vol", action="store_true", help="input is already a volatility matrix")
-    p.add_argument("--method", type=method, choices=_METHODS, default="sym_sqrt")
+    p.add_argument("--method", type=method, default="sym_sqrt", help=_METHOD_HELP)
     p.add_argument("--target", default=None)
     p.add_argument("--shrinkage", type=any_real, default=None)
     p.add_argument("--exposure", type=nonzero_real, default=1.0, help="weight sum (default 1)")

@@ -457,18 +457,11 @@ def synthetic_panel(params: ModelParams, days: int, seed: int) -> ReturnPanel:
     Deterministic per seed. Dates are consecutive weekdays from 2000-01-03
     so the panel is a drop-in for file-loaded ones; no cell is missing.
     """
-    from .simulate import simulate_paths
+    from .simulate import _one_path_prices
 
     if days < 2:
         raise ValueError("need at least 2 days")
-    paths = simulate_paths(
-        params,
-        horizon=days / TRADING_DAYS_PER_YEAR,
-        steps=days,
-        n_paths=1,
-        seed=seed,
-    )
-    prices = paths.prices[0]
+    prices = _one_path_prices(params, days / TRADING_DAYS_PER_YEAR, days, seed)
     returns = prices[1:] / prices[:-1] - 1.0
     width = max(2, len(str(params.n)))
     assets = tuple(f"A{i + 1:0{width}d}" for i in range(params.n))

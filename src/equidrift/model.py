@@ -12,6 +12,7 @@ convention throughout the toolkit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +38,10 @@ class ModelParams:
     s0: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.r <= 0.0:
-            raise ValueError("risk-free rate r must be positive")
-        if self.mu <= self.r:
-            raise ValueError("drift parameter mu must exceed r")
+        if not 0.0 < self.r < math.inf:
+            raise ValueError("risk-free rate r must be finite and positive")
+        if not self.r < self.mu < math.inf:
+            raise ValueError("drift parameter mu must be finite and exceed r")
         s0 = self.s0
         if s0 is None:
             s0 = np.ones(self.sigma.dim)
@@ -49,8 +50,8 @@ class ModelParams:
             raise ValueError(
                 f"s0 must be a vector of length {self.sigma.dim}, got shape {s0.shape}"
             )
-        if not np.all(s0 > 0.0):
-            raise ValueError("initial prices must all be positive")
+        if not np.all((s0 > 0.0) & (s0 < np.inf)):
+            raise ValueError("initial prices s0 must all be finite and positive")
         s0.setflags(write=False)
         object.__setattr__(self, "s0", s0)
 

@@ -4,20 +4,20 @@ Stock paths are sampled from the exact lognormal transition of the model
 (no Euler bias), and wealth follows the exact exponential wealth equation
 with piecewise-constant driver exposures. Path i's Brownian increments depend
 only on (seed, i), so a set of paths is fully described by its seed, its
-grid and the model: ``simulate_paths`` validates a run and returns that
-recipe as a ``PathSet``, which draws its increments and builds its prices
-only when they are read.
+grid and the model. ``synthetic_panel``'s one path is the only price path
+the package builds.
 
 There is one wealth engine. ``simulate_terminal_wealth`` streams the paths in
 blocks, drawing each block's noise into one reused buffer and folding it
 straight into log-wealth, so memory is O(block) plus the wealth vector.
-``replay_wealth`` runs the same engine on a ``PathSet``'s recipe, so
-policies replayed on one path set, or run at the same seed, see common noise;
-each replay redraws it. The fold's per-path result does not depend on the
-block size or on where a chunk starts, so a large run splits into contiguous
-chunks of paths, one per CPU, that the package's one fork helper maps over;
-forked workers return only their chunk's log-wealth, which is joined in
-order, with the same bits at any lane count.
+Policies run at the same seed see common noise; each run redraws it. The
+fold's per-path result does not depend on the block size or on where a chunk
+starts, so a large run splits into contiguous chunks of paths, one per CPU,
+that the package's one fork helper maps over; forked workers return only
+their chunk's log-wealth, which is joined in order, with the same bits at any
+lane count. ``simulate_paths`` and ``replay_wealth`` remain for the
+benchmark's imports: the first validates a run and returns its recipe as a
+``PathSet``, and the second runs the engine on that recipe.
 
 The closed-form law of the optimal wealth is lognormal:
 ``log W(t) ~ Normal(log w + (lambda - kappa^2 / (2n)) t, kappa^2 t / n)``.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -49,62 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathSet:
-    """``n_paths`` stock paths on the grid ``times``, drawn from ``seed``.
-
-    ``driver_increments`` (paths, steps, drivers) are drawn on first read,
-    and ``prices`` (paths, steps + 1, assets) are built from them,
-    ``sigma``, the per-step ``drift`` and ``log_s0`` on first read; both are
-    kept. A ``prices`` read raises ``ValueError`` if a price underflows.
-    """
+    """The recipe of ``n_paths`` paths of ``n_assets`` stocks on the grid
+    ``times``, drawn from ``seed``; :func:`replay_wealth` redraws them."""
 
     times: np.ndarray
     n_paths: int
     seed: int
-    sigma: np.ndarray
-    drift: np.ndarray
-    log_s0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "sigma", "drift", "log_s0"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @cached_property
-    def driver_increments(self) -> np.ndarray:
-        increments = np.empty((self.n_paths, self.n_steps, self.n_assets))
-        _per_path_increments(self.seed, 0, increments, self.dt)
-        increments.setflags(write=False)
-        return increments
-
-    @cached_property
-    def prices(self) -> np.ndarray:
-        prices = np.empty((self.n_paths, self.n_steps + 1, self.n_assets))
-        rows = _block_rows(self.n_steps, self.n_assets)
-        for start in range(0, self.n_paths, rows):  # the one temporary is a block
-            log_steps = self.driver_increments[start : start + rows] @ self.sigma.T
-            log_steps += self.drift
-            out = prices[start : start + rows]
-            out[:, 0] = 0.0
-            np.cumsum(log_steps, axis=1, out=out[:, 1:])
-        prices += self.log_s0
-        np.exp(prices, out=prices)
-        if not prices.min() > 0.0:
-            raise ValueError("prices must be strictly positive")
-        prices.setflags(write=False)
-        return prices
+    n_assets: int
 
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    @property
-    def n_assets(self) -> int:
-        return self.sigma.shape[0]
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 #: numpy's ``PCG64.jumped`` step, (phi - 1) * 2**128 rounded up to an odd
@@ -176,21 +130,36 @@ def simulate_paths(
     seed: int,
 ) -> PathSet:
     """Stock paths on a uniform grid over [0, horizon], as the ``PathSet``
-    that draws them; nothing is drawn here.
+    recipe; nothing is drawn here."""
+    _check_run(horizon, steps, n_paths, seed)
+    return PathSet(np.linspace(0.0, horizon, steps + 1), n_paths, seed, params.n)
+
+
+def _one_path_prices(params: ModelParams, horizon: float, steps: int, seed: int) -> np.ndarray:
+    """Prices (steps + 1, assets) of path 0 at ``seed`` on a uniform grid
+    over [0, horizon].
 
     Sampling is exact in distribution: per-step log increments are
     ``(r - 0.5 sum_j sigma_ij^2 + (mu - r) sum_j sigma_ij) dt
     + sum_j sigma_ij dB_j``, so moment tests carry no discretization bias.
-    Deterministic for a fixed seed.
+    Raises ``ValueError`` if a price underflows to 0.
     """
-    _check_run(horizon, steps, n_paths, seed)
     sig = params.sigma.entries
     dt = horizon / steps
+    increments = np.empty((1, steps, params.n))
+    _per_path_increments(seed, 0, increments, dt)
+    log_steps = increments[0] @ sig.T
     row_sq = (sig ** 2).sum(axis=1)
     row_sum = sig.sum(axis=1)
-    drift = (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
-    times = np.linspace(0.0, horizon, steps + 1)
-    return PathSet(times, n_paths, seed, sig, drift, np.log(params.s0))
+    log_steps += (params.r - 0.5 * row_sq + (params.mu - params.r) * row_sum) * dt
+    prices = np.empty((steps + 1, params.n))
+    prices[0] = 0.0
+    np.cumsum(log_steps, axis=0, out=prices[1:])
+    prices += np.log(params.s0)
+    np.exp(prices, out=prices)
+    if not prices.min() > 0.0:
+        raise ValueError("prices must be strictly positive")
+    return prices
 
 
 def _policy_weights(policy: PolicySource, step: int, n: int) -> np.ndarray:
@@ -276,8 +245,7 @@ def replay_wealth(
     Wealth follows the exact exponential wealth equation with the driver
     exposures p = sigma' pi held constant within each step; every terminal
     wealth is therefore strictly positive. The paths' noise is redrawn from
-    their seed by :func:`simulate_terminal_wealth`; the replay neither reads
-    nor keeps the path set's increments or prices.
+    their seed by :func:`simulate_terminal_wealth`.
     """
     if paths.n_assets != params.n:
         raise DimensionMismatch(
@@ -300,10 +268,9 @@ def simulate_terminal_wealth(
 ) -> np.ndarray:
     """Terminal wealth per path, streamed in blocks of paths.
 
-    Equal to ``replay_wealth(simulate_paths(params, horizon, steps, n_paths,
-    seed), policy, params, w0)``. No price path or full increment tensor is
-    kept: each block's noise is drawn into one reused buffer and folded
-    straight into log-wealth, so memory is O(block) plus the wealth vector.
+    No price path or full increment tensor is kept: each block's noise is
+    drawn into one reused buffer and folded straight into log-wealth, so
+    memory is O(block) plus the wealth vector.
     Runs of at least ``2 * _MIN_LANE_WORK`` draws split the paths into
     contiguous chunks, one per CPU, and fold all but the first in forked
     workers, which return only their log-wealth.
@@ -334,14 +301,16 @@ class WealthLaw:
     t: float
 
     def __post_init__(self):
-        if self.w <= 0.0:
-            raise ValueError("initial wealth must be positive")
+        if not 0.0 < self.w < math.inf:
+            raise ValueError("initial wealth w must be finite and positive")
+        if not math.isfinite(self.lam):
+            raise ValueError("lam must be finite")
+        if not 0.0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be finite and nonnegative")
         if self.n < 1:
             raise ValueError("asset count must be >= 1")
-        if self.t < 0.0:
-            raise ValueError("horizon must be nonnegative")
-        if not self.kappa >= 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0.0 <= self.t < math.inf:
+            raise ValueError("horizon t must be finite and nonnegative")
 
     @classmethod
     def from_rates(cls, w: float, lam: float, mu: float, r: float, n: int, t: float) -> "WealthLaw":

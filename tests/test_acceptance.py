@@ -33,9 +33,8 @@ from equidrift import (
     pi_star_fully_invested,
     random_rotation,
     recover_cholesky,
-    replay_wealth,
     rolling_backtest,
-    simulate_paths,
+    simulate_terminal_wealth,
     sym_sqrt,
     synthetic_panel,
 )
@@ -142,8 +141,9 @@ def test_terminal_wealth_moments_match_monte_carlo():
     sigma = sym_sqrt(CovMatrix(random_spd(rng, 5, scale=0.1)))
     params = ModelParams(sigma=sigma, mu=0.2, r=0.03)
 
-    paths = simulate_paths(params, horizon=1.0, steps=16, n_paths=100_000, seed=20090131)
-    wealth = replay_wealth(paths, pi_star(sigma, kappa), params, w0=1.0)
+    wealth = simulate_terminal_wealth(
+        params, pi_star(sigma, kappa), horizon=1.0, steps=16, n_paths=100_000, seed=20090131, w0=1.0
+    )
 
     mean_th = math.exp(0.1)
     var_th = math.exp(0.2) * math.expm1(kappa * kappa / 5.0)

@@ -71,6 +71,11 @@ def test_one_grammar_and_one_declaration_per_setting():
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
             assert action.type not in (int, float), (name, action.option_strings)
+            # a flag's type is its one check, so no flag also lists choices
+            assert action.choices is None, (name, action.option_strings)
+    for name in ("factor", "weights", "backtest"):
+        help_text = subparsers.choices[name].format_help()
+        assert all(method in help_text for method in cli._METHODS), name
     backtest_dests = {a.dest for a in subparsers.choices["backtest"]._actions}
     for key, (flag, _, _) in cli._SETTINGS.items():
         assert key in cli._CONFIG_KEYS and key in backtest_dests
@@ -419,6 +424,12 @@ class TestExitCodes:
             ("--window", "window_days", "-30", "must be positive"),
             ("--every", "reestimate_every", "0", "must be positive"),
             ("--format", "format", "xml", "expected one of csv, french"),
+            (
+                "--method",
+                "factorization",
+                "bogus",
+                "expected one of cholesky, sym_sqrt, sqrt, rotate",
+            ),
         ],
     )
     def test_backtest_range_errors_name_the_flag_or_the_key_and_line(

@@ -1,4 +1,5 @@
 import datetime
+import hashlib
 import math
 import re
 import warnings
@@ -495,7 +496,71 @@ class TestLoaderFuzz:
                 pass
 
 
+def _industry_like_params(seed: int, n: int) -> ModelParams:
+    """The benchmark's synthetic-market model: every row loads on one strong
+    common driver and has an annual volatility between 15% and 35%."""
+    rng = np.random.default_rng([seed, 1])
+    a = rng.standard_normal((n, n))
+    a[:, 0] += 2.0
+    a *= rng.uniform(0.15, 0.35, (n, 1)) / np.linalg.norm(a, axis=1, keepdims=True)
+    return ModelParams(sigma=VolMatrix(a), mu=0.08, r=0.03)
+
+
 class TestSyntheticPanel:
+    #: (model, days, seed) -> SHA-256 of the returns' bytes, recorded with
+    #: the price build of the path-retaining simulator (numpy 2.4, x86-64).
+    #: The first is the benchmark's 47-asset backtest input.
+    DIGESTS = {
+        "benchmark-47": (
+            _industry_like_params(1, 47),
+            11_465,
+            1,
+            "8e6cd76e08c352253a9db0e22d7146da9cc62bc5665bf65453a86dfe3e5fa7ec",
+        ),
+        "initial-prices": (
+            ModelParams(
+                sigma=VolMatrix([[0.2, 0.05, 0.0], [0.1, 0.25, 0.02], [0.0, 0.03, 0.3]]),
+                mu=0.15,
+                r=0.02,
+                s0=[50.0, 0.5, 1234.5],
+            ),
+            600,
+            5,
+            "d551a66b12b51c928fa32362bb35ed0c44f359310c892186a2ee5bb62f789913",
+        ),
+        "one-asset": (
+            ModelParams(sigma=VolMatrix([[0.25]]), mu=0.12, r=0.04),
+            1000,
+            9,
+            "2531670ae580e9f33e2f9f0d2953f6f32d9d21bbabca417c3a14db1061da2f87",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", DIGESTS)
+    def test_keeps_its_bits(self, case):
+        params, days, seed, digest = self.DIGESTS[case]
+        returns = synthetic_panel(params, days, seed).returns
+        assert hashlib.sha256(returns.tobytes()).hexdigest() == digest
+
+    def test_log_increment_variance_matches_grid(self):
+        # log(1 + r_i) = drift_i + sum_j sigma_ij dB_j, var(dB_j) = dt = 1/252
+        params = ModelParams(sigma=VolMatrix([[0.3, 0.4], [0.0, 0.5]]), mu=0.2, r=0.03)
+        log_steps = np.log1p(synthetic_panel(params, days=32_000, seed=3).returns)
+        want = 0.25 / 252
+        assert np.all(np.abs(log_steps.var(axis=0, ddof=1) - want) <= 0.05 * want)
+
+    def test_prices_strictly_positive(self):
+        params = ModelParams(sigma=VolMatrix(2.0 * np.eye(2)), mu=0.2, r=0.03)
+        panel = synthetic_panel(params, days=1260, seed=8)
+        assert np.all(panel.returns > -1.0)
+
+    def test_underflow_raises(self):
+        # at 500% volatility the log price falls by 11.6 a year, past exp's
+        # underflow point near -745 after about 64 years; 25,000 days are 99
+        params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03)
+        with pytest.raises(ValueError, match="prices must be strictly positive"):
+            synthetic_panel(params, days=25_000, seed=0)
+
     def test_vanishing_volatility_pins_returns_to_rate(self):
         params = ModelParams(sigma=VolMatrix(1e-12 * np.eye(2)), mu=0.2, r=0.03)
         panel = synthetic_panel(params, days=10, seed=0)

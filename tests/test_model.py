@@ -12,6 +12,7 @@ from equidrift import (
     expected_returns,
     random_rotation,
     sym_sqrt,
+    synthetic_panel,
 )
 
 TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
@@ -30,6 +31,25 @@ class TestModelParams:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu", math.nan),
+            ("mu", math.inf),
+            ("r", math.nan),
+            ("r", math.inf),
+            ("s0", [1.0, math.inf]),
+            ("s0", [math.nan, 1.0]),
+        ],
+        ids=["mu-nan", "mu-inf", "r-nan", "r-inf", "s0-inf", "s0-nan"],
+    )
+    def test_rejects_non_finite_inputs_naming_the_field(self, field, value):
+        # a nan mu would make simulated wealth nan and fail synthetic_panel
+        # with a message about prices
+        good = dict(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
+        with pytest.raises(ValueError, match=rf"\b{field} must"):
+            ModelParams(**{**good, field: value})
 
     def test_rejects_bad_prices(self):
         with pytest.raises(ValueError):
@@ -131,15 +151,11 @@ class TestExpectedReturns:
 
 class TestMeanPriceIdentity:
     def test_monte_carlo_price_mean(self):
-        # E[S_i(t)] = S_i(0) exp(mu_c_i t), checked on one asset
-        from equidrift import simulate_paths
-
-        sigma = VolMatrix([[0.2]])
-        params = ModelParams(sigma=sigma, mu=0.2, r=0.03)
-        profile = expected_returns(params)
-        assert profile.mu_c[0] == pytest.approx(0.03 + 0.17 * 0.2, rel=1e-14)
-
-        paths = simulate_paths(params, horizon=1.0, steps=1, n_paths=100_000, seed=11)
-        ratios = paths.prices[:, -1, 0] / paths.prices[:, 0, 0]
-        se = ratios.std(ddof=1) / math.sqrt(ratios.size)
-        assert abs(ratios.mean() - math.exp(profile.mu_c[0])) <= 4 * se
+        # E[S(t + dt) / S(t)] = exp(mu_c dt), with mu_c = r + (mu - r) sum_j sigma_ij,
+        # checked on one asset's daily gross returns at dt = 1/252
+        params = ModelParams(sigma=VolMatrix([[0.2]]), mu=0.2, r=0.03)
+        mu_c = expected_returns(params).mu_c[0]
+        assert mu_c == pytest.approx(0.03 + 0.17 * 0.2, rel=1e-14)
+        gross = 1.0 + synthetic_panel(params, days=100_000, seed=5).returns[:, 0]
+        se = gross.std(ddof=1) / math.sqrt(gross.size)
+        assert abs(gross.mean() - math.exp(mu_c / 252)) <= 4 * se

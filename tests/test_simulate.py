@@ -11,7 +11,6 @@ import pytest
 
 from conftest import random_cov
 from equidrift import (
-    CovMatrix,
     ModelParams,
     VolMatrix,
     WealthLaw,
@@ -35,103 +34,48 @@ def fig_left_kappa() -> float:
 
 
 class TestSimulatePaths:
-    def test_vanishing_volatility_grows_at_r(self):
-        params = ModelParams(sigma=VolMatrix(1e-12 * np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, horizon=1.0, steps=4, n_paths=3, seed=0)
-        ratios = paths.prices[:, -1, :] / paths.prices[:, 0, :]
-        np.testing.assert_allclose(ratios, math.exp(0.03), rtol=1e-9)
-
     def test_single_asset_price_mean(self):
+        # all wealth in the one asset tracks its price, S(t) / S(0), so
+        # E[W(t)] = W(0) exp(mu_c t) with mu_c = 0.03 + 0.17 * 0.2
         params = ModelParams(sigma=VolMatrix([[0.2]]), mu=0.2, r=0.03)
-        paths = simulate_paths(params, horizon=1.0, steps=1, n_paths=100_000, seed=5)
-        ratios = paths.prices[:, -1, 0] / paths.prices[:, 0, 0]
+        all_in = WeightVector(weights=[1.0], kappa=None, exposure=1.0)
+        ratios = simulate_terminal_wealth(params, all_in, 1.0, 1, 100_000, 5, 1.0)
         se = ratios.std(ddof=1) / math.sqrt(ratios.size)
         assert abs(ratios.mean() - math.exp(0.064)) <= 4 * se
 
     def test_deterministic_per_seed(self):
         params = ModelParams(sigma=sym_sqrt(random_cov(np.random.default_rng(1), 3)), mu=0.2, r=0.03)
-        a = simulate_paths(params, 1.0, 12, 50, seed=99)
-        b = simulate_paths(params, 1.0, 12, 50, seed=99)
-        np.testing.assert_array_equal(a.prices, b.prices)
-        np.testing.assert_array_equal(a.driver_increments, b.driver_increments)
-        np.testing.assert_array_equal(a.times, b.times)
+        policy = pi_star(params.sigma, 0.4)
+        a = simulate_terminal_wealth(params, policy, 1.0, 12, 50, 99, 1.0)
+        b = simulate_terminal_wealth(params, policy, 1.0, 12, 50, 99, 1.0)
+        assert a.tobytes() == b.tobytes()
+        other = simulate_terminal_wealth(params, policy, 1.0, 12, 50, 100, 1.0)
+        assert not np.array_equal(a, other)
 
     def test_path_count_does_not_change_earlier_paths(self):
         # per-path substreams: path i depends only on (seed, i), so asking
         # for more paths must not reshuffle the ones already drawn
-        params = ModelParams(sigma=VolMatrix(0.3 * np.eye(2)), mu=0.2, r=0.03)
-        small = simulate_paths(params, 1.0, 6, 3, seed=17)
-        large = simulate_paths(params, 1.0, 6, 8, seed=17)
-        np.testing.assert_array_equal(large.prices[:3], small.prices)
-
-    def test_increment_variance_matches_grid(self):
-        params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, horizon=2.0, steps=8, n_paths=4000, seed=3)
-        dt = paths.dt
-        assert dt == 0.25
-        sample_var = paths.driver_increments.var(ddof=1)
-        assert abs(sample_var - dt) <= 0.05 * dt
-
-    def test_initial_prices_respected(self):
-        params = ModelParams(
-            sigma=VolMatrix(0.2 * np.eye(2)), mu=0.2, r=0.03, s0=[5.0, 7.0]
-        )
-        paths = simulate_paths(params, 1.0, 3, 2, seed=0)
-        np.testing.assert_allclose(paths.prices[:, 0, :], [[5.0, 7.0]] * 2, rtol=1e-15)
-
-    @pytest.mark.parametrize("rows", [1, 7, 23, 30])
-    def test_prices_match_whole_tensor_build(self, monkeypatch, rows):
-        # Prices are built a block of paths at a time; the reference is the
-        # whole-tensor formula applied to the drawn increments.
-        sigma = sym_sqrt(random_cov(np.random.default_rng(2), 4, scale=0.05))
-        params = ModelParams(sigma=sigma, mu=0.2, r=0.03, s0=[1.0, 2.0, 30.0, 0.5])
-        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
-        paths = simulate_paths(params, 1.5, 9, 23, seed=5)
-        sig = sigma.entries
-        excess = params.mu - params.r
-        drift = (params.r - 0.5 * (sig ** 2).sum(axis=1) + excess * sig.sum(axis=1)) * (1.5 / 9)
-        log_paths = np.cumsum(paths.driver_increments @ sig.T + drift, axis=1)
-        want = np.exp(np.concatenate([np.zeros((23, 1, 4)), log_paths], axis=1) + np.log(params.s0))
-        assert paths.prices.tobytes() == want.tobytes()
-
-    def test_prices_strictly_positive(self):
-        params = ModelParams(sigma=VolMatrix(2.0 * np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, 5.0, 50, 200, seed=8)
-        assert np.all(paths.prices > 0.0)
+        params, _, per_step = _engine_case(2)
+        small = simulate_terminal_wealth(params, per_step, 1.0, 6, 3, 17, 1.0)
+        large = simulate_terminal_wealth(params, per_step, 1.0, 6, 8, 17, 1.0)
+        assert large[:3].tobytes() == small.tobytes()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_underflow_raises_on_the_first_prices_read(self, monkeypatch, pin_lanes, capfd, lanes):
-        # At seed 0 path 2's one-step log price is about -749.4, below exp's
-        # underflow point near -745.1, while paths 0 and 1 end near -743.2
-        # and -737.5. The paths still simulate and replay, on two and three
-        # lanes in forked workers too; reading the prices raises here, every
-        # time, and no worker raises or prints.
+        # At seed 0 path 0's one-step log price is about -747.8, below exp's
+        # underflow point near -745.1. Wealth is relative to S(0), so the
+        # same model still simulates all in the asset, on two and three lanes
+        # in forked workers too; building the prices raises, every time, and
+        # no worker raises or prints.
         monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
         pin_lanes(lanes)
-        params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03, s0=[1e-318])
-        paths = simulate_paths(params, 1.0, 1, 3, seed=0)
-        final = paths.log_s0 + paths.drift + paths.driver_increments[:, 0] @ paths.sigma.T
-        assert (np.exp(final[:, 0]) > 0.0).tolist() == [True, True, False]
-        cash = WeightVector(weights=[0.0], kappa=None, exposure=0.0)
-        assert np.all(replay_wealth(paths, cash, params, 1.0) > 0.0)
+        params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03, s0=[1e-320])
+        all_in = WeightVector(weights=[1.0], kappa=None, exposure=1.0)
+        assert np.all(simulate_terminal_wealth(params, all_in, 1.0, 1, 3, 0, 1.0) > 0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="prices must be strictly positive"):
-                paths.prices
-        assert "prices" not in vars(paths)
+                simulate._one_path_prices(params, 1.0, 1, 0)
         assert capfd.readouterr().err == ""
-
-    def test_replay_never_builds_prices(self):
-        # nor keeps increments: the path set holds only its recipe until read
-        params = ModelParams(sigma=VolMatrix(0.3 * np.eye(3)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, 1.0, 6, 5, seed=1)
-        policy = WeightVector(weights=[0.2, 0.3, 0.1], kappa=None, exposure=0.6)
-        replay_wealth(paths, policy, params, 1.0)
-        assert "driver_increments" not in vars(paths) and "prices" not in vars(paths)
-        prices = paths.prices
-        assert paths.prices is prices
-        assert paths.driver_increments is vars(paths)["driver_increments"]
-        for array in (prices, paths.driver_increments):
-            assert not array.flags.writeable
 
     def test_rejects_bad_grid(self, monkeypatch):
         def no_noise(*args):
@@ -154,11 +98,26 @@ class TestSimulatePaths:
 
 
 class TestReplayWealth:
+    """Wealth replayed along simulated paths. ``simulate_terminal_wealth`` is
+    the one engine, so the model's properties are checked on it;
+    ``replay_wealth``, kept for the benchmark's imports, runs that engine on
+    a ``PathSet`` recipe."""
+
+    def test_replay_is_the_streaming_engine(self):
+        params, _, per_step = _engine_case(3)
+        paths = simulate_paths(params, 1.5, 9, 23, seed=31)
+        assert (paths.n_steps, paths.n_paths, paths.seed, paths.n_assets) == (9, 23, 31, 3)
+        want = simulate_terminal_wealth(params, per_step, 1.5, 9, 23, 31, 2.0)
+        assert replay_wealth(paths, per_step, params, 2.0).tobytes() == want.tobytes()
+        other = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
+        cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
+        with pytest.raises(DimensionMismatch):
+            replay_wealth(paths, cash, other, 1.0)
+
     def test_all_cash_grows_at_r_exactly(self):
         params = ModelParams(sigma=VolMatrix(0.5 * np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, horizon=1.0, steps=8, n_paths=20, seed=2)
         cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
-        wealth = replay_wealth(paths, cash, params, w0=2.0)
+        wealth = simulate_terminal_wealth(params, cash, 1.0, 8, 20, 2, w0=2.0)
         np.testing.assert_array_equal(wealth, np.full(20, 2.0 * math.exp(0.03)))
 
     def test_optimal_policy_moments(self):
@@ -168,8 +127,7 @@ class TestReplayWealth:
         params = ModelParams(sigma=sigma, mu=FIG_LEFT["mu"], r=FIG_LEFT["r"])
         kappa = fig_left_kappa()
         wv = pi_star(sigma, kappa)
-        paths = simulate_paths(params, FIG_LEFT["t"], 16, 40_000, seed=7)
-        wealth = replay_wealth(paths, wv, params, FIG_LEFT["w"])
+        wealth = simulate_terminal_wealth(params, wv, FIG_LEFT["t"], 16, 40_000, 7, FIG_LEFT["w"])
 
         law = WealthLaw(w=FIG_LEFT["w"], lam=FIG_LEFT["lam"], kappa=kappa, n=n, t=FIG_LEFT["t"])
         mean_th, var_th = optimal_wealth_moments(law)
@@ -180,29 +138,27 @@ class TestReplayWealth:
     def test_wealth_strictly_positive_under_leverage(self):
         params = ModelParams(sigma=VolMatrix(0.4 * np.eye(3)), mu=0.2, r=0.03)
         heavy = WeightVector(weights=[3.0, -1.0, 2.0], kappa=None, exposure=4.0)
-        paths = simulate_paths(params, 2.0, 40, 500, seed=21)
-        wealth = replay_wealth(paths, heavy, params, w0=1.0)
+        wealth = simulate_terminal_wealth(params, heavy, 2.0, 40, 500, 21, w0=1.0)
         assert np.all(wealth > 0.0)
 
     def test_per_step_policy_callable(self):
         params = ModelParams(sigma=VolMatrix(0.2 * np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, 1.0, 4, 10, seed=4)
         all_a = WeightVector(weights=[1.0, 0.0], kappa=None, exposure=1.0)
         all_b = WeightVector(weights=[0.0, 1.0], kappa=None, exposure=1.0)
 
         def alternating(step):
             return all_a if step % 2 == 0 else all_b
 
-        wealth = replay_wealth(paths, alternating, params, 1.0)
+        wealth = simulate_terminal_wealth(params, alternating, 1.0, 4, 10, 4, 1.0)
         assert np.all(wealth > 0.0)
-        assert not np.array_equal(wealth, replay_wealth(paths, all_a, params, 1.0))
+        constant = simulate_terminal_wealth(params, all_a, 1.0, 4, 10, 4, 1.0)
+        assert not np.array_equal(wealth, constant)
 
     def test_dimension_mismatch(self):
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        paths = simulate_paths(params, 1.0, 2, 2, seed=0)
         wrong = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None, exposure=1.0)
         with pytest.raises(DimensionMismatch):
-            replay_wealth(paths, wrong, params, 1.0)
+            simulate_terminal_wealth(params, wrong, 1.0, 2, 2, 0, 1.0)
 
     def test_variance_floor_among_equal_mean_exposures(self):
         # any constant driver-exposure vector with the same coordinate sum
@@ -211,7 +167,6 @@ class TestReplayWealth:
         sigma = VolMatrix(np.eye(n))
         params = ModelParams(sigma=sigma, mu=FIG_LEFT["mu"], r=FIG_LEFT["r"])
         kappa = fig_left_kappa()
-        paths = simulate_paths(params, 1.0, 8, 30_000, seed=13)
         law = WealthLaw(w=1.0, lam=FIG_LEFT["lam"], kappa=kappa, n=n, t=1.0)
         _, var_opt = optimal_wealth_moments(law)
 
@@ -221,7 +176,7 @@ class TestReplayWealth:
             p += (kappa - p.sum()) / n
             pi = np.linalg.solve(sigma.entries.T, p)
             wv = WeightVector(weights=pi, kappa=None, exposure=float(pi.sum()))
-            wealth = replay_wealth(paths, wv, params, 1.0)
+            wealth = simulate_terminal_wealth(params, wv, 1.0, 8, 30_000, 13, 1.0)
             var_hat = wealth.var(ddof=1)
             centered = wealth - wealth.mean()
             se_var = math.sqrt(
@@ -233,7 +188,6 @@ class TestReplayWealth:
         # a non-finite w0 is rejected too: inf gave inf wealth, nan gave nan
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         policy = WeightVector([0.5, 0.5], None, 1.0)
-        paths = simulate_paths(params, 1.0, 2, 2, seed=0)
 
         def no_noise(*args):
             raise AssertionError("noise drawn before the inputs were checked")
@@ -241,19 +195,20 @@ class TestReplayWealth:
         monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
         for w0 in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="initial wealth"):
-                replay_wealth(paths, policy, params, w0)
-            with pytest.raises(ValueError, match="initial wealth"):
                 simulate_terminal_wealth(params, policy, 1.0, 2, 2, 0, w0)
 
 
 def _folded(params, policy, horizon, steps, n_paths, seed, w0):
-    """Terminal wealth from one ``_fold_wealth`` call over the whole serial
-    increment tensor: a row's result does not depend on how the paths are
-    split, so this reference shares no block or chunk loop with the engine."""
-    paths = simulate_paths(params, horizon, steps, n_paths, seed)
-    exposures, drifts = simulate._step_exposures(policy, params, steps, paths.dt)
+    """Terminal wealth from one ``_fold_wealth`` call over the whole
+    increment tensor, drawn by one ``_per_path_increments`` call: a row's
+    result does not depend on how the paths are split, so this reference
+    shares no block or chunk loop with the engine."""
+    dt = horizon / steps
+    increments = np.empty((n_paths, steps, params.n))
+    simulate._per_path_increments(seed, 0, increments, dt)
+    exposures, drifts = simulate._step_exposures(policy, params, steps, dt)
     log_w = np.zeros(n_paths)
-    simulate._fold_wealth(log_w, paths.driver_increments, exposures, drifts)
+    simulate._fold_wealth(log_w, increments, exposures, drifts)
     return w0 * np.exp(log_w)
 
 
@@ -275,23 +230,25 @@ class TestTerminalWealthEngine:
 
     @pytest.mark.parametrize("n", [5, 47])
     @pytest.mark.parametrize("policy_kind", ["constant", "per_step"])
-    @pytest.mark.parametrize("rows", [1, 7, "budget", PATHS, PATHS + 5])
+    @pytest.mark.parametrize("rows", [1, 7, "budget", "slabs", PATHS, PATHS + 5])
     def test_bitwise_equal_to_replay(self, monkeypatch, n, policy_kind, rows):
         params, constant, per_step = _engine_case(n)
         policy = constant if policy_kind == "constant" else per_step
-        paths = simulate_paths(params, 1.5, self.STEPS, self.PATHS, seed=31)
         expected = _folded(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
 
         if rows == "budget":
             # The real row formula, on a budget small enough to split the paths.
             monkeypatch.setattr(simulate, "_BLOCK_BYTES", 12 * 8 * self.STEPS * (n + 1))
             assert 1 < simulate._block_rows(self.STEPS, n) < self.PATHS
+        elif rows == "slabs":
+            # One block of every path, folded in slabs of 3 paths; the
+            # reference folds them in one slab.
+            monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * self.STEPS * n)
+            assert simulate._block_rows(self.STEPS, n) >= self.PATHS
         else:
             monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
         got = simulate_terminal_wealth(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
         assert got.tobytes() == expected.tobytes()
-        # replay_wealth streams in blocks of the same size; its rows must not move either.
-        assert replay_wealth(paths, policy, params, 2.0).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("start", [0, 1, 2, 19_999, 10**6, 2**40 + 3])
     def test_noise_kernel_matches_jumped_substreams(self, start):
@@ -313,9 +270,6 @@ class TestTerminalWealthEngine:
 
         monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
         simulate_terminal_wealth(params, counted, 1.0, self.STEPS, self.PATHS, 0, 1.0)
-        assert calls == list(range(self.STEPS))
-        calls.clear()
-        replay_wealth(simulate_paths(params, 1.0, self.STEPS, self.PATHS, 0), counted, params, 1.0)
         assert calls == list(range(self.STEPS))
 
     def test_memory_stays_within_block_budget(self, pin_lanes):
@@ -436,14 +390,12 @@ def _digest(array) -> str:
 
 
 class TestParallelSimulator:
-    """A ``PathSet``'s reads and ``replay_wealth`` over pinned lanes.
+    """Wealth at 1, 2 and 3 lanes, and the increments it folds, against
+    digests recorded with the serial simulator that kept every path in one
+    private array: SHA-256 of the output's bytes (numpy 2.4, x86-64).
 
-    ``small`` patches the minimum chunk to ``MIN`` paths and splits each
-    chunk into several blocks and fold slabs; ``full`` runs the real
-    constants on three lanes' worth of work. Each digest is SHA-256 of the
-    output's bytes, recorded with the serial simulator that kept every path
-    in one private array, so neither the fan-out nor the redraw from the
-    seed moves a bit (numpy 2.4, x86-64).
+    ``small`` patches the minimum chunk to ``MIN`` paths; ``full`` runs the
+    real constants on three lanes' worth of work.
     """
 
     MIN = 10
@@ -453,112 +405,28 @@ class TestParallelSimulator:
     }
     DIGESTS = {
         "small": {
-            "prices": "5011dfc430ee78e327fa6501d1cebbdb9f9ad5c6b84d04d5f9ba711af6497895",
             "increments": "56d6ca6180dfac60cd9993be7859e2ca4daeb730e2881be7889f92bbf3e2255c",
             "wealth": "6dea3bdc487c7011f9d576097b4df15ba6255e5890828f6f82f5e6e2fe9971ef",
         },
         "full": {
-            "prices": "d0c3365abdf769d63e43411dd9f5375e48c5fc783e32f5f7b8a97dee09423824",
             "increments": "42aa3c3bde2019cc2bafbc60aea70dbf675a6a62f02ba54388f170a568ea4965",
             "wealth": "ed1bf31a313a1759d0643ab0b92e32bba8ac61a265f8c1737526493950cc7a04",
         },
     }
 
-    @pytest.fixture
-    def small(self, monkeypatch):
-        """The small case's patches: chunks of at least ``MIN`` paths,
-        blocks of 4 paths and fold slabs of 3."""
-        steps, n = self.CASES["small"]["steps"], self.CASES["small"]["n"]
-        monkeypatch.setattr(simulate, "_MIN_LANE_WORK", self.MIN * steps * n)
-        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
-        monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * steps * n)
-
-    @staticmethod
-    def spy_parent_draws(monkeypatch):
-        """The (first path, path count) of each block this process draws."""
-        drawn, caller = [], os.getpid()
-        draw = simulate._per_path_increments
-
-        def spy(seed, start, out, dt):
-            if os.getpid() == caller:
-                drawn.append((start, len(out)))
-            return draw(seed, start, out, dt)
-
-        monkeypatch.setattr(simulate, "_per_path_increments", spy)
-        return drawn
-
-    def run(self, case):
-        steps, n, n_paths = (self.CASES[case][k] for k in ("steps", "n", "n_paths"))
-        params, _, per_step = _engine_case(n)
-        paths = simulate_paths(params, 1.0, steps, n_paths, 11)
-        wealth = replay_wealth(paths, per_step, params, 1.5)
-        return paths, wealth
-
     @pytest.mark.parametrize("case", ["small", "full"])
-    def test_outputs_match_the_serial_simulator(self, request, pin_lanes, case):
+    def test_outputs_match_the_serial_simulator(self, monkeypatch, pin_lanes, case):
+        steps, n, n_paths = (self.CASES[case][k] for k in ("steps", "n", "n_paths"))
         if case == "small":
-            request.getfixturevalue("small")
+            monkeypatch.setattr(simulate, "_MIN_LANE_WORK", self.MIN * steps * n)
+        increments = np.empty((n_paths, steps, n))
+        simulate._per_path_increments(11, 0, increments, 1.0 / steps)
+        assert _digest(increments) == self.DIGESTS[case]["increments"]
+        params, _, per_step = _engine_case(n)
         for lanes in (1, 2, 3):
             pin_lanes(lanes)
-            paths, wealth = self.run(case)
-            got = {"prices": paths.prices, "increments": paths.driver_increments, "wealth": wealth}
-            assert {k: _digest(v) for k, v in got.items()} == self.DIGESTS[case]
-
-    def test_chunks_are_computed_by_their_workers(self, monkeypatch, pin_lanes, small):
-        drawn = self.spy_parent_draws(monkeypatch)
-        folded, stream = [], simulate._stream_wealth
-
-        def spy(seed, paths, *args):
-            folded.append(paths)
-            return stream(seed, paths, *args)
-
-        monkeypatch.setattr(simulate, "_stream_wealth", spy)
-        pin_lanes(3)
-        self.run("small")
-        # this process draws and folds only the first chunk of 10 paths
-        assert drawn == [(0, 4), (4, 4), (8, 2)]
-        assert folded == [range(0, 10)]
-
-    @pytest.mark.parametrize("failure", ["dies at once", "dies mid-chunk", "cannot fork"])
-    def test_no_rows_are_lost_with_a_worker(self, monkeypatch, pin_lanes, small, failure):
-        drawn = self.spy_parent_draws(monkeypatch)
-        if failure == "cannot fork":
-
-            def no_fork(process_obj):
-                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(
-                multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork)
-            )
-        elif failure == "dies at once":
-            monkeypatch.setattr(_fanout, "_worker", lambda *args: os._exit(1))
-        else:
-
-            def dies_mid_chunk(writer, part, chunk):
-                part(chunk[: len(chunk) // 2])
-                os._exit(1)
-
-            monkeypatch.setattr(_fanout, "_worker", dies_mid_chunk)
-        pin_lanes(3)
-        _, wealth = self.run("small")
-        assert _digest(wealth) == self.DIGESTS["small"]["wealth"]
-        # this process drew every chunk, the lost ones after its own
-        assert [start for start, _ in drawn] == [0, 4, 8, 10, 14, 18, 21, 25, 29]
-
-    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
-    def test_bad_seed_raises_before_any_fork(self, monkeypatch, pin_lanes, small, capfd, seed):
-        with pytest.raises((ValueError, TypeError)) as expected:
-            np.random.PCG64(seed)
-        forks = []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        pin_lanes(3)
-        params, _, _ = _engine_case(self.CASES["small"]["n"])
-        with pytest.raises(expected.type) as exc_info:
-            simulate_paths(params, 1.0, self.CASES["small"]["steps"], 3 * self.MIN, seed)
-        assert str(exc_info.value) == str(expected.value)
-        assert forks == []
-        assert capfd.readouterr().err == ""
+            wealth = simulate_terminal_wealth(params, per_step, 1.0, steps, n_paths, 11, 1.5)
+            assert _digest(wealth) == self.DIGESTS[case]["wealth"]
 
 
 class TestWealthLaw:
@@ -587,10 +455,23 @@ class TestWealthLaw:
             WealthLaw.from_rates(w=1.0, lam=0.1, mu=0.05, r=0.05, n=5, t=1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            WealthLaw(w=0.0, lam=0.1, kappa=1.0, n=1, t=1.0)
-        with pytest.raises(ValueError):
-            WealthLaw(w=1.0, lam=0.1, kappa=-0.2, n=1, t=1.0)
+        # a non-finite field would make the moments nan or inf
+        good = dict(w=1.0, lam=0.1, kappa=1.0, n=1, t=1.0)
+        for field, value in (
+            ("w", 0.0),
+            ("w", math.nan),
+            ("w", math.inf),
+            ("lam", math.nan),
+            ("lam", -math.inf),
+            ("kappa", -0.2),
+            ("kappa", math.nan),
+            ("kappa", math.inf),
+            ("t", -1.0),
+            ("t", math.nan),
+            ("t", math.inf),
+        ):
+            with pytest.raises(ValueError, match=rf"\b{field} must"):
+                WealthLaw(**{**good, field: value})
 
 
 class TestWealthDensity:
