@@ -250,6 +250,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_figure1(args) -> int:
     _require_rates(args)
+    if not args.grid_max > args.grid_min:
+        raise ValueError("--grid-max must exceed --grid-min")
     grid = np.linspace(args.grid_min, args.grid_max, args.grid_points)
 
     results = []
@@ -276,6 +278,7 @@ def _cmd_figure1(args) -> int:
 
 _finite = _checked(parse_real, math.isfinite, "finite")
 _positive = _checked(parse_integer, lambda n: n > 0, "positive")
+_positive_real = _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive")
 
 #: Each backtest setting, declared once: BacktestConfig field (also its
 #: config-file key) -> its backtest flag, the converter that reads both the
@@ -287,7 +290,7 @@ _SETTINGS = {
     "factorization": ("--method", _normalize_method, {"help": _METHOD_HELP}),
     "exposure": ("--exposure", _finite, {}),
     "rf_annual": ("--rf", _finite, {"help": "annual risk-free rate"}),
-    "shrinkage": ("--shrinkage", parse_real, {}),
+    "shrinkage": ("--shrinkage", _positive_real, {}),
 }
 _CONFIG_KEYS = {*_SETTINGS, "exclude", "drop", "format", "target"}
 
@@ -472,11 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: $EQUIDRIFT_OUTPUT_DIR or '.')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # any_real serves --shrinkage, whose range is _check_shrinkage's
-    any_real, method, date_range = map(_flag, (parse_real, _normalize_method, DateRange.parse))
+    method, date_range = map(_flag, (_normalize_method, DateRange.parse))
     real, positive, formats = map(_flag, (_finite, _positive, partial(_one_of, _FORMATS)))
     positive_real, nonzero_real, natural, paths = map(_flag, (
-        _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive"),
+        _positive_real,
         _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero"),
         _checked(parse_integer, lambda n: n >= 0, "non-negative"),
         _checked(parse_integer, lambda n: n > 1, "at least 2"),  # a sample variance
@@ -486,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("covariance", help="covariance matrix CSV (headerless, square)")
     p.add_argument("--method", type=method, default="sym_sqrt", help=_METHOD_HELP)
     p.add_argument("--target", default=None, help="target matrix CSV for --method rotate")
-    p.add_argument("--shrinkage", type=any_real, default=None, help="diagonal repair delta")
+    p.add_argument("--shrinkage", type=positive_real, default=None, help="diagonal repair delta")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("weights", help="optimal weights from a covariance or volatility CSV")
@@ -494,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vol", action="store_true", help="input is already a volatility matrix")
     p.add_argument("--method", type=method, default="sym_sqrt", help=_METHOD_HELP)
     p.add_argument("--target", default=None)
-    p.add_argument("--shrinkage", type=any_real, default=None)
+    p.add_argument("--shrinkage", type=positive_real, default=None)
     p.add_argument("--exposure", type=nonzero_real, default=1.0, help="weight sum (default 1)")
     p.add_argument(
         "--kappa", type=positive_real, default=None, help="explicit ratio; overrides --exposure"

@@ -65,15 +65,13 @@ class PathSet:
 #: number: ``advance(_JUMP * i)`` from the seed state is ``jumped(i)``.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
-#: Bytes of working memory per block of paths.
-_BLOCK_BYTES = 8 << 20
-
-#: Bytes of increments per slab of the wealth fold's driver sum, whose
-#: strided reads of a whole 8 MiB block missed the cache. On a 2-CPU Xeon host
-#: with 2 MiB of L2 per core, a 594-path block at 5 assets and 252 steps
-#: folded in 4.3 ms, and in 2.2 ms in slabs of 1 MiB; 85 paths at 47 assets
-#: took 7.5 ms, then 5.8 ms.
-_SLAB_BYTES = 1 << 20
+#: Bytes of working memory per block of paths: its increments and the fold's
+#: terms, 74 paths at 5 assets and 252 steps, 10 at 47. On a 2-CPU Xeon host
+#: with 2 MiB of L2 per core, the fold missed the cache on 8 MiB blocks (594
+#: paths took 4.3 ms, 2.2 ms in 1 MiB slabs; 85 at 47 assets 7.5, then 5.8 ms).
+#: In 1 MiB blocks it took 5.9 us a path at 5 assets and 45 us at 47, against
+#: 7.3 and 110 us in slabs, and ``simulate``'s peak fell from 45.1 to 38.8 MB.
+_BLOCK_BYTES = 1 << 20
 
 #: Fewest normal draws (paths x steps x assets) worth a worker process of
 #: their own in the wealth engine. On a 2-CPU Linux host with one BLAS
@@ -86,8 +84,8 @@ _MIN_LANE_WORK = 500_000
 
 
 def _block_rows(steps: int, n: int) -> int:
-    """Paths per block: a block of increments plus two (paths, steps)
-    temporaries fit in ``_BLOCK_BYTES``."""
+    """Paths per block: a block of increments plus the fold's
+    (paths, 2 * steps) terms fit in ``_BLOCK_BYTES``."""
     return max(1, _BLOCK_BYTES // (8 * steps * (n + 2)))
 
 
@@ -194,42 +192,40 @@ def _fold_wealth(
     increments: np.ndarray,
     exposures: np.ndarray,
     drifts: np.ndarray,
+    terms: np.ndarray,
 ) -> None:
-    """Add each step's log-wealth change to ``log_w``, one row per path.
-
-    The driver sum is an elementwise multiply-accumulate rather than a
-    matrix product, whose rounding can depend on the row count, so every
-    row's result is independent of how paths are split into blocks. It runs
-    on slabs of ``_SLAB_BYTES`` of increments, whose strided reads stay in
-    cache, and lands step-major, so that each step adds one contiguous row.
+    """Add each path's log-wealth change to ``log_w``; ``increments`` is
+    overwritten. Row i of ``terms`` (paths, 2 * steps) takes path i's drift
+    and driver sum of each step in turn, and one running sum along the row
+    adds them in that order. The driver sum is an elementwise
+    multiply-accumulate rather than a matrix product, whose rounding can
+    depend on the row count, so every row's result is independent of how
+    paths are split into blocks.
     """
-    rows, steps, n = increments.shape
-    step_sums = np.empty((steps, rows))
-    slab = max(1, _SLAB_BYTES // (8 * steps * n))
-    for a in range(0, rows, slab):
-        part = increments[a : a + slab]
-        sums = part[:, :, 0] * exposures[:, 0]
-        for j in range(1, n):
-            sums += part[:, :, j] * exposures[:, j]
-        step_sums[:, a : a + slab] = sums.T
-    for drift, step in zip(drifts, step_sums):
-        log_w += drift
-        log_w += step
+    increments *= exposures
+    sums = terms[:, 1::2]
+    np.copyto(sums, increments[:, :, 0])
+    for j in range(1, increments.shape[2]):
+        sums += increments[:, :, j]
+    terms[:, ::2] = drifts
+    np.add.accumulate(terms, axis=1, out=terms)
+    log_w += terms[:, -1]
 
 
 def _stream_wealth(
     seed: int, paths: range, dt: float, exposures: np.ndarray, drifts: np.ndarray
 ) -> np.ndarray:
     """Log-wealth of each of ``paths``, drawing each block of paths into one
-    reused buffer and folding it."""
+    reused buffer and folding it in one reused array of terms."""
     steps, n = exposures.shape
-    rows = _block_rows(steps, n)
-    buffer = np.empty((min(len(paths), rows), steps, n))
+    rows = min(len(paths), _block_rows(steps, n))
+    buffer = np.empty((rows, steps, n))
+    terms = np.empty((rows, 2 * steps))
     log_w = np.zeros(len(paths))
     for a in range(0, len(paths), rows):
-        block = buffer[: min(rows, len(paths) - a)]
+        block = buffer[: len(paths) - a]
         _per_path_increments(seed, paths.start + a, block, dt)
-        _fold_wealth(log_w[a : a + rows], block, exposures, drifts)
+        _fold_wealth(log_w[a : a + rows], block, exposures, drifts, terms[: len(block)])
     return log_w
 
 

@@ -84,7 +84,6 @@ def test_one_grammar_and_one_declaration_per_setting():
 
 @pytest.mark.parametrize("command", ["simulate", "figure1", "weights", "compare", "backtest"])
 def test_every_real_flag_rejects_inf_and_nan(command):
-    # --shrinkage's range is checked where backtest and the config file check it
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     real_flags = []
@@ -96,11 +95,8 @@ def test_every_real_flag_rejects_inf_and_nan(command):
             continue
         real_flags.append(action.dest)
         for value in ("inf", "-inf", "nan"):
-            if "--shrinkage" in action.option_strings:
-                assert not math.isfinite(action.type(value))
-            else:
-                with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
-                    action.type(value)
+            with pytest.raises(argparse.ArgumentTypeError, match="must be finite"):
+                action.type(value)
     assert real_flags
 
 
@@ -201,9 +197,11 @@ class TestExitCodes:
         write_matrix_csv(matrix, np.array([[1.0, 2.0], [2.0, 1.0]]))
         source = panel_csv[0] if command == "backtest" else str(matrix)
         out = tmp_path / "out"
-        code, _, err = run(capsys, ["--out", str(out), command, source, f"--shrinkage={value}"])
-        assert code == 2
-        assert "shrinkage must be finite and positive" in err
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--out", str(out), command, source, f"--shrinkage={value}"])
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.endswith(f"error: argument --shrinkage: must be finite and positive, got '{value}'")
         assert not out.exists()
 
     def test_insufficient_history(self, panel_csv, tmp_path, capsys):
@@ -423,6 +421,8 @@ class TestExitCodes:
             ("--window", "window_days", "0", "must be positive"),
             ("--window", "window_days", "-30", "must be positive"),
             ("--every", "reestimate_every", "0", "must be positive"),
+            ("--shrinkage", "shrinkage", "inf", "must be finite and positive"),
+            ("--shrinkage", "shrinkage", "0", "must be finite and positive"),
             ("--format", "format", "xml", "expected one of csv, french"),
             (
                 "--method",
@@ -650,6 +650,17 @@ class TestFigure1Command:
         code, stdout, err = run(capsys, ["--out", str(out), "figure1"] + rates)
         assert code == 2
         assert err == f"error: {flag} must exceed --r\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid_min, grid_max", [("3", "1"), ("2", "2")])
+    def test_grid_must_ascend(self, tmp_path, capsys, grid_min, grid_max):
+        # both wrote a grid that exits 0: descending, or four equal rows
+        out = tmp_path / "fig"
+        argv = ["figure1", "--grid-min", grid_min, "--grid-max", grid_max, "--grid-points", "4"]
+        code, stdout, err = run(capsys, ["--out", str(out)] + argv)
+        assert code == 2
+        assert err == "error: --grid-max must exceed --grid-min\n"
         assert stdout == ""
         assert not out.exists()
 

@@ -208,7 +208,8 @@ def _folded(params, policy, horizon, steps, n_paths, seed, w0):
     simulate._per_path_increments(seed, 0, increments, dt)
     exposures, drifts = simulate._step_exposures(policy, params, steps, dt)
     log_w = np.zeros(n_paths)
-    simulate._fold_wealth(log_w, increments, exposures, drifts)
+    terms = np.empty((n_paths, 2 * steps))
+    simulate._fold_wealth(log_w, increments, exposures, drifts, terms)
     return w0 * np.exp(log_w)
 
 
@@ -230,7 +231,7 @@ class TestTerminalWealthEngine:
 
     @pytest.mark.parametrize("n", [5, 47])
     @pytest.mark.parametrize("policy_kind", ["constant", "per_step"])
-    @pytest.mark.parametrize("rows", [1, 7, "budget", "slabs", PATHS, PATHS + 5])
+    @pytest.mark.parametrize("rows", [1, 7, "budget", PATHS, PATHS + 5])
     def test_bitwise_equal_to_replay(self, monkeypatch, n, policy_kind, rows):
         params, constant, per_step = _engine_case(n)
         policy = constant if policy_kind == "constant" else per_step
@@ -240,11 +241,6 @@ class TestTerminalWealthEngine:
             # The real row formula, on a budget small enough to split the paths.
             monkeypatch.setattr(simulate, "_BLOCK_BYTES", 12 * 8 * self.STEPS * (n + 1))
             assert 1 < simulate._block_rows(self.STEPS, n) < self.PATHS
-        elif rows == "slabs":
-            # One block of every path, folded in slabs of 3 paths; the
-            # reference folds them in one slab.
-            monkeypatch.setattr(simulate, "_SLAB_BYTES", 3 * 8 * self.STEPS * n)
-            assert simulate._block_rows(self.STEPS, n) >= self.PATHS
         else:
             monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: rows)
         got = simulate_terminal_wealth(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
@@ -273,26 +269,30 @@ class TestTerminalWealthEngine:
         assert calls == list(range(self.STEPS))
 
     def test_memory_stays_within_block_budget(self, pin_lanes):
-        # The full increment tensor at this size would be 50 MB. Besides the
-        # block and the wealth vector the engine holds only things of fixed
-        # size: the per-step tables (12 kB here), numpy's ufunc iteration
-        # buffer (64 KiB) and interpreter objects. On two lanes the worker's
-        # half arrives as one pickled array after the caller's half is folded
-        # and its block freed. The first call imports numpy.random and
-        # multiprocessing, which is interpreter state and not engine memory,
-        # so it runs before tracing starts.
-        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(5)), mu=0.2, r=0.03)
-        policy = pi_star(params.sigma, 0.4)
-        for lanes in (1, 2):
-            pin_lanes(lanes)
-            simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
-            tracemalloc.start()
-            try:
-                wealth = simulate_terminal_wealth(params, policy, 1.0, 252, 5_000, 3, 1.0)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= simulate._BLOCK_BYTES + wealth.nbytes + (128 << 10)
+        # The full increment tensor would be 50 MB at 5 assets and 9.5 MB at
+        # 47, where a block holds 10 paths, so both runs span many blocks.
+        # Besides the block and the wealth vector the engine holds only
+        # things of fixed size: the per-step tables (12 kB at 5 assets, 97 kB
+        # at 47), a numpy ufunc iteration buffer (64 KiB) and interpreter
+        # objects. On two lanes the worker's half arrives as one pickled
+        # array after the caller's half is folded and its block freed. The
+        # first call imports numpy.random and multiprocessing, which is
+        # interpreter state and not engine memory, so it runs before tracing
+        # starts.
+        for n, n_paths in ((5, 5_000), (47, 100)):
+            params = ModelParams(sigma=VolMatrix(0.2 * np.eye(n)), mu=0.2, r=0.03)
+            policy = pi_star(params.sigma, 0.4)
+            assert n_paths > 4 * simulate._block_rows(252, n)
+            for lanes in (1, 2):
+                pin_lanes(lanes)
+                simulate_terminal_wealth(params, policy, 1.0, 252, n_paths, 3, 1.0)
+                tracemalloc.start()
+                try:
+                    wealth = simulate_terminal_wealth(params, policy, 1.0, 252, n_paths, 3, 1.0)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= simulate._BLOCK_BYTES + wealth.nbytes + (128 << 10)
 
 
 class TestParallelPaths:
