@@ -61,6 +61,7 @@ from .factorization import (
     _check_shrinkage,
     _factors,
     _positive_eig,
+    _require_target_dim,
     factor_covariance,
 )
 from .model import TRADING_DAYS_PER_YEAR
@@ -70,7 +71,6 @@ from .strategy import NEGATIVE_KAPPA, _fully_invested, _unit_kappa, _weights, on
 __all__ = [
     "BacktestConfig",
     "BacktestReport",
-    "FACTORIZATIONS",
     "estimate_covariance",
     "estimation_window",
     "rolling_backtest",
@@ -119,8 +119,8 @@ class BacktestConfig:
             raise ValueError("window_days and reestimate_every must be positive")
         if self.window_days <= self.reestimate_every:
             raise ValueError("window_days must exceed reestimate_every")
-        if not math.isfinite(self.exposure):
-            raise ValueError("exposure must be finite")
+        if not (math.isfinite(self.exposure) and self.exposure != 0.0):
+            raise ValueError("exposure must be finite and non-zero")
         if not math.isfinite(self.rf_annual):
             raise ValueError("rf_annual must be finite")
         if self.factorization not in FACTORIZATIONS:
@@ -373,6 +373,8 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
             f"panel has {complete} complete rows; need at least {needed} "
             f"(window {config.window_days} + cadence {config.reestimate_every})"
         )
+    if config.factorization == "rotate":
+        _require_target_dim(panel.n_assets, TargetMatrix(config.rotation_target))
 
     start, every = config.window_days, config.reestimate_every
     rows = range(start, panel.n_dates, every)

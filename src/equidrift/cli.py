@@ -279,6 +279,7 @@ def _cmd_figure1(args) -> int:
 _finite = _checked(parse_real, math.isfinite, "finite")
 _positive = _checked(parse_integer, lambda n: n > 0, "positive")
 _positive_real = _checked(parse_real, lambda x: 0.0 < x < math.inf, "finite and positive")
+_nonzero = _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero")
 
 #: Each backtest setting, declared once: BacktestConfig field (also its
 #: config-file key) -> its backtest flag, the converter that reads both the
@@ -288,7 +289,7 @@ _SETTINGS = {
     "window_days": ("--window", _positive, {"help": "estimation window days"}),
     "reestimate_every": ("--every", _positive, {"help": "re-estimation cadence days"}),
     "factorization": ("--method", _normalize_method, {"help": _METHOD_HELP}),
-    "exposure": ("--exposure", _finite, {}),
+    "exposure": ("--exposure", _nonzero, {}),
     "rf_annual": ("--rf", _finite, {"help": "annual risk-free rate"}),
     "shrinkage": ("--shrinkage", _positive_real, {}),
 }
@@ -365,12 +366,9 @@ def _cmd_backtest(args) -> int:
     fmt = _pick(args.format, file_values, "format", partial(_one_of, _FORMATS))
     drops = (_pick(None, file_values, "drop", _split_list) or []) + (args.drop or [])
 
-    if fmt == "french":
-        panel = load_french(args.returns, drop_assets=drops)
-    else:
-        panel = load_csv(args.returns)
-        if drops:
-            panel = panel.drop_assets(drops)
+    panel = (load_french if fmt == "french" else load_csv)(args.returns)
+    if drops:
+        panel = panel.drop_assets(drops)
     if args.date_range is not None:
         panel = panel.slice(args.date_range)
 
@@ -479,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
     real, positive, formats = map(_flag, (_finite, _positive, partial(_one_of, _FORMATS)))
     positive_real, nonzero_real, natural, paths = map(_flag, (
         _positive_real,
-        _checked(parse_real, lambda x: 0.0 < abs(x) < math.inf, "finite and non-zero"),
+        _nonzero,
         _checked(parse_integer, lambda n: n >= 0, "non-negative"),
         _checked(parse_integer, lambda n: n > 1, "at least 2"),  # a sample variance
     ))

@@ -333,18 +333,16 @@ def _is_data_line(line: str) -> bool:
     return bool(first) and len(first[0]) == 8 and first[0].isdigit()
 
 
-def load_french(
-    path,
-    drop_assets=(),
-    date_range: DateRange | None = None,
-) -> ReturnPanel:
+def load_french(path, drop_assets=()) -> ReturnPanel:
     """Read a daily industry-portfolio text file into a ReturnPanel.
 
     The file is banner lines, then a header of asset names, then rows of
     ``YYYYMMDD`` followed by one percent return per asset. Only the first
     data block is read (these files append equal-weighted and annual blocks
     after the daily value-weighted one). Values equal to -99.99 or -999 are
-    recorded as missing; all others are divided by 100 exactly once.
+    recorded as missing; all others are divided by 100 exactly once. The
+    ``drop_assets`` are removed as by :meth:`ReturnPanel.drop_assets`; take
+    a date range with :meth:`ReturnPanel.slice`.
     """
     lines = read_lines(path)
     first = next((i for i, line in enumerate(lines) if _is_data_line(line)), None)
@@ -373,8 +371,6 @@ def load_french(
     )
     if drop_assets:
         panel = panel.drop_assets(drop_assets)
-    if date_range is not None:
-        panel = panel.slice(date_range)
     return panel
 
 

@@ -270,6 +270,12 @@ def sym_sqrt(cov: CovMatrix) -> VolMatrix:
     return VolMatrix._built(_sym_sqrt(w[None], v[None])[0], "sym_sqrt")
 
 
+def _require_target_dim(dim: int, target: TargetMatrix) -> None:
+    """Raise DimensionMismatch unless ``target`` fits factors of size ``dim``."""
+    if dim != target.dim:
+        raise DimensionMismatch(f"factor is {dim}x{dim} but target is {target.dim}x{target.dim}")
+
+
 def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatrix, RotationMatrix]:
     """Rotate a factor toward a target matrix in the least-squares sense.
 
@@ -279,10 +285,7 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
     since any orthogonal Q preserves ``(LQ)(LQ)' = L L'``, and the singular
     values of L, so ``L Q`` is as far from singular as L.
     """
-    if factor.dim != target.dim:
-        raise DimensionMismatch(
-            f"factor is {factor.dim}x{factor.dim} but target is {target.dim}x{target.dim}"
-        )
+    _require_target_dim(factor.dim, target)
     rotated, q = (x[0] for x in _rotate(factor.entries[None], target.entries))
     return VolMatrix._built(rotated, "rotated"), RotationMatrix._built(q)
 
@@ -313,7 +316,8 @@ def _factors(c: np.ndarray, w: np.ndarray, v: np.ndarray, method: str, target=No
 
     Returns the factors and, per slice, whether ``factor_covariance`` would
     return that factor rather than raise. ``target`` is the rotation
-    target's entries. Raises LinAlgError if a Cholesky factorization fails.
+    target's entries, of the factors' size. Raises LinAlgError if a Cholesky
+    factorization fails.
     """
     ok = _nonsingular(np.sqrt(w))
     if method == "sym_sqrt":
@@ -322,8 +326,6 @@ def _factors(c: np.ndarray, w: np.ndarray, v: np.ndarray, method: str, target=No
     ok &= ~np.any(pivots <= floor[:, None], axis=1)
     if method == "cholesky":
         return lower, ok
-    if target.shape != lower.shape[1:]:  # procrustes_rotate raises DimensionMismatch
-        return lower, np.zeros_like(ok)
     return _rotate(lower, target)[0], ok
 
 

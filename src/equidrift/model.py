@@ -13,7 +13,7 @@ convention throughout the toolkit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,34 +26,23 @@ TRADING_DAYS_PER_YEAR = 252
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Volatility matrix, drift parameter, risk-free rate and initial prices.
+    """Volatility matrix, drift parameter and risk-free rate.
 
     ``mu`` and ``r`` are annual rates; the fully-invested strategy never
     needs them, but simulation and explicit required-rate strategies do.
+    Prices start at 1: weights, wealth and returns are price ratios, so the
+    initial prices cancel out of all of them.
     """
 
     sigma: VolMatrix
     mu: float
     r: float
-    s0: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not 0.0 < self.r < math.inf:
             raise ValueError("risk-free rate r must be finite and positive")
         if not self.r < self.mu < math.inf:
             raise ValueError("drift parameter mu must be finite and exceed r")
-        s0 = self.s0
-        if s0 is None:
-            s0 = np.ones(self.sigma.dim)
-        s0 = np.asarray(s0, dtype=float)
-        if s0.shape != (self.sigma.dim,):
-            raise ValueError(
-                f"s0 must be a vector of length {self.sigma.dim}, got shape {s0.shape}"
-            )
-        if not np.all((s0 > 0.0) & (s0 < np.inf)):
-            raise ValueError("initial prices s0 must all be finite and positive")
-        s0.setflags(write=False)
-        object.__setattr__(self, "s0", s0)
 
     @property
     def n(self) -> int:

@@ -135,7 +135,7 @@ def simulate_paths(
 
 def _one_path_prices(params: ModelParams, horizon: float, steps: int, seed: int) -> np.ndarray:
     """Prices (steps + 1, assets) of path 0 at ``seed`` on a uniform grid
-    over [0, horizon].
+    over [0, horizon], starting at 1.
 
     Sampling is exact in distribution: per-step log increments are
     ``(r - 0.5 sum_j sigma_ij^2 + (mu - r) sum_j sigma_ij) dt
@@ -153,7 +153,6 @@ def _one_path_prices(params: ModelParams, horizon: float, steps: int, seed: int)
     prices = np.empty((steps + 1, params.n))
     prices[0] = 0.0
     np.cumsum(log_steps, axis=0, out=prices[1:])
-    prices += np.log(params.s0)
     np.exp(prices, out=prices)
     if not prices.min() > 0.0:
         raise ValueError("prices must be strictly positive")

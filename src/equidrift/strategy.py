@@ -117,7 +117,8 @@ def _kappa(x: np.ndarray, exposure: float):
 
 
 def _fully_invested(sigma: np.ndarray, exposure: float):
-    """:func:`pi_star_fully_invested` over a stack of factors (B, n, n).
+    """:func:`pi_star_fully_invested` over a stack of factors (B, n, n), for
+    a non-zero ``exposure``.
 
     Returns the weights and, per slice, whether ``pi_star_fully_invested``
     would return them without raising and whether it would warn that kappa
@@ -128,8 +129,7 @@ def _fully_invested(sigma: np.ndarray, exposure: float):
     kappa, degenerate = _kappa(x, exposure)
     pi, residual = _scale_unit_solution(a, x, kappa)
     ok = (
-        (exposure != 0.0)
-        & np.all(np.isfinite(x), axis=1)
+        np.all(np.isfinite(x), axis=1)
         & ~degenerate
         & ~(residual > RESIDUAL_RTOL * np.abs(kappa))
         & np.all(np.isfinite(pi), axis=1)

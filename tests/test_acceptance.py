@@ -296,7 +296,7 @@ def test_industry_panel_advantage_when_provided():
         print("criterion 8: SKIP - set EQUIDRIFT_FRENCH_DATA to a 48-industry daily file")
         pytest.skip("EQUIDRIFT_FRENCH_DATA not set")
 
-    panel = load_french(path, date_range=DateRange(19630701, 20081231))
+    panel = load_french(path).slice(DateRange(19630701, 20081231))
     drops = {a for a in panel.assets if a.lower().startswith("hlth")}
     drops |= {
         a

@@ -31,6 +31,7 @@ from equidrift import (
 from equidrift import _fanout, backtest
 from equidrift.backtest import BLACK_MONDAY_WEEK
 from equidrift.errors import (
+    DimensionMismatch,
     EmptyPanel,
     InsufficientHistory,
     InsufficientObservations,
@@ -88,6 +89,11 @@ class TestBacktestConfig:
         for shrinkage in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite and positive"):
                 BacktestConfig(shrinkage=shrinkage)
+
+    @pytest.mark.parametrize("exposure", [0.0, -0.0, math.nan, math.inf])
+    def test_exposure_must_be_finite_and_nonzero(self, exposure):
+        with pytest.raises(ValueError, match="exposure must be finite and non-zero"):
+            BacktestConfig(exposure=exposure)
 
     def test_equal_targets_give_equal_configs_and_hashes(self):
         a = BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
@@ -327,6 +333,15 @@ class TestRollingBacktest:
     def test_insufficient_history(self):
         with pytest.raises(InsufficientHistory):
             rolling_backtest(gbm_panel(34, seed=0), BacktestConfig(**SMALL))
+
+    def test_rotation_target_of_another_size_raises_before_any_window(self, monkeypatch):
+        def stacked(*args):
+            raise AssertionError("a window was stacked")
+
+        monkeypatch.setattr(backtest, "_stacked_parts", stacked)
+        cfg = BacktestConfig(factorization="rotate", rotation_target=np.eye(2), **SMALL)
+        with pytest.raises(DimensionMismatch, match="^factor is 3x3 but target is 2x2$"):
+            rolling_backtest(gbm_panel(60, seed=0), cfg)
 
     def test_masked_rows_do_not_count_toward_history(self):
         # 40 rows but 6 are masked: only 34 complete, below window + cadence

@@ -8,10 +8,12 @@ the package stops providing a name the harness needs.
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import equidrift
 import equidrift.cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -70,3 +72,23 @@ def test_cli_binds_the_traced_names():
     assert looked_up == TRACED
     for name in sorted(TRACED):
         assert hasattr(equidrift.cli, name), name
+
+
+def test_package_surface_is_the_modules_lists():
+    # every public module but the command line declares its names once, in
+    # its own __all__, and the package re-exports exactly those
+    modules = [
+        importlib.import_module(f"equidrift.{info.name}")
+        for info in pkgutil.iter_modules(equidrift.__path__)
+        if not info.name.startswith("_") and info.name != "cli"
+    ]
+    names = equidrift.__all__
+    assert len(names) == len(set(names))
+    listed = [getattr(module, "__all__", []) for module in modules]
+    assert set(names) == {"__version__", "EquidriftError"}.union(*listed)
+    for name in names:
+        assert hasattr(equidrift, name), name
+    for file in ("workloads.py", "run.py"):
+        for module, attr in _equidrift_imports(_tree(file)):
+            if module == "equidrift" and attr is not None:
+                assert attr in names, f"bench/{file}: {attr}"

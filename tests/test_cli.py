@@ -12,8 +12,10 @@ import pytest
 import equidrift
 from equidrift import (
     BacktestConfig,
+    DateRange,
     ModelParams,
     VolMatrix,
+    load_csv,
     read_matrix_csv,
     rolling_backtest,
     synthetic_panel,
@@ -327,6 +329,39 @@ class TestExitCodes:
         assert err.startswith(f"error: line {line}: {bad} is not UTF-8: byte 0xff")
         assert not out.exists()
 
+    def test_config_line_without_equals_names_its_line(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# engine\nwindow_days 30\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", path, "--config", str(cfg)])
+        assert code == 3
+        assert err == "error: line 2: expected key=value, got 'window_days 30'\n"
+        assert stdout == "" and not out.exists()
+
+    def test_rotation_target_of_another_size_exits_5_before_any_output(
+        self, panel_csv, tmp_path, capsys
+    ):
+        path, _ = panel_csv
+        target = tmp_path / "target.csv"
+        write_matrix_csv(target, np.eye(2))
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys,
+            ["--out", str(out), "backtest", path, "--method", "rotate", "--target", str(target)]
+            + TestBacktestCommand.BASE,
+        )
+        assert code == 5
+        assert err == "error: factor is 3x3 but target is 2x2\n"
+        assert stdout == "" and not out.exists()
+
+    def test_rotate_without_target_is_usage_error(self, cov_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out), "factor", cov_csv, "--method", "rotate"])
+        assert code == 2
+        assert err == "error: --method rotate requires --target\n"
+        assert stdout == "" and not out.exists()
+
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg = tmp_path / "cfg"
@@ -416,8 +451,9 @@ class TestExitCodes:
         [
             ("--rf", "rf_annual", "inf", "must be finite"),
             ("--rf", "rf_annual", "nan", "must be finite"),
-            ("--exposure", "exposure", "nan", "must be finite"),
-            ("--exposure", "exposure", "-inf", "must be finite"),
+            ("--exposure", "exposure", "nan", "must be finite and non-zero"),
+            ("--exposure", "exposure", "-inf", "must be finite and non-zero"),
+            ("--exposure", "exposure", "0", "must be finite and non-zero"),
             ("--window", "window_days", "0", "must be positive"),
             ("--window", "window_days", "-30", "must be positive"),
             ("--every", "reestimate_every", "0", "must be positive"),
@@ -615,6 +651,55 @@ class TestBacktestCommand:
         assert str(first_oos) in (out / "returns.csv").read_text()
 
 
+    def test_date_range_slices_the_panel(self, panel_csv, tmp_path, capsys):
+        path, panel = panel_csv
+        span = DateRange(int(panel.dates[5]), int(panel.dates[54]))
+        out = tmp_path / "report"
+        code, stdout, _ = run(
+            capsys,
+            ["--out", str(out), "backtest", path, "--date-range", f"{span.start}-{span.end}"]
+            + self.BASE,
+        )
+        assert code == 0
+        assert "out-of-sample days: 20" in stdout
+        report = rolling_backtest(
+            panel.slice(span),
+            BacktestConfig(window_days=30, reestimate_every=5, exclusion_windows=()),
+        )
+        dates = [int(line.split(",")[0]) for line in (out / "returns.csv").read_text().splitlines()[1:]]
+        assert dates == report.dates.tolist()
+        _, values = (out / "summary.csv").read_text().splitlines()
+        assert [float(tok) for tok in values.split(",")] == [
+            report.sharpe_strategy,
+            report.sharpe_benchmark,
+            report.jk_z,
+            report.jk_p,
+            report.terminal_wealth_ratio,
+            report.volatility_ratio,
+        ]
+
+    def test_degenerate_statistics_report_their_error(self, tmp_path, capsys):
+        # all-zero returns: shrinkage makes every window factorable, and the
+        # constant return series leave the Sharpe machinery nothing to test
+        path = tmp_path / "zeros.csv"
+        path.write_text("date,Z0,Z1\n" + "".join(f"{2000 + i}0103,0.0,0.0\n" for i in range(40)))
+        out = tmp_path / "report"
+        code, stdout, _ = run(
+            capsys, ["--out", str(out), "backtest", str(path), "--shrinkage", "1e-6"] + self.BASE
+        )
+        assert code == 0
+        report = rolling_backtest(
+            load_csv(path),
+            BacktestConfig(
+                window_days=30, reestimate_every=5, exclusion_windows=(), shrinkage=1e-6
+            ),
+        )
+        assert report.stats_error is not None
+        line = f"stats_error={report.stats_error}"
+        assert (out / "summary.txt").read_text().splitlines()[-1] == line
+        assert stdout.splitlines()[-2:] == [line, f"wrote report to {out}"]
+
+
 class TestFigure1Command:
     def test_density_files_and_variance_ordering(self, tmp_path, capsys):
         out = tmp_path / "fig"
@@ -696,6 +781,25 @@ class TestSimulateCommand:
             outputs.append((stdout.replace(str(out), "<out>"), saved))
         assert outputs[1] == outputs[0]
         assert len(outputs[0][1].splitlines()) == paths + 1
+
+    def test_vol_file_sets_the_model(self, tmp_path, capsys):
+        # the scaled identity that --n 2 builds, read from a file instead
+        vol = tmp_path / "vol.csv"
+        write_matrix_csv(vol, 0.2 * np.eye(2))
+        code, from_n, _ = run(capsys, self.ARGS)
+        assert code == 0
+        argv = list(self.ARGS)
+        argv[1:3] = ["--vol", str(vol)]
+        code, from_vol, _ = run(capsys, argv)
+        assert code == 0
+        assert from_vol == from_n
+
+    def test_needs_n_or_vol(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        code, stdout, err = run(capsys, ["--out", str(out)] + self.ARGS[:1] + self.ARGS[3:])
+        assert code == 2
+        assert err == "error: provide --n or --vol\n"
+        assert stdout == "" and not out.exists()
 
     def test_rejects_nonpositive_initial_wealth(self, tmp_path, capsys):
         out = tmp_path / "sim"

@@ -244,11 +244,8 @@ class TestLoadFrench:
         assert panel.assets == ("Agric", "Food", "Hlth")
 
     def test_drop_and_range_filters(self, tmp_path):
-        panel = load_french(
-            write(tmp_path, "f.txt", FRENCH_SAMPLE),
-            drop_assets=("Hlth",),
-            date_range=DateRange(19870102, 19870105),
-        )
+        panel = load_french(write(tmp_path, "f.txt", FRENCH_SAMPLE), drop_assets=("Hlth",))
+        panel = panel.slice(DateRange(19870102, 19870105))
         assert panel.assets == ("Agric", "Food")
         assert panel.dates.tolist() == [19870102, 19870105]
 
@@ -517,17 +514,6 @@ class TestSyntheticPanel:
             1,
             "8e6cd76e08c352253a9db0e22d7146da9cc62bc5665bf65453a86dfe3e5fa7ec",
         ),
-        "initial-prices": (
-            ModelParams(
-                sigma=VolMatrix([[0.2, 0.05, 0.0], [0.1, 0.25, 0.02], [0.0, 0.03, 0.3]]),
-                mu=0.15,
-                r=0.02,
-                s0=[50.0, 0.5, 1234.5],
-            ),
-            600,
-            5,
-            "d551a66b12b51c928fa32362bb35ed0c44f359310c892186a2ee5bb62f789913",
-        ),
         "one-asset": (
             ModelParams(sigma=VolMatrix([[0.25]]), mu=0.12, r=0.04),
             1000,
@@ -585,6 +571,7 @@ class TestSyntheticPanel:
     def test_dates_are_weekdays_and_shape_matches(self):
         params = ModelParams(sigma=VolMatrix(0.3 * np.eye(3)), mu=0.2, r=0.03)
         panel = synthetic_panel(params, days=12, seed=0)
+        assert params.n == 3
         assert panel.n_dates == 12 and panel.n_assets == 3
         assert panel.assets == ("A01", "A02", "A03")
         assert panel.dates[0] == 20000103

@@ -19,11 +19,6 @@ TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
 
 
 class TestModelParams:
-    def test_defaults_unit_prices(self):
-        params = ModelParams(sigma=VolMatrix(np.eye(3)), mu=0.2, r=0.03)
-        np.testing.assert_array_equal(params.s0, np.ones(3))
-        assert params.n == 3
-
     def test_rejects_mu_not_above_r(self):
         with pytest.raises(ValueError):
             ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.03, r=0.03)
@@ -39,10 +34,8 @@ class TestModelParams:
             ("mu", math.inf),
             ("r", math.nan),
             ("r", math.inf),
-            ("s0", [1.0, math.inf]),
-            ("s0", [math.nan, 1.0]),
         ],
-        ids=["mu-nan", "mu-inf", "r-nan", "r-inf", "s0-inf", "s0-nan"],
+        ids=["mu-nan", "mu-inf", "r-nan", "r-inf"],
     )
     def test_rejects_non_finite_inputs_naming_the_field(self, field, value):
         # a nan mu would make simulated wealth nan and fail synthetic_panel
@@ -50,12 +43,6 @@ class TestModelParams:
         good = dict(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         with pytest.raises(ValueError, match=rf"\b{field} must"):
             ModelParams(**{**good, field: value})
-
-    def test_rejects_bad_prices(self):
-        with pytest.raises(ValueError):
-            ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03, s0=[1.0, 0.0])
-        with pytest.raises(ValueError):
-            ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03, s0=[1.0, 1.0, 1.0])
 
 
 class TestExpectedReturns:

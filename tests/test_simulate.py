@@ -62,16 +62,16 @@ class TestSimulatePaths:
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
     def test_underflow_raises_on_the_first_prices_read(self, monkeypatch, pin_lanes, capfd, lanes):
-        # At seed 0 path 0's one-step log price is about -747.8, below exp's
-        # underflow point near -745.1. Wealth is relative to S(0), so the
-        # same model still simulates all in the asset, on two and three lanes
-        # in forked workers too; building the prices raises, every time, and
-        # no worker raises or prints.
+        # At 5000% volatility seed 0 path 0's one-step log price is about
+        # -1235, below exp's underflow point near -745.1. Wealth never builds
+        # prices, so the same model still simulates a 1% holding, on two and
+        # three lanes in forked workers too; building the prices raises,
+        # every time, and no worker raises or prints.
         monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
         pin_lanes(lanes)
-        params = ModelParams(sigma=VolMatrix([[5.0]]), mu=0.2, r=0.03, s0=[1e-320])
-        all_in = WeightVector(weights=[1.0], kappa=None, exposure=1.0)
-        assert np.all(simulate_terminal_wealth(params, all_in, 1.0, 1, 3, 0, 1.0) > 0.0)
+        params = ModelParams(sigma=VolMatrix([[50.0]]), mu=0.2, r=0.03)
+        small = WeightVector(weights=[0.01], kappa=None, exposure=0.01)
+        assert np.all(simulate_terminal_wealth(params, small, 1.0, 1, 3, 0, 1.0) > 0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="prices must be strictly positive"):
                 simulate._one_path_prices(params, 1.0, 1, 0)
