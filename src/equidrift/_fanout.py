@@ -1,6 +1,6 @@
 """Map a function over contiguous chunks of a run, one chunk per CPU.
 
-The backtest's rebalances and the simulator's paths both split into
+Rebalances, simulated paths and a CSV panel's rows all split into
 contiguous chunks whose results do not depend on where the chunks start.
 :func:`split` decides once per run how many chunks there are: one when the
 run stays serial, one per CPU when it forks. :func:`fan_out` returns

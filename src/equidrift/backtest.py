@@ -24,13 +24,13 @@ fails, to the chain itself. The stacked pass never warns or raises on data.
 Each rebalance depends only on its own estimation window, so long runs
 split the rebalances into contiguous chunks, one per CPU the process may run
 on, and map the stacked pass over them with the package's one fork helper
-(the simulator's paths use it too), which returns each chunk's stacked parts
-in order. Only the calling process runs the public chain, once every chunk
-is stacked: for each part in row order it takes the stacked windows, then
-runs the chain on the part's leftover windows, issuing the chain's
-negative-kappa warning from one line for every window that has one, so
-errors and warnings arise as in a serial run. The results, and the warnings'
-source line, are identical at any worker count.
+(the simulator's paths and the CSV panel's rows use it too), which returns
+each chunk's stacked parts in order. Only the calling process runs the
+public chain, once every chunk is stacked: for each part in row order it
+takes the stacked windows, then runs the chain on the part's leftover
+windows, issuing the chain's negative-kappa warning from one line for every
+window that has one, so errors and warnings arise as in a serial run. The
+results, and the warnings' source line, are identical at any worker count.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ class BacktestConfig:
     ``exclusion_windows`` removes dates from estimation samples only, never
     from return accounting. ``shrinkage`` (when set) repairs non-PD sample
     covariances instead of failing. ``rotation_target`` is required when
-    ``factorization`` is 'rotate'. It may be any square matrix-like and is
-    stored as nested tuples of floats, so configs compare and hash by value.
+    ``factorization`` is 'rotate' and rejected otherwise. It may be any
+    square matrix-like and is stored as nested tuples of floats, so configs
+    compare and hash by value.
     """
 
     window_days: int = 1260
@@ -130,6 +131,8 @@ class BacktestConfig:
             )
         if self.factorization == "rotate" and self.rotation_target is None:
             raise ValueError("factorization 'rotate' needs rotation_target")
+        if self.factorization != "rotate" and self.rotation_target is not None:
+            raise ValueError("rotation_target needs factorization 'rotate'")
         if self.rotation_target is not None:
             rows = TargetMatrix(self.rotation_target).entries.tolist()
             object.__setattr__(self, "rotation_target", tuple(map(tuple, rows)))

@@ -115,6 +115,8 @@ def _outdir(args) -> Path:
 
 def _load_vol(path, method: str, target_path, is_vol: bool, shrinkage):
     """Matrix file -> VolMatrix, factoring covariance input per method."""
+    if target_path is not None and method != "rotate":
+        raise ValueError("--target requires --method rotate")
     entries = read_matrix_csv(path)
     if is_vol:
         return VolMatrix(entries)
@@ -366,12 +368,6 @@ def _cmd_backtest(args) -> int:
     fmt = _pick(args.format, file_values, "format", partial(_one_of, _FORMATS))
     drops = (_pick(None, file_values, "drop", _split_list) or []) + (args.drop or [])
 
-    panel = (load_french if fmt == "french" else load_csv)(args.returns)
-    if drops:
-        panel = panel.drop_assets(drops)
-    if args.date_range is not None:
-        panel = panel.slice(args.date_range)
-
     excludes = [] if args.no_default_exclusions else list(BacktestConfig.exclusion_windows)
     excludes += _pick(None, file_values, "exclude", _date_ranges) or []
     excludes += args.exclude or []
@@ -383,8 +379,18 @@ def _cmd_backtest(args) -> int:
             settings[key] = value
     target_path = _pick(args.target, file_values, "target")
     if target_path is not None:
+        if settings.get("factorization") != "rotate":
+            if args.target is not None:
+                raise ValueError("--target requires --method rotate")
+            raise ParseError("target: requires factorization=rotate", file_values["target"][1])
         settings["rotation_target"] = read_matrix_csv(target_path)
     config = BacktestConfig(**settings)
+
+    panel = (load_french if fmt == "french" else load_csv)(args.returns)
+    if drops:
+        panel = panel.drop_assets(drops)
+    if args.date_range is not None:
+        panel = panel.slice(args.date_range)
     log.info(
         "backtest: %d dates, %d assets, window %d, cadence %d, method %s",
         panel.n_dates,

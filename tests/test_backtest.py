@@ -81,6 +81,11 @@ class TestBacktestConfig:
             BacktestConfig(factorization="rotate")
         BacktestConfig(factorization="rotate", rotation_target=np.eye(2))
 
+    @pytest.mark.parametrize("method", ["sym_sqrt", "cholesky"])
+    def test_target_needs_rotate(self, method):
+        with pytest.raises(ValueError, match="rotation_target needs factorization 'rotate'"):
+            BacktestConfig(factorization=method, rotation_target=np.eye(2))
+
     def test_shrinkage_sign(self):
         with pytest.raises(ValueError):
             BacktestConfig(shrinkage=0.0)

@@ -362,6 +362,46 @@ class TestExitCodes:
         assert err == "error: --method rotate requires --target\n"
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["factor", "weights", "backtest"])
+    def test_target_without_rotate_is_usage_error(
+        self, cov_csv, panel_csv, tmp_path, capsys, command
+    ):
+        # each read the target and exited 0 with another method's output
+        target = tmp_path / "target.csv"
+        write_matrix_csv(target, np.eye(3))
+        argv = {
+            "factor": ["factor", cov_csv],
+            "weights": ["weights", cov_csv, "--method", "cholesky"],
+            "backtest": ["backtest", panel_csv[0]] + TestBacktestCommand.BASE,
+        }[command]
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out)] + argv + ["--target", str(target)])
+        assert code == 2
+        assert err == "error: --target requires --method rotate\n"
+        assert stdout == "" and not out.exists()
+
+    def test_config_target_without_rotate_names_its_line(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        target = tmp_path / "target.csv"
+        write_matrix_csv(target, np.eye(3))
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"# engine\nfactorization=cholesky\ntarget={target}\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys,
+            ["--out", str(out), "backtest", path, "--config", str(cfg)] + TestBacktestCommand.BASE,
+        )
+        assert code == 3
+        assert err == "error: line 3: target: requires factorization=rotate\n"
+        assert stdout == "" and not out.exists()
+        # the flag overrides the file's method, so the file's target is used
+        code, _, _ = run(
+            capsys,
+            ["--out", str(out), "backtest", path, "--config", str(cfg), "--method", "rotate"]
+            + TestBacktestCommand.BASE,
+        )
+        assert code == 0 and (out / "summary.txt").is_file()
+
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         cfg = tmp_path / "cfg"

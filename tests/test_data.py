@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from equidrift import (
@@ -21,6 +21,7 @@ from equidrift import (
     write_csv,
     write_matrix_csv,
 )
+from equidrift import data
 from equidrift.data import parse_integer, parse_real
 from equidrift.errors import EmptyPanel, EquidriftError, NonMonotonicDates, ParseError
 
@@ -323,6 +324,18 @@ class TestCsvRoundTrip:
             np.float64("nan").tobytes()
         }
 
+    @settings(max_examples=300)
+    @given(rows=st.lists(st.text(alphabet="0,\t n", max_size=10), min_size=1, max_size=5))
+    def test_blank_cell_pass_writes_what_plain_replaces_write(self, rows):
+        # the pass skips its replaces where a byte scan finds no empty cell
+        text = "\n".join(rows)
+        while any(blank in text for blank in (" ,", ", ", "\t,", ",\t")):
+            for blank in (" ,", ", ", "\t,", ",\t"):
+                text = text.replace(blank, ",")
+        text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+        want = (text + "nan" if text.endswith(",") else text).split("\n")
+        assert data._blank_cells_to_nan(rows) == want
+
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "-INF"])
     def test_infinite_cell_reports_line_number(self, tmp_path, cell):
         path = write(tmp_path, "p.csv", f"date,A,B\n20000103,0.01,0.02\n20000104,{cell},0.02\n")
@@ -385,6 +398,39 @@ LOADER_CASES = {
     "french": (load_french, FRENCH_SAMPLE.replace("19870105   0.25", "19870105   {}"), 7),
     "matrix": (read_matrix_csv, "1.0,0.0\n\n0.0,{}\n", 3),
 }
+
+
+class TestReadLines:
+    @settings(max_examples=300)
+    @given(
+        text=st.text(alphabet="a\n\r\x0c\x85\u2028é€𝄞", max_size=30),
+        size=st.integers(1, 9),
+    )
+    def test_pieces_split_as_the_whole_text(self, tmp_path_factory, text, size):
+        # pieces of a few bytes cut multi-byte characters and "\r\n" pairs
+        path = tmp_path_factory.mktemp("lines") / "f.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data, "_READ_BYTES", size)
+            assert data.read_lines(path) == text.splitlines()
+
+    @pytest.mark.parametrize("size", [1, 3, 1 << 20])
+    @pytest.mark.parametrize(
+        "raw, line, byte",
+        [
+            (b"\xc3\xa9\nb\r\nc\xffd\n", 3, "ff"),
+            (b"a\n\xe2\x82\n", 2, "e2"),
+            (b"a\r\xc3", 2, "c3"),
+        ],
+        ids=["bad-byte", "cut-character", "cut-at-end"],
+    )
+    def test_bad_byte_names_its_line(self, tmp_path, monkeypatch, size, raw, line, byte):
+        monkeypatch.setattr(data, "_READ_BYTES", size)
+        path = tmp_path / "f.txt"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as exc_info:
+            data.read_lines(path)
+        assert str(exc_info.value) == f"line {line}: {path} is not UTF-8: byte 0x{byte}"
 
 
 class TestValueGrammar:
@@ -471,16 +517,33 @@ FRAGMENTS = [
 ]
 
 
+#: Fuzzed file contents for each loader.
+FUZZED = given(
+    content=st.one_of(
+        st.binary(max_size=200),
+        st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join),
+    ),
+    fmt=st.sampled_from(sorted(LOADER_CASES)),
+)
+
+
+@pytest.fixture
+def parse_chunks(monkeypatch):
+    """The chunk count of each row parse the loaders map over lanes."""
+    counts = []
+    real = data.fan_out
+
+    def spy(chunks, part):
+        counts.append(len(chunks))
+        return real(chunks, part)
+
+    monkeypatch.setattr(data, "fan_out", spy)
+    return counts
+
+
 class TestLoaderFuzz:
-    @settings(max_examples=400)
-    @given(
-        content=st.one_of(
-            st.binary(max_size=200),
-            st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join),
-        ),
-        fmt=st.sampled_from(sorted(LOADER_CASES)),
-    )
-    def test_malformed_input_raises_only_package_errors(self, tmp_path_factory, content, fmt):
+    @staticmethod
+    def load(tmp_path_factory, content, fmt):
         # never UnicodeDecodeError, IndexError or a bare ValueError, which
         # the CLI would report as an internal or usage error
         path = tmp_path_factory.mktemp("fuzz") / "f.txt"
@@ -491,6 +554,119 @@ class TestLoaderFuzz:
                 LOADER_CASES[fmt][0](path)
             except EquidriftError:
                 pass
+
+    @settings(max_examples=400)
+    @FUZZED
+    def test_malformed_input_raises_only_package_errors(self, tmp_path_factory, content, fmt):
+        self.load(tmp_path_factory, content, fmt)
+
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @FUZZED
+    def test_malformed_input_raises_only_package_errors_at_two_lanes(
+        self, tmp_path_factory, monkeypatch, pin_lanes, content, fmt
+    ):
+        # any two rows parse in two chunks, one row per sub-block
+        monkeypatch.setattr(data, "_MIN_PARSE_CELLS", 1)
+        monkeypatch.setattr(data, "_PARSE_BLOCK_ROWS", 1)
+        pin_lanes(2)
+        self.load(tmp_path_factory, content, fmt)
+
+
+class TestParallelParse:
+    """A panel of at least two lanes' worth of cells parses in contiguous
+    chunks of rows, one per lane, each in sub-blocks. The fixture shrinks
+    both, so the 40-row, 4-column panel below splits into two chunks of 20
+    rows and sub-blocks of 8."""
+
+    ROWS = 40
+    #: Missing-cell spellings, placed on both sides of the chunk edge (rows
+    #: 19 and 20) and of sub-block edges (rows 7 and 8, 27 and 28).
+    MISSING = {7: "", 8: " ", 19: "\t", 20: "nan", 27: " \t ", 28: "-nan", 39: "NaN"}
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch, parse_chunks):
+        monkeypatch.setattr(data, "_MIN_PARSE_CELLS", 4 * 20)
+        monkeypatch.setattr(data, "_PARSE_BLOCK_ROWS", 8)
+        return parse_chunks
+
+    def cells(self):
+        """Row k's three return cells, as text and as the values they read as."""
+        rows = []
+        for k in range(self.ROWS):
+            values = [((k * 7 + j) % 13 - 6) / 1000 for j in range(3)]
+            text = [repr(v) for v in values]
+            if k in self.MISSING:
+                # the last cell on a block's last row, the first on its first
+                j = 2 if k % 2 else 0
+                text[j], values[j] = self.MISSING[k], math.nan
+            rows.append((text, values))
+        return rows
+
+    def write_panel(self, tmp_path, bad=None):
+        """The panel, with row ``bad[0]``'s cells replaced by ``bad[1]``."""
+        day = datetime.date(2000, 1, 3)
+        lines = ["date,A,B,C"]
+        for k, (text, _) in enumerate(self.cells()):
+            date = (day + datetime.timedelta(days=k)).strftime("%Y%m%d")
+            body = bad[1] if bad and bad[0] == k else ",".join(text)
+            lines.append(f"{date},{body}")
+        return write(tmp_path, "p.csv", "\n".join(lines) + "\n")
+
+    def test_same_bits_at_any_lane_count(self, tmp_path, pin_lanes, small_chunks):
+        path = self.write_panel(tmp_path)
+        panels = []
+        for lanes in (1, 2):
+            pin_lanes(lanes)
+            panels.append(load_csv(path))
+        assert small_chunks == [1, 2]
+        want = np.array([values for _, values in self.cells()])
+        for panel in panels:
+            assert panel.returns.tobytes() == want.tobytes()
+            assert panel.missing_mask.tobytes() == np.isnan(want).tobytes()
+            assert panel.dates.tobytes() == panels[0].dates.tobytes()
+
+    @pytest.mark.parametrize(
+        "row, cells, message",
+        [
+            (30, "0.01,0_1,0.02", "could not convert string to float: '0_1'"),
+            (12, "abc,,", "could not convert string to float: 'abc'"),
+            (37, "0.0,inf,0.0", "non-finite entry in"),
+            (21, "0.1,0.2", "3 entries, not 4"),
+        ],
+        ids=["second-chunk", "later-sub-block", "non-finite", "ragged"],
+    )
+    def test_errors_match_serial(
+        self, tmp_path, capfd, pin_lanes, small_chunks, row, cells, message
+    ):
+        path = self.write_panel(tmp_path, bad=(row, cells))
+        errors = []
+        for lanes in (1, 2):
+            pin_lanes(lanes)
+            with pytest.raises(ParseError, match=re.escape(message)) as exc_info:
+                load_csv(path)
+            errors.append((str(exc_info.value), exc_info.value.line_number))
+        assert small_chunks == [1, 2]
+        assert errors[0] == errors[1]
+        assert errors[0][1] == row + 2  # the header is line 1
+        assert capfd.readouterr().err == ""
+
+    def test_benchmark_sized_text_and_matrix_files_stay_serial(
+        self, tmp_path, pin_lanes, parse_chunks
+    ):
+        # 5,040 days of 11 industries (60k cells), and a 47 x 47 matrix
+        pin_lanes(2)
+        day = datetime.date(1983, 7, 1)
+        rows = [
+            (day + datetime.timedelta(days=k)).strftime("%Y%m%d") + "   0.25" * 11
+            for k in range(5040)
+        ]
+        header = "  " + " ".join(f"I{j:02d}" for j in range(11))
+        french = write(tmp_path, "f.txt", "\n".join([header, *rows]) + "\n")
+        assert load_french(french).n_dates == 5040
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.eye(47))
+        assert read_matrix_csv(path).shape == (47, 47)
+        assert parse_chunks == [1, 1]
 
 
 def _industry_like_params(seed: int, n: int) -> ModelParams:

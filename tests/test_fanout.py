@@ -1,4 +1,4 @@
-"""The fork map both engines fan out through.
+"""The fork map the engines and the row parser fan out through.
 
 ``split(items, min_chunk)`` decides the contiguous chunks of a run, and
 ``fan_out(chunks, part)`` returns ``part(chunk)`` for each chunk, in order.
@@ -10,9 +10,11 @@ import contextlib
 import errno
 import multiprocessing
 import os
+import re
 import struct
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +155,16 @@ def test_error_here_kills_the_workers(pin_lanes):
         mapped(part)
     assert time.monotonic() - start < 30.0
     assert multiprocessing.active_children() == []
+
+
+def test_only_the_fork_helper_uses_processes_and_pipes():
+    # every fan-out goes through one helper, which handles dead workers,
+    # failed forks and the rules for staying serial
+    package = Path(_fanout.__file__).parent
+    users = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        if path.name != "_fanout.py"
+        and re.search(r"multiprocessing|os\.fork|Pipe", path.read_text(encoding="utf-8"))
+    ]
+    assert users == []
