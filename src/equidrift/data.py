@@ -53,8 +53,8 @@ MISSING_CODES = (-99.99, -999.0)
 _READ_BYTES = 1 << 20
 
 #: Fewest cells worth a parse lane of its own. On a 2-CPU Linux host the
-#: blank-cell pass and the grammar took 0.25 us a cell (135 ms for the
-#: 550k cells of a 47-asset, 11,465-day panel), and a two-lane fan-out cost
+#: blank-cell pass and the grammar took 0.31 us a cell (170 ms for the
+#: 540k cells of a 47-asset, 11,465-day panel), and a two-lane fan-out cost
 #: 7-10 ms, so a lane of 100,000 cells saves about three times its cost.
 #: That panel gets two lanes; a 5,040-day, 11-industry text file (60k
 #: cells) stays serial, since two lanes of 2,520 rows took its load from
@@ -252,7 +252,7 @@ def read_lines(path) -> list[str]:
             fh.seek(0)
             raw = fh.read()
     try:
-        raw.decode("utf-8")  # fails again, at the file's first bad byte
+        return raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         line = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
         raise ParseError(f"{path} is not UTF-8: byte 0x{raw[exc.start]:02x}", line) from None
@@ -301,15 +301,8 @@ def _blank_cells_to_nan(rows: list[str]) -> list[str]:
         while any(blank in text for blank in blanks):
             for blank in blanks:
                 text = text.replace(blank, ",")
-    # an empty cell is a comma before a comma or a line end, or a last comma;
-    # commas are dense, so numpy finds one in a third of the time str's
-    # two-character search takes, and most blocks have none
-    codes = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    comma = codes == ord(",")
-    if comma[-1:].any() or (comma[:-1] & (comma[1:] | (codes[1:] == ord("\n")))).any():
-        text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-        text = text + "nan" if text.endswith(",") else text
-    return text.split("\n")
+    text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
+    return (text + "nan" if text.endswith(",") else text).split("\n")
 
 
 def _row_error(row: str, delimiter: str | None, width: int, missing_ok: bool) -> str:

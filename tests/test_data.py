@@ -324,18 +324,6 @@ class TestCsvRoundTrip:
             np.float64("nan").tobytes()
         }
 
-    @settings(max_examples=300)
-    @given(rows=st.lists(st.text(alphabet="0,\t n", max_size=10), min_size=1, max_size=5))
-    def test_blank_cell_pass_writes_what_plain_replaces_write(self, rows):
-        # the pass skips its replaces where a byte scan finds no empty cell
-        text = "\n".join(rows)
-        while any(blank in text for blank in (" ,", ", ", "\t,", ",\t")):
-            for blank in (" ,", ", ", "\t,", ",\t"):
-                text = text.replace(blank, ",")
-        text = text.replace(",,", ",nan,").replace(",,", ",nan,").replace(",\n", ",nan\n")
-        want = (text + "nan" if text.endswith(",") else text).split("\n")
-        assert data._blank_cells_to_nan(rows) == want
-
     @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "-INF"])
     def test_infinite_cell_reports_line_number(self, tmp_path, cell):
         path = write(tmp_path, "p.csv", f"date,A,B\n20000103,0.01,0.02\n20000104,{cell},0.02\n")
