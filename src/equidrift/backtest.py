@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
 
@@ -148,8 +148,10 @@ class BacktestConfig:
 class BacktestReport:
     """Out-of-sample return series, weight history, and summary statistics.
 
-    When the Sharpe machinery cannot run (degenerate return series) the
-    four statistic fields are NaN and ``stats_error`` says why.
+    ``weight_history`` holds the weights as the engine built them, through
+    the public chain's checks. When the Sharpe machinery cannot run
+    (degenerate return series) the four statistic fields are NaN and
+    ``stats_error`` says why.
     """
 
     dates: np.ndarray
@@ -158,7 +160,6 @@ class BacktestReport:
     rebalance_dates: np.ndarray
     weight_history: np.ndarray
     assets: tuple[str, ...]
-    exposure: float
     sharpe_strategy: float
     sharpe_benchmark: float
     jk_z: float
@@ -166,7 +167,6 @@ class BacktestReport:
     terminal_wealth_ratio: float
     volatility_ratio: float
     stats_error: str | None = None
-    config: BacktestConfig = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in (
@@ -179,12 +179,6 @@ class BacktestReport:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if self.weight_history.ndim != 2 or self.weight_history.shape[1] != len(self.assets):
-            raise ValueError("weight_history shape does not match assets")
-        sums = self.weight_history.sum(axis=1)
-        scale = max(1.0, abs(self.exposure))
-        if self.weight_history.size and np.max(np.abs(sums - self.exposure)) > 1e-10 * scale:
-            raise ValueError("a stored weight row does not sum to the exposure")
 
 
 def estimate_covariance(window: ReturnPanel, shrinkage: float | None = None) -> CovMatrix:
@@ -430,7 +424,6 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
         rebalance_dates=panel.dates[start::every],
         weight_history=weight_history,
         assets=panel.assets,
-        exposure=config.exposure,
         sharpe_strategy=s_strat,
         sharpe_benchmark=s_bench,
         jk_z=jk_z,
@@ -438,5 +431,4 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
         terminal_wealth_ratio=wealth_ratio,
         volatility_ratio=vol_ratio,
         stats_error=stats_error,
-        config=config,
     )

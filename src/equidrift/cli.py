@@ -113,14 +113,11 @@ def _outdir(args) -> Path:
     return Path(os.environ.get("EQUIDRIFT_OUTPUT_DIR", "."))
 
 
-def _load_vol(path, method: str, target_path, is_vol: bool, shrinkage):
-    """Matrix file -> VolMatrix, factoring covariance input per method."""
+def _load_vol(path, method: str, target_path, shrinkage):
+    """Covariance file -> VolMatrix, factored per method."""
     if target_path is not None and method != "rotate":
         raise ValueError("--target requires --method rotate")
-    entries = read_matrix_csv(path)
-    if is_vol:
-        return VolMatrix(entries)
-    cov = CovMatrix(entries, shrinkage=shrinkage)
+    cov = CovMatrix(read_matrix_csv(path), shrinkage=shrinkage)
     target = None
     if method == "rotate":
         if target_path is None:
@@ -163,7 +160,7 @@ def _csv(header: str, labels, table) -> list[str]:
 # -- factor -------------------------------------------------------------------
 
 def _cmd_factor(args) -> int:
-    vol = _load_vol(args.covariance, args.method, args.target, False, args.shrinkage)
+    vol = _load_vol(args.covariance, args.method, args.target, args.shrinkage)
     row_sums = vol.entries.sum(axis=1)
     outdir = _outdir(args)
     _write_outputs(
@@ -183,7 +180,13 @@ def _cmd_factor(args) -> int:
 # -- weights ------------------------------------------------------------------
 
 def _cmd_weights(args) -> int:
-    vol = _load_vol(args.matrix, args.method, args.target, args.vol, args.shrinkage)
+    if args.vol:
+        for flag in ("--method", "--shrinkage", "--target"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} does not apply to a --vol matrix")
+        vol = VolMatrix(read_matrix_csv(args.matrix))
+    else:
+        vol = _load_vol(args.matrix, args.method or "sym_sqrt", args.target, args.shrinkage)
     if args.kappa is not None:
         wv = pi_star(vol, args.kappa)
     else:
@@ -336,13 +339,14 @@ def _date_ranges(text: str) -> list[DateRange]:
     return [DateRange.parse(tok) for tok in _split_list(text)]
 
 
+#: The report's summary statistics, in the order they are written and printed.
+_SUMMARY_KEYS = ("sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p",
+                 "terminal_wealth_ratio", "volatility_ratio")
+
+
 def _write_report(report: BacktestReport, outdir: Path) -> None:
-    keys = (
-        "sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p",
-        "terminal_wealth_ratio", "volatility_ratio",
-    )
-    values = [_fmt(getattr(report, key)) for key in keys]
-    text = [f"{key}={v}" for key, v in zip(keys, values)]
+    values = [_fmt(getattr(report, key)) for key in _SUMMARY_KEYS]
+    text = [f"{key}={v}" for key, v in zip(_SUMMARY_KEYS, values)]
     if report.stats_error is not None:
         text.append(f"stats_error={report.stats_error}")
     _write_outputs(
@@ -356,7 +360,7 @@ def _write_report(report: BacktestReport, outdir: Path) -> None:
             "weights.csv": _csv(
                 "date," + ",".join(report.assets), report.rebalance_dates, report.weight_history
             ),
-            "summary.csv": [",".join(keys), ",".join(values)],
+            "summary.csv": [",".join(_SUMMARY_KEYS), ",".join(values)],
             "summary.txt": text,
         },
     )
@@ -405,12 +409,8 @@ def _cmd_backtest(args) -> int:
 
     print(f"out-of-sample days: {report.dates.size}")
     print(f"rebalances: {report.rebalance_dates.size}")
-    print(f"sharpe_strategy={report.sharpe_strategy:.6g}")
-    print(f"sharpe_benchmark={report.sharpe_benchmark:.6g}")
-    print(f"jk_z={report.jk_z:.6g}")
-    print(f"jk_p={report.jk_p:.6g}")
-    print(f"terminal_wealth_ratio={report.terminal_wealth_ratio:.6g}")
-    print(f"volatility_ratio={report.volatility_ratio:.6g}")
+    for key in _SUMMARY_KEYS:
+        print(f"{key}={getattr(report, key):.6g}")
     if report.stats_error is not None:
         print(f"stats_error={report.stats_error}")
     print(f"wrote report to {outdir}")
@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weights", help="optimal weights from a covariance or volatility CSV")
     p.add_argument("matrix", help="matrix CSV (covariance unless --vol)")
     p.add_argument("--vol", action="store_true", help="input is already a volatility matrix")
-    p.add_argument("--method", type=method, default="sym_sqrt", help=_METHOD_HELP)
+    p.add_argument("--method", type=method, default=None, help=_METHOD_HELP)
     p.add_argument("--target", default=None)
     p.add_argument("--shrinkage", type=positive_real, default=None)
     p.add_argument("--exposure", type=nonzero_real, default=1.0, help="weight sum (default 1)")

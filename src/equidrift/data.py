@@ -401,17 +401,18 @@ def load_french(path, drop_assets=()) -> ReturnPanel:
 
     The file is banner lines, then a header of asset names, then rows of
     ``YYYYMMDD`` followed by one percent return per asset. Only the first
-    data block is read (these files append equal-weighted and annual blocks
-    after the daily value-weighted one). Values equal to -99.99 or -999 are
-    recorded as missing; all others are divided by 100 exactly once. The
-    ``drop_assets`` are removed as by :meth:`ReturnPanel.drop_assets`; take
-    a date range with :meth:`ReturnPanel.slice`.
+    data block is read, up to its first blank line (these files append
+    equal-weighted and annual blocks after the daily value-weighted one).
+    Values equal to -99.99 or -999 are recorded as missing; all others are
+    divided by 100 exactly once. The ``drop_assets`` are removed as by
+    :meth:`ReturnPanel.drop_assets`; take a date range with
+    :meth:`ReturnPanel.slice`.
     """
     lines = read_lines(path)
     first = next((i for i, line in enumerate(lines) if _is_data_line(line)), None)
     if first is None:
         raise ParseError("no data rows (date-first lines) found", len(lines) or 1)
-    end = next((i for i in range(first, len(lines)) if not _is_data_line(lines[i])), len(lines))
+    end = next((i for i in range(first, len(lines)) if not lines[i].strip()), len(lines))
 
     above = next((i for i in range(first - 1, -1, -1) if lines[i].strip()), -1)
     header = lines[above].split() if above >= 0 else []

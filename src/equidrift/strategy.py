@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -80,9 +79,6 @@ class ExposureVector:
             raise ValueError("exposures must be a finite vector")
         p.setflags(write=False)
         object.__setattr__(self, "p", p)
-
-
-PolicySource = Union[WeightVector, Callable[[int], WeightVector]]
 
 
 def _solve_unit_exposures(a: np.ndarray) -> np.ndarray:

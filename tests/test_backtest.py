@@ -647,6 +647,40 @@ class TestParallelRebalances:
         assert raised[1] == raised[0]
         assert raised[2] == raised[0]
 
+    ROTATE = BacktestConfig(
+        window_days=30,
+        reestimate_every=1,
+        factorization="rotate",
+        rotation_target=np.eye(3),
+        exclusion_windows=(),
+    )
+
+    def test_rotate_chain_errors_match_serial(self, pin_lanes):
+        # a masked estimation row leaves the first windows to the public
+        # chain, which builds the rotation target before it meets the cell
+        panel = self.panel(masked=((5, 1),))
+        raised = []
+        for lanes in (1, 2):
+            with pytest.raises(MissingData) as exc_info:
+                self.run_with(pin_lanes, lanes, panel, self.ROTATE)
+            raised.append((str(exc_info.value), exc_info.value.date, exc_info.value.asset))
+        assert raised[1] == raised[0]
+        assert raised[0][1:] == (int(panel.dates[5]), panel.assets[1])
+
+    def test_rotate_chain_gives_the_stacked_weights(self, monkeypatch, pin_lanes):
+        # a stacked solve that always fails leaves every window to the public
+        # chain, which must rotate to the same target
+        panel = self.panel()
+        want = self.run_with(pin_lanes, 1, panel, self.ROTATE).weight_history
+
+        def no_stacked_solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(backtest, "_fully_invested", no_stacked_solve)
+        for lanes in (1, 2):
+            got = self.run_with(pin_lanes, lanes, panel, self.ROTATE).weight_history
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize(
         "stretches, shrinkage, budgets, failing",
         [

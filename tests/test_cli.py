@@ -14,7 +14,10 @@ from equidrift import (
     BacktestConfig,
     DateRange,
     ModelParams,
+    ReturnPanel,
     VolMatrix,
+    cholesky,
+    estimate_covariance,
     load_csv,
     read_matrix_csv,
     rolling_backtest,
@@ -174,6 +177,18 @@ class TestWeightsCommand:
         got = [float(line.split(",")[1]) for line in lines[1:]]
         np.testing.assert_allclose(got, [1 / 3, 2 / 3], rtol=1e-15)
         assert "driver exposure (equal across drivers) = 1.333333333" in stdout
+
+    @pytest.mark.parametrize("flag", ["--method", "--shrinkage", "--target"])
+    def test_volatility_input_rejects_covariance_flags(self, cov_csv, tmp_path, capsys, flag):
+        # each was ignored: the run exited 0 with the matrix used as given
+        value = {"--method": "cholesky", "--shrinkage": "0.1", "--target": cov_csv}[flag]
+        out = tmp_path / "out"
+        code, stdout, err = run(
+            capsys, ["--out", str(out), "weights", cov_csv, "--vol", flag, value]
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {flag} does not apply to a --vol matrix\n"
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -718,6 +733,32 @@ class TestBacktestCommand:
             report.volatility_ratio,
         ]
 
+    def test_leveraged_window_keeps_the_chain_weights(self, tmp_path, capsys):
+        # Asset 1 is scaled so that the Cholesky unit solution x of the one
+        # window sums to about 1e-9 of its size: the fully invested weights
+        # have |w|_1 near 2e9 and sum to 1 within WeightVector's
+        # 1e-12 * |w|_1, but not within 1e-10. A report re-check at 1e-10
+        # rejected the weights the public chain built (exit 2, no files).
+        rng = np.random.default_rng(6)
+        sigma = VolMatrix(0.2 * np.eye(4) + 0.1 * rng.normal(size=(4, 4)))
+        panel = synthetic_panel(ModelParams(sigma=sigma, mu=0.2, r=0.03), days=70, seed=0)
+        vol = cholesky(estimate_covariance(panel.take_rows(0, 60)))
+        x = np.linalg.solve(vol.entries.T, np.ones(4))
+        scale = -x[1] / (x.sum() - x[1])
+        assert scale > 0.0
+        returns = panel.returns.copy()
+        returns[:, 1] *= scale * (1.0 + 1e-9)
+        path = tmp_path / "leveraged.csv"
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        out = tmp_path / "report"
+        argv = ["backtest", str(path), "--window", "60", "--every", "10", "--method", "cholesky"]
+        code, _, err = run(capsys, ["--out", str(out)] + argv)
+        assert (code, err) == (0, "")
+        weights = np.loadtxt(out / "weights.csv", delimiter=",", skiprows=1)[1:]
+        size = np.abs(weights).sum()
+        assert size > 1e9
+        assert 1e-10 < abs(weights.sum() - 1.0) <= 1e-12 * size
+
     def test_degenerate_statistics_report_their_error(self, tmp_path, capsys):
         # all-zero returns: shrinkage makes every window factorable, and the
         # constant return series leave the Sharpe machinery nothing to test
@@ -903,6 +944,18 @@ class TestCompareCommand:
         )
         assert code == 0
         assert "rho=" in stdout
+
+    def test_named_column_must_exist_and_be_complete(self, tmp_path, capsys):
+        path = tmp_path / "gappy.csv"
+        path.write_text("date,X,Y\n" + "".join(
+            f"{2000 + i}0103,0.01,{'' if i == 3 else 0.02}\n" for i in range(20)
+        ))
+        for col_a, code, message in (
+            ("Z", 2, f"{path} has no column 'Z'"),
+            ("Y", 6, f"column 'Y' in {path} has missing values"),
+        ):
+            got = run(capsys, ["compare", str(path), str(path), "--col-a", col_a, "--col-b", "X"])
+            assert got == (code, "", f"error: {message}\n")
 
     def test_different_dates_are_mismatched_series(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -271,6 +271,15 @@ class TestLoadFrench:
             load_french(write(tmp_path, "f.txt", text))
         assert exc_info.value.line_number == 7
 
+    @pytest.mark.parametrize("date", ["1987O102", "1987010"])
+    def test_bad_date_inside_the_block_reports_line_number(self, tmp_path, date):
+        # the block ends at its first blank line; ending it at the first
+        # line without an 8-digit date loaded the one row above this one
+        text = FRENCH_SAMPLE.replace("19870102", date)
+        with pytest.raises(ParseError, match=f"line 6: bad date '{date}'") as exc_info:
+            load_french(write(tmp_path, "f.txt", text))
+        assert exc_info.value.line_number == 6
+
     def test_no_data_rows(self, tmp_path):
         with pytest.raises(ParseError, match="no data rows"):
             load_french(write(tmp_path, "f.txt", "just a banner\nAgric Food\n"))

@@ -15,6 +15,7 @@ from equidrift import (
     VolMatrix,
     WealthLaw,
     WeightVector,
+    one_over_n,
     optimal_wealth_density,
     optimal_wealth_moments,
     pi_star,
@@ -55,9 +56,9 @@ class TestSimulatePaths:
     def test_path_count_does_not_change_earlier_paths(self):
         # per-path substreams: path i depends only on (seed, i), so asking
         # for more paths must not reshuffle the ones already drawn
-        params, _, per_step = _engine_case(2)
-        small = simulate_terminal_wealth(params, per_step, 1.0, 6, 3, 17, 1.0)
-        large = simulate_terminal_wealth(params, per_step, 1.0, 6, 8, 17, 1.0)
+        params, policy = _engine_case(2)
+        small = simulate_terminal_wealth(params, policy, 1.0, 6, 3, 17, 1.0)
+        large = simulate_terminal_wealth(params, policy, 1.0, 6, 8, 17, 1.0)
         assert large[:3].tobytes() == small.tobytes()
 
     @pytest.mark.parametrize("lanes", [1, 2, 3])
@@ -104,11 +105,11 @@ class TestReplayWealth:
     a ``PathSet`` recipe."""
 
     def test_replay_is_the_streaming_engine(self):
-        params, _, per_step = _engine_case(3)
+        params, policy = _engine_case(3)
         paths = simulate_paths(params, 1.5, 9, 23, seed=31)
         assert (paths.n_steps, paths.n_paths, paths.seed, paths.n_assets) == (9, 23, 31, 3)
-        want = simulate_terminal_wealth(params, per_step, 1.5, 9, 23, 31, 2.0)
-        assert replay_wealth(paths, per_step, params, 2.0).tobytes() == want.tobytes()
+        want = simulate_terminal_wealth(params, policy, 1.5, 9, 23, 31, 2.0)
+        assert replay_wealth(paths, policy, params, 2.0).tobytes() == want.tobytes()
         other = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
         with pytest.raises(DimensionMismatch):
@@ -141,24 +142,20 @@ class TestReplayWealth:
         wealth = simulate_terminal_wealth(params, heavy, 2.0, 40, 500, 21, w0=1.0)
         assert np.all(wealth > 0.0)
 
-    def test_per_step_policy_callable(self):
-        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(2)), mu=0.2, r=0.03)
-        all_a = WeightVector(weights=[1.0, 0.0], kappa=None, exposure=1.0)
-        all_b = WeightVector(weights=[0.0, 1.0], kappa=None, exposure=1.0)
-
-        def alternating(step):
-            return all_a if step % 2 == 0 else all_b
-
-        wealth = simulate_terminal_wealth(params, alternating, 1.0, 4, 10, 4, 1.0)
-        assert np.all(wealth > 0.0)
-        constant = simulate_terminal_wealth(params, all_a, 1.0, 4, 10, 4, 1.0)
-        assert not np.array_equal(wealth, constant)
-
     def test_dimension_mismatch(self):
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
         wrong = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None, exposure=1.0)
         with pytest.raises(DimensionMismatch):
             simulate_terminal_wealth(params, wrong, 1.0, 2, 2, 0, 1.0)
+
+    def test_policy_is_one_weight_vector(self):
+        # the weights are held for the whole horizon; a per-step callable
+        # or a bare array is refused
+        params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
+        half = WeightVector(weights=[0.5, 0.5], kappa=None, exposure=1.0)
+        for policy in (lambda step: half, half.weights):
+            with pytest.raises(TypeError, match="policy must be a WeightVector"):
+                simulate_terminal_wealth(params, policy, 1.0, 2, 2, 0, 1.0)
 
     def test_variance_floor_among_equal_mean_exposures(self):
         # any constant driver-exposure vector with the same coordinate sum
@@ -206,35 +203,29 @@ def _folded(params, policy, horizon, steps, n_paths, seed, w0):
     dt = horizon / steps
     increments = np.empty((n_paths, steps, params.n))
     simulate._per_path_increments(seed, 0, increments, dt)
-    exposures, drifts = simulate._step_exposures(policy, params, steps, dt)
+    p, drift = simulate._exposure_drift(policy, params, dt)
     log_w = np.zeros(n_paths)
     terms = np.empty((n_paths, 2 * steps))
-    simulate._fold_wealth(log_w, increments, exposures, drifts, terms)
+    simulate._fold_wealth(log_w, increments, p, drift, terms)
     return w0 * np.exp(log_w)
 
 
 def _engine_case(n: int):
-    """Model, constant policy and per-step policy on an n-asset random vol."""
+    """Model and optimal weights on an n-asset random vol."""
     sigma = sym_sqrt(random_cov(np.random.default_rng(n), n, scale=0.05))
-    params = ModelParams(sigma=sigma, mu=0.2, r=0.03)
-    base = pi_star(sigma, 0.4)
-
-    def per_step(step):
-        w = base.weights * (1.0 + 0.25 * math.sin(step))
-        return WeightVector(weights=w, kappa=None, exposure=float(w.sum()))
-
-    return params, base, per_step
+    return ModelParams(sigma=sigma, mu=0.2, r=0.03), pi_star(sigma, 0.4)
 
 
 class TestTerminalWealthEngine:
     STEPS, PATHS = 9, 23
 
     @pytest.mark.parametrize("n", [5, 47])
-    @pytest.mark.parametrize("policy_kind", ["constant", "per_step"])
+    @pytest.mark.parametrize("policy_kind", ["constant", "one_over_n"])
     @pytest.mark.parametrize("rows", [1, 7, "budget", PATHS, PATHS + 5])
     def test_bitwise_equal_to_replay(self, monkeypatch, n, policy_kind, rows):
-        params, constant, per_step = _engine_case(n)
-        policy = constant if policy_kind == "constant" else per_step
+        # the optimal weights, and the 1/n benchmark they are tested against
+        params, optimal = _engine_case(n)
+        policy = optimal if policy_kind == "constant" else one_over_n(n)
         expected = _folded(params, policy, 1.5, self.STEPS, self.PATHS, 31, 2.0)
 
         if rows == "budget":
@@ -256,23 +247,11 @@ class TestTerminalWealthEngine:
             want = math.sqrt(dt) * gen.standard_normal((steps, n))
             assert out[row].tobytes() == want.tobytes()
 
-    def test_policy_called_once_per_step(self, monkeypatch):
-        params, _, per_step = _engine_case(5)
-        calls = []
-
-        def counted(step):
-            calls.append(step)
-            return per_step(step)
-
-        monkeypatch.setattr(simulate, "_block_rows", lambda steps, n: 4)
-        simulate_terminal_wealth(params, counted, 1.0, self.STEPS, self.PATHS, 0, 1.0)
-        assert calls == list(range(self.STEPS))
-
     def test_memory_stays_within_block_budget(self, pin_lanes):
         # The full increment tensor would be 50 MB at 5 assets and 9.5 MB at
         # 47, where a block holds 10 paths, so both runs span many blocks.
         # Besides the block and the wealth vector the engine holds only
-        # things of fixed size: the per-step tables (12 kB at 5 assets, 97 kB
+        # things of fixed size: the driver exposures (40 B at 5 assets, 376 B
         # at 47), a numpy ufunc iteration buffer (64 KiB) and interpreter
         # objects. On two lanes the worker's half arrives as one pickled
         # array after the caller's half is folded and its block freed. The
@@ -317,12 +296,12 @@ class TestParallelPaths:
         return folded
 
     def run(self, n_paths):
-        params, _, per_step = _engine_case(self.N)
-        return simulate_terminal_wealth(params, per_step, 1.0, self.STEPS, n_paths, 11, 1.5)
+        params, policy = _engine_case(self.N)
+        return simulate_terminal_wealth(params, policy, 1.0, self.STEPS, n_paths, 11, 1.5)
 
     def reference(self, n_paths):
-        params, _, per_step = _engine_case(self.N)
-        return _folded(params, per_step, 1.0, self.STEPS, n_paths, 11, 1.5)
+        params, policy = _engine_case(self.N)
+        return _folded(params, policy, 1.0, self.STEPS, n_paths, 11, 1.5)
 
     @pytest.mark.parametrize("share", ["below", "at", "indivisible"])
     def test_bitwise_equal_across_lane_counts(self, monkeypatch, pin_lanes, share):
@@ -377,9 +356,9 @@ class TestParallelPaths:
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         pin_lanes(2)
-        params, constant, _ = _engine_case(self.N)
+        params, policy = _engine_case(self.N)
         with pytest.raises(expected.type) as exc_info:
-            simulate_terminal_wealth(params, constant, 1.0, self.STEPS, 2 * self.MIN, seed, 1.0)
+            simulate_terminal_wealth(params, policy, 1.0, self.STEPS, 2 * self.MIN, seed, 1.0)
         assert str(exc_info.value) == str(expected.value)
         assert forks == []
         assert capfd.readouterr().err == ""
@@ -390,9 +369,10 @@ def _digest(array) -> str:
 
 
 class TestParallelSimulator:
-    """Wealth at 1, 2 and 3 lanes, and the increments it folds, against
-    digests recorded with the serial simulator that kept every path in one
-    private array: SHA-256 of the output's bytes (numpy 2.4, x86-64).
+    """Wealth under the optimal weights at 1, 2 and 3 lanes, and the
+    increments it folds, against digests recorded with the serial simulator
+    that kept every path in one private array: SHA-256 of the output's bytes
+    (numpy 2.4, x86-64).
 
     ``small`` patches the minimum chunk to ``MIN`` paths; ``full`` runs the
     real constants on three lanes' worth of work.
@@ -406,11 +386,11 @@ class TestParallelSimulator:
     DIGESTS = {
         "small": {
             "increments": "56d6ca6180dfac60cd9993be7859e2ca4daeb730e2881be7889f92bbf3e2255c",
-            "wealth": "6dea3bdc487c7011f9d576097b4df15ba6255e5890828f6f82f5e6e2fe9971ef",
+            "wealth": "943c14db782c08e36a0373eb79c94ef3a2fa5bc72830fdb41cf3de73a8e2b501",
         },
         "full": {
             "increments": "42aa3c3bde2019cc2bafbc60aea70dbf675a6a62f02ba54388f170a568ea4965",
-            "wealth": "ed1bf31a313a1759d0643ab0b92e32bba8ac61a265f8c1737526493950cc7a04",
+            "wealth": "88fbb773eaf609b54578e96132f5bfe44b03feff6cc730c871204c77158058f8",
         },
     }
 
@@ -422,10 +402,10 @@ class TestParallelSimulator:
         increments = np.empty((n_paths, steps, n))
         simulate._per_path_increments(11, 0, increments, 1.0 / steps)
         assert _digest(increments) == self.DIGESTS[case]["increments"]
-        params, _, per_step = _engine_case(n)
+        params, policy = _engine_case(n)
         for lanes in (1, 2, 3):
             pin_lanes(lanes)
-            wealth = simulate_terminal_wealth(params, per_step, 1.0, steps, n_paths, 11, 1.5)
+            wealth = simulate_terminal_wealth(params, policy, 1.0, steps, n_paths, 11, 1.5)
             assert _digest(wealth) == self.DIGESTS[case]["wealth"]
 
 

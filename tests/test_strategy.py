@@ -21,7 +21,7 @@ from equidrift import (
     random_rotation,
     sym_sqrt,
 )
-from equidrift.errors import DegenerateExposure, DimensionMismatch
+from equidrift.errors import DegenerateExposure, DimensionMismatch, SingularMatrix
 from equidrift.strategy import RESIDUAL_RTOL
 
 TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
@@ -161,6 +161,21 @@ class TestPiStarFullyInvested:
     def test_rejects_zero_exposure(self):
         with pytest.raises(ValueError):
             pi_star_fully_invested(VolMatrix(np.eye(2)), exposure=0.0)
+
+    def test_non_finite_solve_is_singular(self):
+        # subnormal entries pass VolMatrix's checks, and the solve overflows
+        with pytest.raises(SingularMatrix, match="solve produced non-finite weights"):
+            pi_star_fully_invested(VolMatrix(1e-310 * np.eye(3)), exposure=1.0)
+
+    def test_residual_beyond_the_contract_is_singular(self):
+        # singular values 1 down to 1e-12: the unit solution is near 1e12 in
+        # size, so kappa is tiny and the solve's rounding, small as it is,
+        # exceeds RESIDUAL_RTOL * kappa (at seed 2 kappa is positive)
+        rng = np.random.default_rng(2)
+        u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+        sigma = VolMatrix(u @ np.diag(np.logspace(0, -12, 4)) @ v)
+        with pytest.raises(SingularMatrix, match=r"driver-exposure residual .* exceeds 1e-10"):
+            pi_star_fully_invested(sigma, exposure=1.0)
 
 
 def _factor(kind: str, n: int, seed: int, log_cond: float, scale: float) -> VolMatrix:
