@@ -1,11 +1,12 @@
-"""Rolling-sample out-of-sample backtest.
+"""Rolling-sample out-of-sample backtest in three stages: weights, accounting, summary.
 
 Every ``reestimate_every`` trading days the engine estimates a covariance
 matrix from the trailing ``window_days`` rows (minus any exclusion windows,
 which apply to estimation only), factors it, and computes the optimal and
 equal-weight target vectors. Weights are re-fixed to the target every day;
 day-t returns use only data through day t-1. Accounting always runs on the
-full return series, including excluded dates, as one batched product.
+full return series, including excluded dates, as one batched product. The
+summary's Sharpe ratios come from its one Jobson-Korkie-Memmel test.
 
 Rebalance weights come in two passes over a block of windows. The first
 fills a stack of n x n covariances, one window at a time, with the kernel
@@ -65,7 +66,7 @@ from .factorization import (
     factor_covariance,
 )
 from .model import TRADING_DAYS_PER_YEAR
-from .stats import jobson_korkie_memmel, sharpe
+from .stats import jobson_korkie_memmel
 from .strategy import NEGATIVE_KAPPA, _fully_invested, _unit_kappa, _weights, one_over_n
 
 __all__ = [
@@ -103,7 +104,7 @@ class BacktestConfig:
     covariances instead of failing. ``rotation_target`` is required when
     ``factorization`` is 'rotate' and rejected otherwise. It may be any
     square matrix-like and is stored as nested tuples of floats, so configs
-    compare and hash by value.
+    compare and hash by value; ``_target`` keeps the validated TargetMatrix.
     """
 
     window_days: int = 1260
@@ -133,9 +134,10 @@ class BacktestConfig:
             raise ValueError("factorization 'rotate' needs rotation_target")
         if self.factorization != "rotate" and self.rotation_target is not None:
             raise ValueError("rotation_target needs factorization 'rotate'")
-        if self.rotation_target is not None:
-            rows = TargetMatrix(self.rotation_target).entries.tolist()
-            object.__setattr__(self, "rotation_target", tuple(map(tuple, rows)))
+        target = None if self.rotation_target is None else TargetMatrix(self.rotation_target)
+        object.__setattr__(self, "_target", target)
+        if target is not None:
+            object.__setattr__(self, "rotation_target", tuple(map(tuple, target.entries.tolist())))
         _check_shrinkage(self.shrinkage)
         object.__setattr__(self, "exclusion_windows", tuple(self.exclusion_windows))
 
@@ -149,8 +151,8 @@ class BacktestReport:
     """Out-of-sample return series, weight history, and summary statistics.
 
     ``weight_history`` holds the weights as the engine built them, through
-    the public chain's checks. When the Sharpe machinery cannot run
-    (degenerate return series) the four statistic fields are NaN and
+    the public chain's checks. When the Sharpe test cannot run (fewer than 3
+    days, or a constant series) the four statistic fields are NaN and
     ``stats_error`` says why.
     """
 
@@ -256,9 +258,6 @@ def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
     caller issues that warning, then ``finish()`` runs the rest of the step,
     which may still raise.
     """
-    target = None
-    if config.factorization == "rotate":
-        target = TargetMatrix(config.rotation_target)
     for t in rows:
         sample = estimation_window(panel, t, config)
         try:
@@ -268,7 +267,7 @@ def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
                 f"estimation window ending before date {int(panel.dates[t])} "
                 f"is not factorable: {exc}"
             ) from exc
-        vol = factor_covariance(cov, config.factorization, target)
+        vol = factor_covariance(cov, config.factorization, config._target)
         x, kappa = _unit_kappa(vol, config.exposure)
         yield kappa[0] < 0.0, partial(_weights, vol, x, kappa)
 
@@ -321,7 +320,7 @@ def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     ends = np.asarray(rows) - first
     lo, hi = pos[ends - config.window_days], pos[ends]
     fits = (hi - lo > n) & (masked[hi] == masked[lo])
-    target = None if config.rotation_target is None else TargetMatrix(config.rotation_target).entries
+    target = None if config._target is None else config._target.entries
     size = max(1, _STACK_BYTES // (8 * n * n))
     for i in range(0, len(rows), size):
         j = min(i + size, len(rows))
@@ -360,7 +359,8 @@ def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.
 
 
 def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -> BacktestReport:
-    """Run the rolling out-of-sample protocol over a full return panel."""
+    """Run the rolling out-of-sample protocol over a full return panel: checks,
+    then the weights, then :func:`_account`, then :func:`_summary`."""
     if config is None:
         config = BacktestConfig()
     complete = int(np.sum(~np.any(panel.missing_mask, axis=1)))
@@ -370,8 +370,8 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
             f"panel has {complete} complete rows; need at least {needed} "
             f"(window {config.window_days} + cadence {config.reestimate_every})"
         )
-    if config.factorization == "rotate":
-        _require_target_dim(panel.n_assets, TargetMatrix(config.rotation_target))
+    if config._target is not None:
+        _require_target_dim(panel.n_assets, config._target)
 
     start, every = config.window_days, config.reestimate_every
     rows = range(start, panel.n_dates, every)
@@ -390,6 +390,23 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
             asset=panel.assets[j],
         )
 
+    strategy, benchmark = _account(panel, weight_history, config)
+    return BacktestReport(
+        dates=panel.dates[start:],
+        strategy_returns=strategy,
+        benchmark_returns=benchmark,
+        rebalance_dates=panel.dates[start::every],
+        weight_history=weight_history,
+        assets=panel.assets,
+        **_summary(strategy, benchmark, config.rf_daily),
+    )
+
+
+def _account(panel: ReturnPanel, weight_history: np.ndarray, config: BacktestConfig):
+    """Daily (strategy, 1/n) returns from the first rebalance on. Each
+    rebalance's weights hold for its block of ``reestimate_every`` days, the
+    last block possibly short, and the rest of the exposure earns rf."""
+    start, every = config.window_days, config.reestimate_every
     rf_daily = config.rf_daily
     held = panel.returns[start:]
     k = held.shape[0] // every  # full blocks; each view slice strides as held[t0 : t0 + every]
@@ -399,36 +416,25 @@ def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -
     strat = np.concatenate(((full[..., 0] + cash[:k, None]).ravel(), tail))
     bench = one_over_n(panel.n_assets, exposure=config.exposure).weights
     bench_series = held @ bench + (1.0 - float(bench.sum())) * rf_daily
-    dates = panel.dates[start:]
+    return strat, bench_series
 
-    stats_error = None
-    s_strat = s_bench = jk_z = jk_p = math.nan
+
+#: The report's summary statistics, in the order they are written and printed.
+_SUMMARY_KEYS = ("sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p",
+                 "terminal_wealth_ratio", "volatility_ratio")
+
+
+def _summary(strategy: np.ndarray, benchmark: np.ndarray, rf_daily: float) -> dict:
+    """The ``_SUMMARY_KEYS`` values and ``stats_error`` of two return series. One
+    Jobson-Korkie-Memmel test on the excess returns gives the first four, or NaN
+    and ``stats_error`` when it cannot run (fewer than 3 days, or a constant series)."""
     try:
-        s_strat = sharpe(strat, rf_daily).ratio
-        s_bench = sharpe(bench_series, rf_daily).ratio
-        jk = jobson_korkie_memmel(strat - rf_daily, bench_series - rf_daily)
-        jk_z, jk_p = jk.z, jk.p_one_sided
+        jk = jobson_korkie_memmel(strategy - rf_daily, benchmark - rf_daily)
+        tested, stats_error = (jk.sharpe_1, jk.sharpe_2, jk.z, jk.p_one_sided), None
     except (ZeroVariance, TooFewObservations) as exc:
-        stats_error = f"{type(exc).__name__}: {exc}"
-        s_strat = s_bench = jk_z = jk_p = math.nan
-
-    wealth_ratio = float(np.prod(1.0 + strat) / np.prod(1.0 + bench_series))
-    sd_strat = float(strat.std(ddof=1)) if strat.size > 1 else math.nan
-    sd_bench = float(bench_series.std(ddof=1)) if bench_series.size > 1 else math.nan
-    vol_ratio = sd_strat / sd_bench if sd_bench and not math.isnan(sd_bench) else math.nan
-
-    return BacktestReport(
-        dates=dates,
-        strategy_returns=strat,
-        benchmark_returns=bench_series,
-        rebalance_dates=panel.dates[start::every],
-        weight_history=weight_history,
-        assets=panel.assets,
-        sharpe_strategy=s_strat,
-        sharpe_benchmark=s_bench,
-        jk_z=jk_z,
-        jk_p=jk_p,
-        terminal_wealth_ratio=wealth_ratio,
-        volatility_ratio=vol_ratio,
-        stats_error=stats_error,
-    )
+        tested, stats_error = (math.nan,) * 4, f"{type(exc).__name__}: {exc}"
+    wealth_ratio = float(np.prod(1.0 + strategy) / np.prod(1.0 + benchmark))
+    sd_strat = float(strategy.std(ddof=1)) if strategy.size > 1 else math.nan
+    sd_bench = float(benchmark.std(ddof=1)) if benchmark.size > 1 else math.nan
+    values = (*tested, wealth_ratio, sd_strat / sd_bench if sd_bench else math.nan)
+    return dict(zip(_SUMMARY_KEYS, values), stats_error=stats_error)

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backtest import BacktestConfig, BacktestReport, rolling_backtest
+from .backtest import _SUMMARY_KEYS, BacktestConfig, BacktestReport, rolling_backtest
 from .data import DateRange, load_csv, load_french, read_lines, read_matrix_csv
 from .data import parse_integer, parse_real
 from .errors import EquidriftError, LengthMismatch, MissingData, ParseError
@@ -337,11 +337,6 @@ def _split_list(text: str) -> list[str]:
 
 def _date_ranges(text: str) -> list[DateRange]:
     return [DateRange.parse(tok) for tok in _split_list(text)]
-
-
-#: The report's summary statistics, in the order they are written and printed.
-_SUMMARY_KEYS = ("sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p",
-                 "terminal_wealth_ratio", "volatility_ratio")
 
 
 def _write_report(report: BacktestReport, outdir: Path) -> None:

@@ -33,7 +33,7 @@ import numpy as np
 from ._fanout import fan_out, split
 from .errors import DimensionMismatch, NonPositiveGridPoint
 from .model import ModelParams
-from .strategy import WeightVector
+from .strategy import WeightVector, brownian_exposures
 
 __all__ = [
     "PathSet",
@@ -163,9 +163,7 @@ def _exposure_drift(pi: WeightVector, params: ModelParams, dt: float):
     """Driver exposures ``p = sigma' pi`` and the log-wealth drift of a step."""
     if not isinstance(pi, WeightVector):
         raise TypeError("policy must be a WeightVector")
-    if pi.n != params.n:
-        raise DimensionMismatch(f"policy weights have length {pi.n}, expected {params.n}")
-    p = params.sigma.entries.T @ pi.weights
+    p = brownian_exposures(pi, params.sigma).p
     return p, (p.sum() * (params.mu - params.r) - 0.5 * (p ** 2).sum() + params.r) * dt
 
 

@@ -1,14 +1,17 @@
 import errno
+import importlib.util
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import public_chain
@@ -41,6 +44,20 @@ from equidrift.errors import (
 )
 
 SMALL = dict(window_days=30, reestimate_every=5, exclusion_windows=())
+
+
+def _bench_oracle():
+    """``bench/oracle.py``, the benchmark's numpy-only reimplementation of the
+    protocol, loaded by path (``bench/`` is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _bench_oracle()
 
 
 def zero_panel(days=40, n=2):
@@ -359,6 +376,16 @@ class TestRollingBacktest:
         with pytest.raises(InsufficientHistory):
             rolling_backtest(holed, BacktestConfig(**SMALL))
 
+    @pytest.mark.parametrize("days", [1, 2])
+    def test_too_short_a_run_names_the_summary_minimum(self, days):
+        cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
+        report = rolling_backtest(gbm_panel(30 + days, seed=5), cfg)
+        assert report.strategy_returns.size == days
+        want = f"TooFewObservations: need at least 3 observations, got {days}"
+        assert report.stats_error == want
+        for key in ("sharpe_strategy", "sharpe_benchmark", "jk_z", "jk_p"):
+            assert math.isnan(getattr(report, key)), key
+
     def test_summary_statistics_recompute(self):
         panel = gbm_panel(80, seed=9)
         cfg = BacktestConfig(**SMALL)
@@ -408,6 +435,66 @@ class TestRollingBacktest:
         )
         report = rolling_backtest(panel, cfg)
         assert mid in report.dates.tolist()
+
+
+class TestOracle:
+    """The engine against the benchmark's independent oracle, which shares
+    none of its kernels, on small random configurations."""
+
+    @pytest.mark.filterwarnings("ignore:requested exposure implies a negative kappa:UserWarning")
+    @settings(max_examples=300)
+    @given(
+        n=st.integers(2, 6),
+        method=st.sampled_from(["sym_sqrt", "cholesky", "rotate"]),
+        exposure=st.sampled_from([1.0, 0.7, 1.6, -0.5]),
+        data=st.data(),
+    )
+    def test_engine_agrees_with_the_oracle(self, n, method, exposure, data):
+        window = data.draw(st.integers(n + 2, 80), label="window")
+        every = data.draw(st.integers(1, min(window - 1, 30)), label="every")
+        blocks = data.draw(st.integers(-(-3 // every), 6), label="blocks")  # 3+ return days
+        days = window + blocks * every + data.draw(st.integers(0, every - 1), label="short")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        mix = np.eye(n) + 0.5 * np.tril(np.random.default_rng(seed).standard_normal((n, n)), -1)
+        panel = gbm_panel(days, seed, sigma=VolMatrix(0.2 * mix), n=n)
+        dates = panel.dates
+        spans = data.draw(
+            st.lists(st.tuples(st.integers(0, days - 1), st.integers(0, 20)), max_size=2),
+            label="exclusions",
+        )
+        excluded = tuple((int(dates[i]), int(dates[min(i + k, days - 1)])) for i, k in spans)
+        # the benchmark's rotation target: a Gaussian one can give |w|_1 near 1e3,
+        # whose returns miss the oracle's absolute tolerance through rounding alone
+        target = 0.01 * (np.eye(n) + 0.5 * np.tril(np.ones((n, n)), -1))
+        cfg = BacktestConfig(
+            window_days=window,
+            reestimate_every=every,
+            factorization=method,
+            exposure=exposure,
+            exclusion_windows=tuple(DateRange(a, b) for a, b in excluded),
+            rotation_target=target if method == "rotate" else None,
+        )
+        try:
+            report = rolling_backtest(panel, cfg)
+        except EquidriftError:
+            reject()
+        spec = oracle.BacktestSpec(
+            window, every, method, exposure, cfg.rf_annual, excluded, target=target
+        )
+        ref = oracle.backtest(dates, panel.returns, spec)
+        summary = ref.summary  # compared only when the engine's statistics ran
+        if report.stats_error is None:
+            summary = {key: getattr(report, key) for key in oracle.SUMMARY_KEYS}
+        problems = oracle.compare_backtest(
+            ref,
+            report.rebalance_dates,
+            report.weight_history,
+            report.dates,
+            report.strategy_returns,
+            report.benchmark_returns,
+            summary,
+        )
+        assert problems == []
 
 
 class TestPanelLayout:

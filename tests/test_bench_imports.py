@@ -3,7 +3,8 @@
 The harness imports names from ``equidrift`` and, for its traced runs, looks
 names up on ``equidrift.cli`` and wraps them. Its own tests are not part of
 this suite, so these checks read its files with ``ast`` and fail as soon as
-the package stops providing a name the harness needs.
+the package stops providing a name the harness needs, or the report's summary
+fields stop being the ones the oracle checks.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pytest
 
 import equidrift
 import equidrift.cli
+from equidrift.backtest import _SUMMARY_KEYS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -72,6 +74,16 @@ def test_cli_binds_the_traced_names():
     assert looked_up == TRACED
     for name in sorted(TRACED):
         assert hasattr(equidrift.cli, name), name
+
+
+def test_summary_keys_are_the_oracles():
+    # the report's columns and the ones the oracle checks are one list
+    assigned = {
+        node.targets[0].id: node.value
+        for node in _tree("oracle.py").body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    assert ast.literal_eval(assigned["SUMMARY_KEYS"]) == _SUMMARY_KEYS
 
 
 def test_package_surface_is_the_modules_lists():
