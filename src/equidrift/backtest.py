@@ -14,8 +14,9 @@ fills a stack of n x n covariances, one window at a time, with the kernel
 asset-major panel with excluded rows removed once. The second runs the rest
 of the chain on the whole stack: ``eigh`` with the ``shrinkage`` repair, the
 factor, the refined solve and the weight checks, one LAPACK call per step
-with vectorized verdicts. The public functions run the same kernels on a
-batch of one, so the weights are bitwise equal to the public chain
+with vectorized verdicts. The public functions are the same kernels on a
+batch of one that raise from their verdicts, so the weights are bitwise
+equal to the public chain
 ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
 ``pi_star_fully_invested``. A block keeps its weights up to the first window
 on which that chain would raise, or warn of anything but a negative kappa,
@@ -67,7 +68,7 @@ from .factorization import (
 )
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel
-from .strategy import NEGATIVE_KAPPA, _fully_invested, _unit_kappa, _weights, one_over_n
+from .strategy import NEGATIVE_KAPPA, _pi_star, _solved, _weights, one_over_n
 
 __all__ = [
     "BacktestConfig",
@@ -187,8 +188,9 @@ def estimate_covariance(window: ReturnPanel, shrinkage: float | None = None) -> 
     """Unbiased sample covariance (divisor m - 1) of a panel's daily returns.
 
     Raises MissingData on any masked cell (no imputation, ever) and
-    InsufficientObservations below n + 1 rows. Non-PD results raise through
-    CovMatrix unless ``shrinkage`` repairs them.
+    InsufficientObservations below n + 1 rows. A covariance that overflows
+    raises NotPositiveDefinite, as do non-PD results through CovMatrix
+    unless ``shrinkage`` repairs them.
     """
     if np.any(window.missing_mask):
         i, j = np.argwhere(window.missing_mask)[0]
@@ -204,7 +206,11 @@ def estimate_covariance(window: ReturnPanel, shrinkage: float | None = None) -> 
         raise InsufficientObservations(
             f"need at least {n + 1} observations for {n} assets, got {m}"
         )
-    return CovMatrix(_covariance(window.returns.T, [0], [m])[0], shrinkage=shrinkage)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _covariance(window.returns.T, [0], [m])[0]
+    if not np.all(np.isfinite(c)):
+        raise NotPositiveDefinite("sample covariance overflows: it has non-finite entries")
+    return CovMatrix(c, shrinkage=shrinkage)
 
 
 def _covariance(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -268,8 +274,8 @@ def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
                 f"is not factorable: {exc}"
             ) from exc
         vol = factor_covariance(cov, config.factorization, config._target)
-        x, kappa = _unit_kappa(vol, config.exposure)
-        yield kappa[0] < 0.0, partial(_weights, vol, x, kappa)
+        pi, kappa, residual, unmet = _solved(vol, config.exposure)
+        yield kappa < 0.0, partial(_weights, pi, kappa, residual, unmet)
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -279,25 +285,28 @@ def _leading(ok: np.ndarray) -> int:
 
 
 def _stacked_weights(
-    kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig, target
+    kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights for the windows ``kept[:, lo[k]:hi[k]]`` from the stacked
     kernels, ``shrinkage`` repair included, up to the first window on which
     the public chain would raise or warn of anything but a negative kappa, and
     whether each kappa is negative; none if a LAPACK call fails on the block."""
     n = kept.shape[0]
-    with np.errstate(all="ignore"):  # a failing window warns on the public path
+    with np.errstate(all="ignore"):  # the public chain judges a failing window
         c = _covariance(kept, lo, hi)
         c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)))]  # symmetric by construction
         try:
             c, w, v = _positive_eig(c, config.shrinkage)
             k = _leading(w[:, 0] > 0.0)
-            sigma, ok = _factors(c[:k], w[:k], v[:k], config.factorization, target)
-            weights, ok, negative = _fully_invested(sigma[: _leading(ok)], config.exposure)
+            sigma, pivots, floor, singular = _factors(
+                c[:k], w[:k], v[:k], config.factorization, config._target
+            )
+            k = _leading(~(singular | np.any(pivots <= floor[:, None], axis=1)))
+            weights, kappa, _, *fails = _pi_star(sigma[:k], config.exposure)
         except np.linalg.LinAlgError:
             return np.empty((0, n)), np.empty(0, dtype=bool)
-    k = _leading(ok)
-    return weights[:k], negative[:k]
+    k = _leading(~np.any(fails, axis=0))
+    return weights[:k], kappa[:k] < 0.0
 
 
 def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
@@ -320,12 +329,11 @@ def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     ends = np.asarray(rows) - first
     lo, hi = pos[ends - config.window_days], pos[ends]
     fits = (hi - lo > n) & (masked[hi] == masked[lo])
-    target = None if config._target is None else config._target.entries
     size = max(1, _STACK_BYTES // (8 * n * n))
     for i in range(0, len(rows), size):
         j = min(i + size, len(rows))
         done = i + _leading(fits[i:j])
-        weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config, target)
+        weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config)
         yield weights, negative, rows[i + len(weights) : j]
 
 

@@ -227,10 +227,8 @@ def _cmd_simulate(args) -> int:
             raise ValueError("provide --n or --vol")
         sigma = VolMatrix(args.sigma_scale * np.eye(n))
     params = ModelParams(sigma=sigma, mu=args.mu, r=args.r)
-    kappa = (args.lam - args.r) / (args.mu - args.r)
-    wv = pi_star(sigma, kappa)
-
-    law = WealthLaw(w=args.w0, lam=args.lam, kappa=kappa, n=n, t=args.horizon)
+    law = WealthLaw.from_rates(args.w0, args.lam, args.mu, args.r, n, args.horizon)
+    wv = pi_star(sigma, law.kappa)
     mean_th, var_th = optimal_wealth_moments(law)
     wealth = simulate_terminal_wealth(
         params, wv, args.horizon, args.steps, args.paths, args.seed, args.w0
@@ -240,7 +238,7 @@ def _cmd_simulate(args) -> int:
     se = float(wealth.std(ddof=1) / math.sqrt(args.paths))
 
     print(f"paths={args.paths} steps={args.steps} horizon={args.horizon} seed={args.seed}")
-    print(f"kappa = {kappa:.10g}")
+    print(f"kappa = {law.kappa:.10g}")
     print(f"mean: mc={mc_mean:.8f} theory={mean_th:.8f} se={se:.3g}")
     print(f"variance: mc={mc_var:.8f} theory={var_th:.8f}")
     if args.save:

@@ -160,6 +160,9 @@ class ReturnPanel:
             raise NonMonotonicDates(
                 f"dates not strictly increasing: {dates[i]} then {dates[i + 1]}"
             )
+        impossible = np.flatnonzero(~_possible_dates(dates))
+        if impossible.size:
+            _check_yyyymmdd(dates[impossible[0]], "date")  # raises as DateRange would
         if not np.all(np.isfinite(returns[~mask])):
             raise ValueError("panel contains non-finite unmasked returns")
 

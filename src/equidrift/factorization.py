@@ -13,10 +13,11 @@ singular values ``sqrt(eig(C))``, which :class:`CovMatrix` keeps, and a
 rotation leaves them unchanged, so factorizations judge singularity without an SVD.
 
 Each step runs on a private kernel that takes a stack of matrices (a
-leading batch axis) and returns per-slice results and verdicts; the public
-functions call it with a batch of one and raise on its verdicts. The
-backtest engine calls the same kernels with a batch of many, so its factors
-are bitwise equal to the public ones.
+leading batch axis) and returns per-slice results and verdicts. The kernel
+holds the step's checks and its one ``method`` dispatch; a public function is
+that kernel on a batch of one, raising from its verdicts. The backtest
+engine calls the same kernels with a batch of many, so its factors are
+bitwise equal to the public ones.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class CovMatrix:
     for an all-zero sample) to the diagonal, then re-checked.
 
     The eigendecomposition behind the positive-definiteness verdict is kept
-    for :func:`sym_sqrt`, so a matrix is decomposed once.
+    for :func:`factor_covariance`, so a matrix is decomposed once.
     """
 
     __slots__ = ("entries", "dim", "_eig")
@@ -123,16 +124,10 @@ def _symmetric(a: np.ndarray) -> np.ndarray:
     return ~((scale > 0) & (skew > SYMMETRY_RTOL * scale))
 
 
-def _nonsingular(svals: np.ndarray) -> np.ndarray:
-    """Per row of singular values (B, n): the factor is not singular within
+def _singular(svals: np.ndarray) -> np.ndarray:
+    """Per row of singular values (B, n): the factor is singular within
     tolerance."""
-    return ~(svals.min(axis=1) <= svals.shape[1] * 1e-13 * svals.max(axis=1))
-
-
-def _require_nonsingular(svals: np.ndarray) -> None:
-    """Reject a factor with these singular values as singular."""
-    if not _nonsingular(svals[None])[0]:
-        raise SingularMatrix("volatility matrix is singular within tolerance")
+    return svals.min(axis=1) <= svals.shape[1] * 1e-13 * svals.max(axis=1)
 
 
 def _cholesky(a: np.ndarray):
@@ -173,7 +168,8 @@ class VolMatrix:
 
     def __init__(self, entries):
         a = _as_square(entries, "volatility matrix")
-        _require_nonsingular(np.linalg.svd(a, compute_uv=False))
+        if _singular(np.linalg.svd(a[None], compute_uv=False))[0]:
+            raise SingularMatrix("volatility matrix is singular within tolerance")
         self.entries, self.dim, self.provenance = a, a.shape[0], "user"
 
     @classmethod
@@ -242,21 +238,7 @@ def cholesky(cov: CovMatrix) -> VolMatrix:
     SingularMatrix
         If L's singular values, ``sqrt(eig(C))``, say it is singular.
     """
-    try:
-        lower, pivots, floor = (x[0] for x in _cholesky(cov.entries[None]))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"covariance matrix is not positive-definite to working precision: {exc}"
-        ) from exc
-    low = np.flatnonzero(pivots <= floor)
-    if low.size:
-        j = int(low[0])
-        raise NotPositiveDefinite(
-            f"elimination pivot {pivots[j]:.3e} at column {j} is below the "
-            f"positive-definiteness floor {floor:.3e}"
-        )
-    _require_nonsingular(np.sqrt(cov._eig[0]))
-    return VolMatrix._built(lower, "cholesky")
+    return factor_covariance(cov, "cholesky")
 
 
 def sym_sqrt(cov: CovMatrix) -> VolMatrix:
@@ -265,9 +247,7 @@ def sym_sqrt(cov: CovMatrix) -> VolMatrix:
     Reuses the decomposition :class:`CovMatrix` made, whose eigenvalues are
     all positive. A nearly singular factor raises SingularMatrix.
     """
-    w, v = cov._eig
-    _require_nonsingular(np.sqrt(w))
-    return VolMatrix._built(_sym_sqrt(w[None], v[None])[0], "sym_sqrt")
+    return factor_covariance(cov, "sym_sqrt")
 
 
 def _require_target_dim(dim: int, target: TargetMatrix) -> None:
@@ -295,38 +275,56 @@ def factor_covariance(
 ) -> VolMatrix:
     """Factor a covariance matrix by one of :data:`FACTORIZATIONS`.
 
-    'cholesky' and 'sym_sqrt' call the function of that name; 'rotate'
-    rotates the Cholesky factor toward ``target`` with
-    :func:`procrustes_rotate`.
+    'cholesky' and 'sym_sqrt' give the factors :func:`cholesky` and
+    :func:`sym_sqrt` describe, and raise as they do; 'rotate' rotates the
+    Cholesky factor toward ``target`` as :func:`procrustes_rotate` does,
+    after checking ``target``'s size and before raising on the factor.
     """
-    if method == "cholesky":
-        return cholesky(cov)
-    if method == "sym_sqrt":
-        return sym_sqrt(cov)
-    if method == "rotate":
-        if target is None:
-            raise ValueError("factorization 'rotate' needs a target matrix")
-        return procrustes_rotate(cholesky(cov), target)[0]
-    raise ValueError(f"factorization must be one of {FACTORIZATIONS}, got {method!r}")
+    w, v = cov._eig
+    try:
+        factor, pivots, floor, singular = (
+            x[0] for x in _factors(cov.entries[None], w[None], v[None], method, target)
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"covariance matrix is not positive-definite to working precision: {exc}"
+        ) from exc
+    low = np.flatnonzero(pivots <= floor)
+    if low.size:
+        j = int(low[0])
+        raise NotPositiveDefinite(
+            f"elimination pivot {pivots[j]:.3e} at column {j} is below the "
+            f"positive-definiteness floor {floor:.3e}"
+        )
+    if singular:
+        raise SingularMatrix("volatility matrix is singular within tolerance")
+    return VolMatrix._built(factor, "rotated" if method == "rotate" else method)
 
 
 def _factors(c: np.ndarray, w: np.ndarray, v: np.ndarray, method: str, target=None):
     """:func:`factor_covariance` over a stack of covariance matrices ``c``
-    (B, n, n) with eigenpairs ``(w, v)``, each with ``w[:, 0] > 0``.
+    (B, n, n) with eigenpairs ``(w, v)``, each with ``w[:, 0] > 0``, and a
+    rotation TargetMatrix ``target``.
 
-    Returns the factors and, per slice, whether ``factor_covariance`` would
-    return that factor rather than raise. ``target`` is the rotation
-    target's entries, of the factors' size. Raises LinAlgError if a Cholesky
-    factorization fails.
+    Returns the factors; the Cholesky elimination pivots ``L[j, j]**2``
+    (B, n) and each slice's pivot floor (B,), which 'sym_sqrt' does not
+    use (its pivots are (B, 0)); and whether each factor is singular within
+    tolerance. Raises ValueError or DimensionMismatch on a bad ``method`` or
+    ``target``, and LinAlgError if a Cholesky factorization fails.
     """
-    ok = _nonsingular(np.sqrt(w))
+    if method not in FACTORIZATIONS:
+        raise ValueError(f"factorization must be one of {FACTORIZATIONS}, got {method!r}")
+    if method == "rotate":
+        if target is None:
+            raise ValueError("factorization 'rotate' needs a target matrix")
+        _require_target_dim(c.shape[1], target)
+    singular = _singular(np.sqrt(w))
     if method == "sym_sqrt":
-        return _sym_sqrt(w, v), ok
+        return _sym_sqrt(w, v), np.empty((len(w), 0)), np.zeros(len(w)), singular
     lower, pivots, floor = _cholesky(c)
-    ok &= ~np.any(pivots <= floor[:, None], axis=1)
-    if method == "cholesky":
-        return lower, ok
-    return _rotate(lower, target)[0], ok
+    if method == "rotate":
+        lower = _rotate(lower, target.entries)[0]
+    return lower, pivots, floor, singular
 
 
 def recover_cholesky(vol: VolMatrix) -> VolMatrix:

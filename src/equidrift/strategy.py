@@ -6,6 +6,12 @@ driver: its weights solve ``sigma' pi = (kappa / n) * 1`` where
 invested in stocks pins down kappa without estimating mu, r or lambda, which
 is how the fully-invested variant is used in practice.  The classical 1/n
 allocation is provided as the benchmark.
+
+Both solves run on one private kernel, :func:`_pi_star`, which takes a stack
+of factors (a leading batch axis) and returns per-slice weights and
+verdicts. The public functions are that kernel on a batch of one, raising
+from its verdicts; the backtest engine runs it on a batch of many, so its
+weights are bitwise equal to the public ones.
 """
 
 from __future__ import annotations
@@ -94,91 +100,74 @@ def _solve_unit_exposures(a: np.ndarray) -> np.ndarray:
     return (x - np.linalg.solve(a, a @ x - ones))[:, :, 0]
 
 
-def _scale_unit_solution(a: np.ndarray, x: np.ndarray, kappa: np.ndarray):
-    """Weights ``(kappa / n) x`` per slice of a stack and the max-norm
-    residual of ``a pi = kappa / n``, the driver-exposure equations."""
-    target = kappa / a.shape[1]
-    pi = target[:, None] * x
-    residual = np.abs((a @ pi[:, :, None])[:, :, 0] - target[:, None]).max(axis=1)
-    return pi, residual
+def _pi_star(sigma: np.ndarray, exposure: float | None, kappa: np.ndarray | None = None):
+    """:func:`pi_star` over a stack of factors (B, n, n) with ``kappa`` (B,)
+    given, or :func:`pi_star_fully_invested` for a non-zero ``exposure``.
 
-
-def _kappa(x: np.ndarray, exposure: float):
-    """Per slice of unit solutions x (B, n): the kappa that scales x to
-    ``exposure``, and whether ``sum x`` is too close to 0 to give one."""
-    s = x.sum(axis=1)
-    with np.errstate(divide="ignore"):  # s == 0 is degenerate
-        kappa = x.shape[1] * exposure / s
-    return kappa, np.abs(s) <= 1e-12 * np.abs(x).sum(axis=1)
-
-
-def _fully_invested(sigma: np.ndarray, exposure: float):
-    """:func:`pi_star_fully_invested` over a stack of factors (B, n, n), for
-    a non-zero ``exposure``.
-
-    Returns the weights and, per slice, whether ``pi_star_fully_invested``
-    would return them without raising and whether it would warn that kappa
-    is negative. Raises LinAlgError on an exactly singular slice.
+    Returns the weights, their kappas, the max-norm residuals of the
+    driver-exposure equations and three per-slice verdicts, in the order the
+    public functions raise on them: the unit solve is not finite, its sum is
+    too close to 0 to reach ``exposure`` (never, given kappa), and the
+    weights are not finite or miss the residual contract. Numpy warns of
+    nothing. Raises LinAlgError on an exactly singular slice.
     """
     a = sigma.transpose(0, 2, 1)
-    x = _solve_unit_exposures(a)
-    kappa, degenerate = _kappa(x, exposure)
-    pi, residual = _scale_unit_solution(a, x, kappa)
-    ok = (
-        np.all(np.isfinite(x), axis=1)
-        & ~degenerate
-        & ~(residual > RESIDUAL_RTOL * np.abs(kappa))
-        & np.all(np.isfinite(pi), axis=1)
-    )
-    return pi, ok, kappa < 0.0
+    with np.errstate(all="ignore"):  # a failing slice gets a verdict
+        x = _solve_unit_exposures(a)
+        if kappa is None:
+            s = x.sum(axis=1)
+            kappa = x.shape[1] * exposure / s
+            degenerate = np.abs(s) <= 1e-12 * np.abs(x).sum(axis=1)
+        else:
+            degenerate = np.zeros(len(x), dtype=bool)
+        target = kappa / a.shape[1]
+        pi = target[:, None] * x
+        residual = np.abs((a @ pi[:, :, None])[:, :, 0] - target[:, None]).max(axis=1)
+        unmet = (residual > RESIDUAL_RTOL * np.abs(kappa)) | ~np.all(np.isfinite(pi), axis=1)
+    return pi, kappa, residual, ~np.all(np.isfinite(x), axis=1), degenerate, unmet
 
 
-def _unit_solution(sigma: VolMatrix) -> np.ndarray:
-    """sigma' x = 1 for one factor, as a batch of one."""
+def _solved(sigma: VolMatrix, exposure: float | None, kappa: np.ndarray | None = None):
+    """:func:`_pi_star` on a batch of one, raising on the verdicts that come
+    before the negative-kappa warning; the rest is for :func:`_weights`."""
     try:
-        x = _solve_unit_exposures(sigma.entries.T[None])
+        pi, kappa, residual, unsolved, degenerate, unmet = (
+            x[0] for x in _pi_star(sigma.entries[None], exposure, kappa)
+        )
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"volatility matrix solve failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if unsolved:
         raise SingularMatrix("volatility matrix solve produced non-finite weights")
-    return x
-
-
-def _weights(sigma: VolMatrix, x: np.ndarray, kappa: np.ndarray) -> WeightVector:
-    """The weights of a batch of one, checked against the residual contract."""
-    pi, residual = _scale_unit_solution(sigma.entries.T[None], x, kappa)
-    if residual[0] > RESIDUAL_RTOL * abs(kappa[0]):
-        raise SingularMatrix(
-            f"driver-exposure residual {residual[0]:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * kappa; matrix too ill-conditioned"
+    if degenerate:
+        raise DegenerateExposure(
+            "unnormalized optimal weights sum to ~0; no finite kappa reaches "
+            "the requested exposure"
         )
-    return WeightVector(weights=pi[0], kappa=float(kappa[0]), exposure=float(pi[0].sum()))
+    return pi, kappa, residual, unmet
+
+
+def _weights(pi: np.ndarray, kappa, residual, unmet) -> WeightVector:
+    """The weights :func:`_solved` left, raising on their last verdict."""
+    if unmet:  # non-finite weights give a non-finite residual
+        raise SingularMatrix(
+            f"driver-exposure residual {residual:.3e} exceeds "
+            f"{RESIDUAL_RTOL:.0e} * kappa; matrix too ill-conditioned"
+            if np.isfinite(residual)
+            else f"weights overflow: kappa {kappa:.3e} is too large for this volatility matrix"
+        )
+    return WeightVector(weights=pi, kappa=float(kappa), exposure=float(pi.sum()))
 
 
 def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
     """Weights equalizing every Brownian-driver exposure at kappa / n.
 
     Solves ``sigma' pi = (kappa / n) * 1`` and verifies the residual; a
-    solve that cannot meet the residual contract raises SingularMatrix.
+    solve that cannot meet the residual contract, or whose weights
+    overflow, raises SingularMatrix.
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return _weights(sigma, _unit_solution(sigma), np.array([float(kappa)]))
-
-
-def _unit_kappa(sigma: VolMatrix, exposure: float) -> tuple[np.ndarray, np.ndarray]:
-    """The unit solution and kappa of :func:`pi_star_fully_invested`, with
-    every check it makes before it may warn that kappa is negative."""
-    if exposure == 0.0:
-        raise ValueError("exposure must be nonzero")
-    x = _unit_solution(sigma)
-    kappa, degenerate = _kappa(x, exposure)
-    if degenerate[0]:
-        raise DegenerateExposure(
-            "unnormalized optimal weights sum to ~0; no finite kappa reaches "
-            "the requested exposure"
-        )
-    return x, kappa
+    return _weights(*_solved(sigma, None, np.array([float(kappa)])))
 
 
 def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
@@ -189,10 +178,12 @@ def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
     exposure requests are honored but flagged, since the optimality
     argument assumes a nonnegative total driver exposure.
     """
-    x, kappa = _unit_kappa(sigma, exposure)
-    if kappa[0] < 0.0:
+    if exposure == 0.0:
+        raise ValueError("exposure must be nonzero")
+    pi, kappa, residual, unmet = _solved(sigma, exposure)
+    if kappa < 0.0:
         warnings.warn(NEGATIVE_KAPPA, stacklevel=2)
-    return _weights(sigma, x, kappa)
+    return _weights(pi, kappa, residual, unmet)
 
 
 def one_over_n(n: int, exposure: float = 1.0) -> WeightVector:

@@ -1,3 +1,4 @@
+import datetime
 import errno
 import importlib.util
 import math
@@ -33,6 +34,7 @@ from equidrift import (
 )
 from equidrift import _fanout, backtest
 from equidrift.backtest import BLACK_MONDAY_WEEK
+from equidrift.data import _weekday_dates
 from equidrift.errors import (
     DimensionMismatch,
     EmptyPanel,
@@ -60,9 +62,14 @@ def _bench_oracle():
 oracle = _bench_oracle()
 
 
+def weekdays(days: int) -> np.ndarray:
+    """``days`` consecutive weekdays from 2000-01-03, as YYYYMMDD integers."""
+    return _weekday_dates(days, datetime.date(2000, 1, 3))
+
+
 def zero_panel(days=40, n=2):
     return ReturnPanel(
-        dates=[20000103 + i for i in range(days)],
+        dates=weekdays(days),
         assets=tuple(f"Z{i}" for i in range(n)),
         returns=np.zeros((days, n)),
         missing_mask=np.zeros((days, n), dtype=bool),
@@ -159,7 +166,7 @@ class TestEstimateCovariance:
         m = 100_000
         draws = rng.standard_normal((m, 2)) @ lower.T
         panel = ReturnPanel(
-            dates=np.arange(20000101, 20000101 + m),
+            dates=weekdays(m),
             assets=("A", "B"),
             returns=draws,
             missing_mask=np.zeros((m, 2), dtype=bool),
@@ -180,11 +187,22 @@ class TestEstimateCovariance:
         repaired = estimate_covariance(panel, shrinkage=1e-6)
         assert np.linalg.eigvalsh(repaired.entries).min() > 0.0
 
+    def test_overflowing_covariance_is_not_positive_definite(self):
+        # one return of 1e200 overflows the sum of squares; shrinkage cannot
+        # repair it, and numpy warns of nothing
+        panel = gbm_panel(60, seed=0)
+        returns = np.array(panel.returns)
+        returns[30, 1] = 1e200
+        panel = ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask)
+        for shrinkage in (None, 1e-4):
+            with pytest.raises(NotPositiveDefinite, match="^sample covariance overflows"):
+                estimate_covariance(panel, shrinkage=shrinkage)
+
     def test_perfectly_correlated_columns(self):
         rng = np.random.default_rng(3)
         col = rng.normal(0.0, 0.01, size=50)
         panel = ReturnPanel(
-            dates=np.arange(20000101, 20000151),
+            dates=weekdays(50),
             assets=("A", "B"),
             returns=np.column_stack([col, 2.0 * col]),
             missing_mask=np.zeros((50, 2), dtype=bool),
@@ -763,7 +781,7 @@ class TestParallelRebalances:
         def no_stacked_solve(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(backtest, "_fully_invested", no_stacked_solve)
+        monkeypatch.setattr(backtest, "_pi_star", no_stacked_solve)
         for lanes in (1, 2):
             got = self.run_with(pin_lanes, lanes, panel, self.ROTATE).weight_history
             assert got.tobytes() == want.tobytes()
@@ -877,7 +895,7 @@ class TestParallelRebalances:
         for name in (
             "estimate_covariance",
             "factor_covariance",
-            "_unit_kappa",
+            "_solved",
             "_rebalance_weights",
         ):
             monkeypatch.setattr(backtest, name, forbidden)

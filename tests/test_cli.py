@@ -370,6 +370,39 @@ class TestExitCodes:
         assert err == "error: factor is 3x3 but target is 2x2\n"
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--kappa", "--exposure"])
+    def test_overflowing_weights_exit_5(self, tmp_path, capsys, flag):
+        # the weights of sigma = 0.001 I overflow, and numpy warns of nothing
+        vol = tmp_path / "v.csv"
+        write_matrix_csv(vol, 0.001 * np.eye(3))
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, ["--out", str(out), "weights", str(vol), "--vol", flag, "1e308"]
+        )
+        assert code == 5
+        assert err.startswith("error: weights overflow: kappa ") and err.count("\n") == 1
+        assert stdout == "" and not out.exists()
+
+    def test_overflowing_window_exits_5_naming_its_date(self, tmp_path, capsys):
+        # a return of 1e200 on row 100 overflows the covariance of every
+        # window holding it, first the one for the rebalance on row 110
+        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(3)), mu=0.2, r=0.03)
+        panel = synthetic_panel(params, days=200, seed=0)
+        returns = np.array(panel.returns)
+        returns[100, 1] = 1e200
+        path = tmp_path / "panel.csv"
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, ["--out", str(out), "backtest", str(path), "--window", "60", "--every", "10"]
+        )
+        assert code == 5
+        assert err == (
+            f"error: estimation window ending before date {panel.dates[110]} is not "
+            "factorable: sample covariance overflows: it has non-finite entries\n"
+        )
+        assert stdout == "" and not out.exists()
+
     def test_rotate_without_target_is_usage_error(self, cov_csv, tmp_path, capsys):
         out = tmp_path / "o"
         code, stdout, err = run(capsys, ["--out", str(out), "factor", cov_csv, "--method", "rotate"])

@@ -172,6 +172,23 @@ class TestReturnPanel:
                 missing_mask=np.zeros((2, 1), dtype=bool),
             )
 
+    @pytest.mark.parametrize(
+        "dates, message",
+        [
+            ([20000228, 20000229, 20000230], "date 20000230 has an impossible month or day"),
+            ([2000013, 20000103], "date 2000013 is not an 8-digit YYYYMMDD date"),
+        ],
+    )
+    def test_impossible_dates_rejected(self, dates, message):
+        # the rule DateRange and the loaders apply; 20000229 is a leap day
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ReturnPanel(
+                dates=dates,
+                assets=("A",),
+                returns=np.zeros((len(dates), 1)),
+                missing_mask=np.zeros((len(dates), 1), dtype=bool),
+            )
+
     def test_unmasked_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             ReturnPanel(

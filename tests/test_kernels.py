@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import public_chain
-from equidrift import BacktestConfig, CovMatrix, DateRange, ReturnPanel, backtest
+from equidrift import BacktestConfig, CovMatrix, DateRange, ReturnPanel, TargetMatrix, backtest
 from equidrift.backtest import _covariance, estimate_covariance, estimation_window
 from equidrift.errors import NotPositiveDefinite
 from equidrift.factorization import (
@@ -28,7 +28,7 @@ from equidrift.factorization import (
     _sym_sqrt,
     _symmetric,
 )
-from equidrift.strategy import _fully_invested, _kappa, _scale_unit_solution, _solve_unit_exposures
+from equidrift.strategy import _pi_star, _solve_unit_exposures
 
 
 class Windows:
@@ -216,16 +216,16 @@ class TestBatchedKernels:
         sym = _symmetric(c)
         root = _sym_sqrt(*eig)
         rotated, q = _rotate(lower, w.target)
+        target = TargetMatrix(w.target)
         factors = {
-            m: _factors(c, *eig, m, w.target) for m in ("sym_sqrt", "cholesky", "rotate")
+            m: _factors(c, *eig, m, target) for m in ("sym_sqrt", "cholesky", "rotate")
         }
         a = rotated.transpose(0, 2, 1)
         x = _solve_unit_exposures(a)
-        kappa, degenerate = _kappa(x, w.exposure)
-        pi, residual = _scale_unit_solution(a, x, kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights, ok, negative = _fully_invested(rotated, w.exposure)
+            solved = _pi_star(rotated, w.exposure)
+            given = _pi_star(rotated, None, solved[1])  # the kappas just found
         for k in range(len(c)):
             one = c[k : k + 1]
             assert same(sym, _symmetric(one), k)
@@ -235,16 +235,13 @@ class TestBatchedKernels:
             assert same(root, _sym_sqrt(*eig1), k)
             assert all(same(b, o, k) for b, o in zip((rotated, q), _rotate(lower[k : k + 1], w.target)))
             for m, batched in factors.items():
-                alone = _factors(one, *eig1, m, w.target)
+                alone = _factors(one, *eig1, m, target)
                 assert all(same(b, o, k) for b, o in zip(batched, alone))
-            a1 = a[k : k + 1]
-            x1 = _solve_unit_exposures(a1)
-            assert same(x, x1, k)
-            kappa1, degenerate1 = _kappa(x1, w.exposure)
-            assert same(kappa, kappa1, k) and same(degenerate, degenerate1, k)
-            assert all(same(b, o, k) for b, o in zip((pi, residual), _scale_unit_solution(a1, x1, kappa1)))
-            alone = _fully_invested(rotated[k : k + 1], w.exposure)
-            assert all(same(b, o, k) for b, o in zip((weights, ok, negative), alone))
+            assert same(x, _solve_unit_exposures(a[k : k + 1]), k)
+            alone = _pi_star(rotated[k : k + 1], w.exposure)
+            assert all(same(b, o, k) for b, o in zip(solved, alone))
+            alone = _pi_star(rotated[k : k + 1], None, solved[1][k : k + 1])
+            assert all(same(b, o, k) for b, o in zip(given, alone))
 
 
 class TestEngineMatchesPublicChain:

@@ -28,6 +28,15 @@ TWO_ASSET = [[4.0, 2.0], [2.0, 5.0]]
 TRIANGULAR = [[2.0, 0.0], [1.0, 2.0]]
 
 
+def ill_conditioned() -> VolMatrix:
+    """A factor with singular values 1 down to 1e-12: its unit solution is
+    near 1e12 in size, so the solve's rounding, small as it is, exceeds
+    RESIDUAL_RTOL * kappa (at seed 2 the fully invested kappa is positive)."""
+    rng = np.random.default_rng(2)
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    return VolMatrix(u @ np.diag(np.logspace(0, -12, 4)) @ v)
+
+
 class TestWeightVector:
     def test_exposure_must_match_sum(self):
         with pytest.raises(ValueError):
@@ -84,6 +93,21 @@ class TestPiStar:
             pi_star(VolMatrix(np.eye(2)), kappa=0.0)
         with pytest.raises(ValueError):
             pi_star(VolMatrix(np.eye(2)), kappa=-1.0)
+
+    def test_non_finite_solve_is_singular(self):
+        # subnormal entries pass VolMatrix's checks, and the solve overflows
+        with pytest.raises(SingularMatrix, match="solve produced non-finite weights"):
+            pi_star(VolMatrix(1e-310 * np.eye(3)), 1.0)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3])
+    def test_residual_beyond_the_contract_is_singular(self, kappa):
+        with pytest.raises(SingularMatrix, match=r"driver-exposure residual .* exceeds 1e-10"):
+            pi_star(ill_conditioned(), kappa)
+
+    def test_overflowing_weights_are_singular(self):
+        # the unit solution is 1000 * 1, so (kappa / 3) * 1000 overflows
+        with pytest.raises(SingularMatrix, match="^weights overflow: kappa 1.000e[+]308 is too"):
+            pi_star(VolMatrix(0.001 * np.eye(3)), 1e308)
 
 
 class TestPiStarFullyInvested:
@@ -168,14 +192,14 @@ class TestPiStarFullyInvested:
             pi_star_fully_invested(VolMatrix(1e-310 * np.eye(3)), exposure=1.0)
 
     def test_residual_beyond_the_contract_is_singular(self):
-        # singular values 1 down to 1e-12: the unit solution is near 1e12 in
-        # size, so kappa is tiny and the solve's rounding, small as it is,
-        # exceeds RESIDUAL_RTOL * kappa (at seed 2 kappa is positive)
-        rng = np.random.default_rng(2)
-        u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
-        sigma = VolMatrix(u @ np.diag(np.logspace(0, -12, 4)) @ v)
+        # kappa is tiny, since the unit solution is near 1e12 in size
         with pytest.raises(SingularMatrix, match=r"driver-exposure residual .* exceeds 1e-10"):
-            pi_star_fully_invested(sigma, exposure=1.0)
+            pi_star_fully_invested(ill_conditioned(), exposure=1.0)
+
+    def test_overflowing_weights_are_singular(self):
+        # n * exposure overflows, so kappa is inf and so are the weights
+        with pytest.raises(SingularMatrix, match="^weights overflow: kappa inf is too"):
+            pi_star_fully_invested(VolMatrix(0.001 * np.eye(3)), exposure=1e308)
 
 
 def _factor(kind: str, n: int, seed: int, log_cond: float, scale: float) -> VolMatrix:
