@@ -2,17 +2,19 @@
 
 Rebalances, simulated paths and a CSV panel's rows all split into
 contiguous chunks whose results do not depend on where the chunks start.
-:func:`split` decides once per run how many chunks there are: one when the
-run stays serial, one per CPU when it forks. :func:`fan_out` returns
-``part(chunk)`` for each chunk in order: the calling process computes the
-first, and each of the rest comes from a forked worker that sends its pickled
-result back down a pipe of its own. This module is the package's only user
-of processes and pipes.
+:func:`split` decides once per run how many chunks there are, and
+:func:`fan_out` returns ``part(chunk)`` for each chunk in order: the calling
+process computes the first, and each of the rest comes from an ``os.fork``
+child that pickles it down a pipe of its own. The fork site owns the child's
+exit, so a child never returns into its caller's stack. This module is the
+package's only user of processes and pipes.
 """
 
-from __future__ import annotations
-
+import contextlib
 import os
+import pickle
+import signal
+import sys
 import threading
 
 
@@ -25,71 +27,63 @@ def split(items: range, min_chunk: int) -> list[range]:
     """Contiguous chunks of ``items``, one per lane, each of at least
     ``min_chunk`` items; a single chunk when the run stays serial.
 
-    The run stays serial below two lanes' worth of items, where forking is
-    unavailable, in a daemonic process (which may not have children) and
-    where other threads run, since a thread holding a lock at fork time can
-    deadlock the child. Below two lanes nothing is imported.
+    The run stays serial below two lanes' worth of items or of CPUs (an OS
+    without ``fork`` reports one CPU here), and where other threads run,
+    since a thread holding a lock at fork time can deadlock the child.
     """
     lanes = min(_cpus(), len(items) // min_chunk)
-    if lanes < 2:
-        return [items]
-    import multiprocessing  # here, so that serial runs skip its import time
-
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-        or threading.active_count() > 1
-    ):
+    if lanes < 2 or threading.active_count() > 1:
         return [items]
     edges = [len(items) * k // lanes for k in range(lanes + 1)]
     return [items[a:b] for a, b in zip(edges, edges[1:])]
 
 
-def _worker(writer, part, chunk) -> None:
-    """Forked-process body: send back ``part(chunk)``."""
-    writer.send(part(chunk))
-    writer.close()
+def _worker(fd: int, part, chunk) -> None:
+    """Forked-process body: pickle ``part(chunk)`` onto the pipe ``fd``."""
+    with open(fd, "wb") as pipe:
+        pickle.dump(part(chunk), pipe, pickle.HIGHEST_PROTOCOL)
 
 
 def fan_out(chunks: list[range], part) -> list:
     """``part(chunk)`` for each of ``chunks`` from :func:`split`, in order.
 
-    This process computes the first chunk, every chunk whose worker could
-    not be forked or died before sending all of its result, and the whole
-    run when there is one chunk. ``part`` must give the same result in either
-    process, and must never raise in a worker: whatever can fail runs in this
+    This process computes the first chunk, every chunk whose child could not
+    be forked or died before sending all of its result, and the whole run
+    when there is one chunk. ``part`` must give the same result in either
+    process, and must never raise in a child: whatever can fail runs in this
     process before the call or after it.
     """
-    if len(chunks) < 2:
-        return [part(chunks[0])]
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    procs, readers = [], []
+    pids, readers = [], []
     try:
         for chunk in chunks[1:]:
-            reader, writer = ctx.Pipe(duplex=False)
-            readers.append(reader)
-            proc = ctx.Process(target=_worker, args=(writer, part, chunk), daemon=True)
+            read_end, write_end = os.pipe()
+            readers.append(open(read_end, "rb"))
+            with contextlib.suppress(AttributeError, ValueError):  # no stream, or closed
+                sys.stdout.flush()  # the child starts with empty buffers: nothing leaves twice
+                sys.stderr.flush()
             try:
-                proc.start()
-                procs.append(proc)
-            except OSError:  # no process to spare; the chunk is computed here
-                pass
-            writer.close()
+                pid = os.fork()
+            except OSError:  # no process to spare; the empty pipe says so
+                pid = None
+            if pid == 0:
+                try:
+                    _worker(write_end, part, chunk)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            if pid:
+                pids.append(pid)
         results = [part(chunks[0])]
         for reader, chunk in zip(readers, chunks[1:]):
             try:
-                results.append(reader.recv())
-            except (EOFError, OSError):  # no worker, or it died before sending it all
+                results.append(pickle.load(reader))
+            except (EOFError, pickle.UnpicklingError):  # no child, or it died before sending it all
                 results.append(part(chunk))
         return results
-    except BaseException:
-        for proc in procs:
-            proc.kill()
-        raise
-    finally:
+    finally:  # no child outlives the call, whether it returns or raises
         for reader in readers:
             reader.close()
-        for proc in procs:
-            proc.join()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)

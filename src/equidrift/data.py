@@ -374,8 +374,8 @@ def _parse_rows(rows, line_numbers, delimiter, width, missing_ok=False, where=""
 
 
 def _dated_rows(rows, line_numbers, delimiter, width, missing_ok=False):
-    """Panel rows led by a YYYYMMDD date token that is a calendar date:
-    (dates, values)."""
+    """Panel rows led by a YYYYMMDD date token that is a calendar date, in
+    strictly increasing order: (dates, values)."""
     firsts = [row.split(delimiter, 1)[0].strip() for row in rows]
     d = next((k for k, tok in enumerate(firsts) if not _is_date_token(tok)), len(rows))
     values = _parse_rows(rows[:d], line_numbers, delimiter, width, missing_ok)
@@ -384,6 +384,10 @@ def _dated_rows(rows, line_numbers, delimiter, width, missing_ok=False):
     if k < len(rows):
         message = f"impossible date {dates[k]:08d}" if k < d else f"bad date {firsts[d]!r}"
         raise ParseError(message, line_numbers[k])
+    k = int(next(iter(np.flatnonzero(dates[1:] <= dates[:-1])), d - 1)) + 1
+    if k < d:
+        message = f"dates not strictly increasing: {dates[k - 1]} then {dates[k]}"
+        raise NonMonotonicDates(f"line {line_numbers[k]}: {message}")
     return dates, values[:, 1:]
 
 

@@ -96,7 +96,7 @@ class SingularCovariance(EquidriftError):
 # -- statistics ---------------------------------------------------------------
 
 class ZeroVariance(EquidriftError):
-    """A return series has (numerically) zero variance; Sharpe ratio undefined."""
+    """A return series' variance is (numerically) zero or overflows; Sharpe ratio undefined."""
     EXIT_KIND = "stats"
 
 

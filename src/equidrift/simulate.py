@@ -115,11 +115,6 @@ def _check_run(horizon: float, steps: int, n_paths: int, seed: int) -> None:
     np.random.PCG64(seed)  # a bad seed raises here, not in a worker
 
 
-def _check_w0(w0: float) -> None:
-    if not (math.isfinite(w0) and w0 > 0.0):
-        raise ValueError("initial wealth must be finite and positive")
-
-
 def simulate_paths(
     params: ModelParams,
     horizon: float,
@@ -249,7 +244,8 @@ def simulate_terminal_wealth(
     workers, which return only their log-wealth.
     """
     _check_run(horizon, steps, n_paths, seed)
-    _check_w0(w0)
+    if not (math.isfinite(w0) and w0 > 0.0):
+        raise ValueError("initial wealth must be finite and positive")
     dt = horizon / steps
     p, drift = _exposure_drift(policy, params, dt)
     chunks = fan_out(

@@ -106,17 +106,21 @@ def jobson_korkie_memmel(r1, r2) -> JKTestResult:
     z = (s1 - s2) / sqrt(theta) with
     theta = (1/T) [2 (1 - rho) + (s1^2 + s2^2 - 2 s1 s2 rho^2) / 2],
     rho the sample correlation of the series. When theta vanishes (the
-    series are effectively identical) z is 0 and p is 0.5.
+    series are effectively identical) z is 0 and p is 0.5. A constant
+    series, or moments that overflow, raise ZeroVariance.
     """
     a = _as_series(r1, "r1")
     b = _as_series(r2, "r2")
     if a.size != b.size:
         raise LengthMismatch(f"series lengths differ: {a.size} vs {b.size}")
-    mean_a, sd_a = _excess_moments(a, min_obs=3)
-    mean_b, sd_b = _excess_moments(b, min_obs=3)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+        mean_a, sd_a = _excess_moments(a, min_obs=3)
+        mean_b, sd_b = _excess_moments(b, min_obs=3)
+        cov = float(np.cov(a, b, ddof=1)[0, 1])
+    if not all(map(math.isfinite, (mean_a, mean_b, sd_a, sd_b, cov))):
+        raise ZeroVariance(f"sample moments overflow: sd {sd_a:.3e} and {sd_b:.3e}, cov {cov:.3e}")
     t = a.size
 
-    cov = float(np.cov(a, b, ddof=1)[0, 1])
     rho = cov / (sd_a * sd_b)
     rho = min(1.0, max(-1.0, rho))
 

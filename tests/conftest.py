@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -19,6 +21,15 @@ from equidrift import (
 # database and no per-example deadline. Each test sets its own max_examples.
 settings.register_profile("equidrift", derandomize=True, database=None, deadline=None)
 settings.load_profile("equidrift")
+
+#: The pytest process. A forked child that returned into a test's stack
+#: instead of exiting is not it, and must not go on to run more tests.
+_SESSION_PID = os.getpid()
+
+
+def pytest_runtest_teardown(item):
+    if os.getpid() != _SESSION_PID:
+        os._exit(1)
 
 
 @pytest.fixture

@@ -2,11 +2,10 @@ import datetime
 import errno
 import importlib.util
 import math
-import multiprocessing
 import os
+import pickle
 import sys
 import threading
-import types
 import warnings
 from pathlib import Path
 
@@ -875,7 +874,7 @@ class TestParallelRebalances:
                 pi_star_fully_invested(vol, cfg.exposure).weights.tobytes()
             )
 
-    def test_worker_only_stacks(self, monkeypatch):
+    def test_worker_only_stacks(self, monkeypatch, tmp_path):
         # every kappa is negative, the window ending at row 100 is not
         # factorable, a return of 1e200 on row 200 overflows its windows'
         # covariances and row 350 is masked: the worker still sends its
@@ -899,15 +898,16 @@ class TestParallelRebalances:
             "_rebalance_weights",
         ):
             monkeypatch.setattr(backtest, name, forbidden)
-        sent = []
-        writer = types.SimpleNamespace(send=sent.append, close=lambda: None)
+        sent = tmp_path / "sent"
         rows = range(30, 510)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _fanout._worker(
-                writer, lambda chunk: list(backtest._stacked_parts(panel, chunk, cfg)), rows
+                os.open(sent, os.O_WRONLY | os.O_CREAT),
+                lambda chunk: list(backtest._stacked_parts(panel, chunk, cfg)),
+                rows,
             )
-        (parts,) = sent
+        parts = pickle.loads(sent.read_bytes())
         t, left = rows.start, []
         for weights, negative, rest in parts:
             assert weights.shape == (len(negative), 3)
@@ -966,10 +966,10 @@ class TestParallelRebalances:
         cfg = BacktestConfig(window_days=30, reestimate_every=1, exclusion_windows=())
         want = self.run_with(pin_lanes, 1, panel, cfg)
 
-        def no_fork(process_obj):
+        def no_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
+        monkeypatch.setattr(os, "fork", no_fork)
         got = self.run_with(pin_lanes, 3, panel, cfg)
         assert got.weight_history.tobytes() == want.weight_history.tobytes()
         assert got.strategy_returns.tobytes() == want.strategy_returns.tobytes()

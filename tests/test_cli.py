@@ -403,6 +403,30 @@ class TestExitCodes:
         )
         assert stdout == "" and not out.exists()
 
+    def test_overflowing_statistics_are_a_stats_error(self, tmp_path, capsys):
+        # a return of 1e200 on row 195 lies after the last rebalance's
+        # window, so the weights stand and only the summary statistics overflow
+        params = ModelParams(sigma=VolMatrix(0.2 * np.eye(3)), mu=0.2, r=0.03)
+        panel = synthetic_panel(params, days=200, seed=0)
+        returns = np.array(panel.returns)
+        returns[195, 0] = 1e200
+        path = tmp_path / "panel.csv"
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys, ["--out", str(out), "backtest", str(path), "--window", "60", "--every", "10"]
+        )
+        assert (code, err) == (0, "")
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [line for line in summary if line.startswith("stats_error=")] == [
+            line for line in stdout.splitlines() if line.startswith("stats_error=")
+        ]
+        assert any(
+            line.startswith("stats_error=ZeroVariance: sample moments overflow: ")
+            for line in summary
+        )
+        assert {"sharpe_strategy=nan", "jk_z=nan", "jk_p=nan"} <= set(summary)
+
     def test_rotate_without_target_is_usage_error(self, cov_csv, tmp_path, capsys):
         out = tmp_path / "o"
         code, stdout, err = run(capsys, ["--out", str(out), "factor", cov_csv, "--method", "rotate"])
@@ -1003,3 +1027,14 @@ class TestCompareCommand:
         assert code == 7
         assert stdout == ""
         assert f"data row 31 is 20300103 in {a} but 20300104 in {b}" in err
+
+    def test_overflowing_series_is_a_stats_error(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("date,X\n" + "".join(
+            f"{2000 + i}0103,{1e200 if i == 10 else 0.001 * (i % 7)}\n" for i in range(50)
+        ))
+        b.write_text("date,X\n" + "".join(f"{2000 + i}0103,{0.002 * (i % 5)}\n" for i in range(50)))
+        code, stdout, err = run(capsys, ["compare", str(a), str(b)])
+        assert (code, stdout) == (7, "")
+        assert err.startswith("error: sample moments overflow: sd ") and err.count("\n") == 1

@@ -311,6 +311,13 @@ class TestLoadFrench:
             load_french(write(tmp_path, "f.txt", text))
         assert exc_info.value.line_number == 7
 
+    @pytest.mark.parametrize("date", ["19870102", "19870101"])
+    def test_repeated_or_earlier_date_reports_line_number(self, tmp_path, date):
+        text = FRENCH_SAMPLE.replace("19870105", date)
+        with pytest.raises(NonMonotonicDates) as exc_info:
+            load_french(write(tmp_path, "f.txt", text))
+        assert str(exc_info.value) == f"line 7: dates not strictly increasing: 19870102 then {date}"
+
 
 class TestCsvRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -404,6 +411,13 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(NonMonotonicDates):
             load_csv(path)
+
+    @pytest.mark.parametrize("date", ["20000104", "20000103"])
+    def test_repeated_or_earlier_date_reports_line_number(self, tmp_path, date):
+        text = f"date,A\n20000103,0.01\n20000104,0.02\n{date},0.03\n20000107,0.04\n"
+        with pytest.raises(NonMonotonicDates) as exc_info:
+            load_csv(write(tmp_path, "p.csv", text))
+        assert str(exc_info.value) == f"line 4: dates not strictly increasing: 20000104 then {date}"
 
 
 #: Each loader with a file whose line ``line`` holds ``{}`` as one value.

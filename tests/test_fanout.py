@@ -8,10 +8,11 @@ reports the process that computed it.
 
 import contextlib
 import errno
-import multiprocessing
 import os
+import pickle
 import re
-import struct
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -77,22 +78,27 @@ def test_each_chunk_holds_at_least_the_minimum(pin_lanes, n, lanes):
     assert [chunk for chunk, _ in fan_out(chunks, where)] == chunks
 
 
-def dies_at_once(writer, part, chunk):
+def dies_at_once(fd, part, chunk):
     os._exit(1)
 
 
-def dies_mid_message(writer, part, chunk):
-    # a length header, then only the first 8 of the bytes it announces
-    os.write(writer.fileno(), struct.pack("!i", 64) + bytes(8))
+def dies_mid_message(fd, part, chunk):
+    # only the first half of the pickled result
+    message = pickle.dumps(part(chunk), pickle.HIGHEST_PROTOCOL)
+    os.write(fd, message[: len(message) // 2])
     os._exit(1)
 
 
-def dies_mid_chunk(writer, part, chunk):
+def dies_mid_chunk(fd, part, chunk):
     part(chunk[: len(chunk) // 2])
     os._exit(1)
 
 
-def no_fork(process_obj):
+def raises(fd, part, chunk):
+    raise RuntimeError("the worker failed")
+
+
+def no_fork():
     raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
 
@@ -124,9 +130,27 @@ def test_dead_worker_is_computed_here(monkeypatch, pin_lanes, spied, lanes, work
 @pytest.mark.parametrize("lanes", [2, 3])
 def test_failed_fork_is_computed_here(monkeypatch, pin_lanes, spied, lanes):
     part, calls = spied
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
+    monkeypatch.setattr(os, "fork", no_fork)
     pin_lanes(lanes)
     results = mapped(part)
+    assert results == [(chunk, os.getpid()) for chunk in CHUNKS[lanes]]
+    assert calls == CHUNKS[lanes]
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_raising_worker_is_computed_here_once(monkeypatch, pin_lanes, spied, tmp_path, lanes):
+    # the fork site exits the child, so the worker's error never reaches this
+    # test's stack in a second process: only this process returns from the map
+    part, calls = spied
+    monkeypatch.setattr(_fanout, "_worker", raises)
+    pin_lanes(lanes)
+    returned = tmp_path / "returned"
+    try:
+        results = mapped(part)
+    finally:
+        with returned.open("a") as log:
+            log.write(f"{os.getpid()}\n")
+    assert returned.read_text().split() == [str(os.getpid())]
     assert results == [(chunk, os.getpid()) for chunk in CHUNKS[lanes]]
     assert calls == CHUNKS[lanes]
 
@@ -154,7 +178,26 @@ def test_error_here_kills_the_workers(pin_lanes):
     with pytest.raises(ValueError, match="first chunk"):
         mapped(part)
     assert time.monotonic() - start < 30.0
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every worker is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forks_without_multiprocessing():
+    # a fresh interpreter, so modules the test session loaded do not count
+    code = (
+        "import os, sys\n"
+        "from equidrift import _fanout\n"
+        "_fanout._cpus = lambda: 2\n"
+        "pids = _fanout.fan_out(_fanout.split(range(4), 2), lambda chunk: os.getpid())\n"
+        "assert pids[0] == os.getpid() != pids[1], pids\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(_fanout.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_the_fork_helper_uses_processes_and_pipes():
@@ -165,6 +208,6 @@ def test_only_the_fork_helper_uses_processes_and_pipes():
         path.name
         for path in sorted(package.glob("*.py"))
         if path.name != "_fanout.py"
-        and re.search(r"multiprocessing|os\.fork|Pipe", path.read_text(encoding="utf-8"))
+        and re.search(r"multiprocessing|os\.fork|os\.pipe", path.read_text(encoding="utf-8"))
     ]
     assert users == []

@@ -1,9 +1,8 @@
 import errno
 import hashlib
 import math
-import multiprocessing
 import os
-import struct
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -255,9 +254,8 @@ class TestTerminalWealthEngine:
         # at 47), a numpy ufunc iteration buffer (64 KiB) and interpreter
         # objects. On two lanes the worker's half arrives as one pickled
         # array after the caller's half is folded and its block freed. The
-        # first call imports numpy.random and multiprocessing, which is
-        # interpreter state and not engine memory, so it runs before tracing
-        # starts.
+        # first call imports numpy.random, which is interpreter state and not
+        # engine memory, so it runs before tracing starts.
         for n, n_paths in ((5, 5_000), (47, 100)):
             params = ModelParams(sigma=VolMatrix(0.2 * np.eye(n)), mu=0.2, r=0.03)
             policy = pi_star(params.sigma, 0.4)
@@ -324,9 +322,10 @@ class TestParallelPaths:
         folded = self.spy_parent_paths(monkeypatch)
         pin_lanes(3)
 
-        def dies_mid_message(writer, part, paths):
-            # a length header and the first 8 of the bytes it announces
-            os.write(writer.fileno(), struct.pack("!i", 8 * len(paths)) + bytes(8))
+        def dies_mid_message(fd, part, paths):
+            # only the first half of the pickled log-wealth
+            message = pickle.dumps(part(paths), pickle.HIGHEST_PROTOCOL)
+            os.write(fd, message[: len(message) // 2])
             os._exit(1)
 
         for worker in (lambda *args: os._exit(1), dies_mid_message):
@@ -338,12 +337,12 @@ class TestParallelPaths:
     def test_failed_fork_is_folded_here(self, monkeypatch, pin_lanes):
         n_paths = 3 * self.MIN
 
-        def no_fork(process_obj):
+        def no_fork():
             raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
         want = self.reference(n_paths)
         folded = self.spy_parent_paths(monkeypatch)
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "_Popen", staticmethod(no_fork))
+        monkeypatch.setattr(os, "fork", no_fork)
         pin_lanes(3)
         assert self.run(n_paths).tobytes() == want.tobytes()
         assert folded == [(0, self.MIN), (self.MIN, self.MIN), (2 * self.MIN, self.MIN)]
