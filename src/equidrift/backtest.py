@@ -8,31 +8,30 @@ day-t returns use only data through day t-1. Accounting always runs on the
 full return series, including excluded dates, as one batched product. The
 summary's Sharpe ratios come from its one Jobson-Korkie-Memmel test.
 
-Rebalance weights come in two passes over a block of windows. The first
-fills a stack of n x n covariances, one window at a time, with the kernel
-:func:`estimate_covariance` uses, each reading a column slice of the
-asset-major panel with excluded rows removed once. The second runs the rest
-of the chain on the whole stack: ``eigh`` with the ``shrinkage`` repair, the
-factor, the refined solve and the weight checks, one LAPACK call per step
-with vectorized verdicts. The public functions are the same kernels on a
-batch of one that raise from their verdicts, so the weights are bitwise
-equal to the public chain
+Rebalance weights have one source, the stacked kernels, in two passes over
+a block of windows. The first fills a stack of n x n covariances, one window
+at a time, with the kernel :func:`estimate_covariance` uses, each reading a
+column slice of the asset-major panel with excluded rows removed once. The
+second runs the rest of the chain on the whole stack: ``eigh`` with the
+``shrinkage`` repair, the factor, the refined solve and the weight checks,
+one LAPACK call per step with vectorized verdicts. The public functions are
+the same kernels on a batch of one that raise from their verdicts, so the
+weights are bitwise equal to the public chain
 ``estimation_window`` -> ``estimate_covariance`` -> ``factor_covariance`` ->
-``pi_star_fully_invested``. A block keeps its weights up to the first window
-on which that chain would raise, or warn of anything but a negative kappa,
-and leaves the rest of the block, or all of it if a stacked LAPACK call
-fails, to the chain itself. The stacked pass never warns or raises on data.
+``pi_star_fully_invested``. A block on which a LAPACK call fails is
+re-stacked in halves, down to single windows. The stacked pass never warns
+or raises on data; it stops at the first window the public chain would
+reject.
 
 Each rebalance depends only on its own estimation window, so long runs
 split the rebalances into contiguous chunks, one per CPU the process may run
 on, and map the stacked pass over them with the package's one fork helper
 (the simulator's paths and the CSV panel's rows use it too), which returns
-each chunk's stacked parts in order. Only the calling process runs the
-public chain, once every chunk is stacked: for each part in row order it
-takes the stacked windows, then runs the chain on the part's leftover
-windows, issuing the chain's negative-kappa warning from one line for every
-window that has one, so errors and warnings arise as in a serial run. The
-results, and the warnings' source line, are identical at any worker count.
+each chunk's weights, kappas and whether it stopped, in order. The calling
+process takes them up to the first stop, warns once per negative kappa from
+one source line, and runs the public chain on the rejected window, where it
+raises, so errors and warnings arise as in a serial run. The results, and
+the warnings' source line, are identical at any worker count.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -68,7 +65,7 @@ from .factorization import (
 )
 from .model import TRADING_DAYS_PER_YEAR
 from .stats import jobson_korkie_memmel
-from .strategy import NEGATIVE_KAPPA, _pi_star, _solved, _weights, one_over_n
+from .strategy import NEGATIVE_KAPPA, _pi_star, _solved, one_over_n
 
 __all__ = [
     "BacktestConfig",
@@ -78,12 +75,15 @@ __all__ = [
     "rolling_backtest",
 ]
 
-#: Fewest rebalances worth a worker process of their own. On a 2-CPU Linux
-#: host with one BLAS thread, forking a worker, returning its weights and
-#: joining it cost 7-12 ms, and a stacked rebalance took 0.13-0.15 ms at 10
-#: assets (daily rotate) and 1 ms at 47. At 10 assets two lanes broke even
-#: near 80 rebalances each (160 took 23.6 ms serially and 23.0 ms on 2 lanes)
-#: and gained 20% at 160 each; at 47 assets, 160 took 105 ms, not 168 ms.
+#: Fewest rebalances worth a worker process of their own. Calibrated on a
+#: 2-CPU Linux host with one BLAS thread under the fork helper's earlier
+#: process library: forking a worker, returning its weights and joining it
+#: cost 7-12 ms, and a stacked rebalance took 0.13-0.15 ms at 10 assets
+#: (daily rotate) and 1 ms at 47. At 10 assets two lanes broke even near 80
+#: rebalances each (160 took 23.6 ms serially and 23.0 ms on 2 lanes) and
+#: gained 20% at 160 each; at 47 assets, 160 took 105 ms, not 168 ms. The
+#: direct fork the helper now uses costs 2-4 ms; the threshold was not
+#: re-measured at that cost.
 _MIN_CHUNK = 80
 
 #: Bytes of one n x n stack in a block of stacked rebalances: 163 windows at
@@ -252,30 +252,19 @@ def _outside_exclusions(dates: np.ndarray, config: BacktestConfig) -> np.ndarray
     return keep
 
 
-def _rebalance_weights(panel: ReturnPanel, rows, config: BacktestConfig):
-    """Yield ``(negative, finish)`` for each of ``rows``, in order: whether
-    the window's kappa is negative, and a call that returns the weights
-    taking effect there.
-
-    Both come from the public chain ``estimation_window`` ->
-    ``estimate_covariance`` -> ``factor_covariance`` ->
-    ``pi_star_fully_invested``, so callers can reproduce the weights exactly.
-    The last step is split where it would warn of a negative kappa: the
-    caller issues that warning, then ``finish()`` runs the rest of the step,
-    which may still raise.
-    """
-    for t in rows:
-        sample = estimation_window(panel, t, config)
-        try:
-            cov = estimate_covariance(sample, shrinkage=config.shrinkage)
-        except NotPositiveDefinite as exc:
-            raise SingularCovariance(
-                f"estimation window ending before date {int(panel.dates[t])} "
-                f"is not factorable: {exc}"
-            ) from exc
-        vol = factor_covariance(cov, config.factorization, config._target)
-        pi, kappa, residual, unmet = _solved(vol, config.exposure)
-        yield kappa < 0.0, partial(_weights, pi, kappa, residual, unmet)
+def _rejected(panel: ReturnPanel, t: int, config: BacktestConfig) -> None:
+    """Run the public chain ``estimation_window`` -> ``estimate_covariance`` ->
+    ``factor_covariance`` -> ``_solved`` on the window for row ``t``, which the
+    stacked kernels rejected, so that it raises there as a serial run of the
+    chain would. The engine's one call of that chain."""
+    try:
+        cov = estimate_covariance(estimation_window(panel, t, config), shrinkage=config.shrinkage)
+    except NotPositiveDefinite as exc:
+        raise SingularCovariance(
+            f"estimation window ending before date {int(panel.dates[t])} "
+            f"is not factorable: {exc}"
+        ) from exc
+    _solved(factor_covariance(cov, config.factorization, config._target), config.exposure)
 
 
 def _leading(ok: np.ndarray) -> int:
@@ -284,39 +273,34 @@ def _leading(ok: np.ndarray) -> int:
     return int(bad[0]) if bad.size else ok.size
 
 
-def _stacked_weights(
-    kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weights for the windows ``kept[:, lo[k]:hi[k]]`` from the stacked
-    kernels, ``shrinkage`` repair included, up to the first window on which
-    the public chain would raise or warn of anything but a negative kappa, and
-    whether each kappa is negative; none if a LAPACK call fails on the block."""
-    n = kept.shape[0]
-    with np.errstate(all="ignore"):  # the public chain judges a failing window
+def _stack(kept: np.ndarray, lo: np.ndarray, hi: np.ndarray, config: BacktestConfig):
+    """``(weights, kappas)`` for the windows ``kept[:, lo[k]:hi[k]]`` from the
+    stacked kernels, ``shrinkage`` repair included, up to the first window
+    the public chain would reject. Raises LinAlgError if a LAPACK call fails
+    on the stack; never warns or raises on data."""
+    with np.errstate(all="ignore"):  # a failing window only ends the stack
         c = _covariance(kept, lo, hi)
         c = c[: _leading(np.all(np.isfinite(c), axis=(1, 2)))]  # symmetric by construction
-        try:
-            c, w, v = _positive_eig(c, config.shrinkage)
-            k = _leading(w[:, 0] > 0.0)
-            sigma, pivots, floor, singular = _factors(
-                c[:k], w[:k], v[:k], config.factorization, config._target
-            )
-            k = _leading(~(singular | np.any(pivots <= floor[:, None], axis=1)))
-            weights, kappa, _, *fails = _pi_star(sigma[:k], config.exposure)
-        except np.linalg.LinAlgError:
-            return np.empty((0, n)), np.empty(0, dtype=bool)
+        c, w, v = _positive_eig(c, config.shrinkage)
+        k = _leading(w[:, 0] > 0.0)
+        sigma, pivots, floor, singular = _factors(
+            c[:k], w[:k], v[:k], config.factorization, config._target
+        )
+        k = _leading(~(singular | np.any(pivots <= floor[:, None], axis=1)))
+        weights, kappa, _, *fails = _pi_star(sigma[:k], config.exposure)
     k = _leading(~np.any(fails, axis=0))
-    return weights[:k], kappa[:k] < 0.0
+    return weights[:k], kappa[:k]
 
 
-def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
-    """Yield ``(weights, negative, rest)`` for each block of ``rows``, in
-    order: the stacked weights of the block's leading windows, whether each
-    kappa is negative, and the ``range`` of rows left to the public chain,
-    from the first window that would fail, or warn of anything but a negative
-    kappa, on that chain (a masked row or too few rows fail before any
-    arithmetic; a window that ``shrinkage`` repairs does not). A block holds as
-    many n x n stacks as fit ``_STACK_BYTES``. Never warns or raises on data."""
+def _stacked_weights(panel: ReturnPanel, rows: range, config: BacktestConfig):
+    """``(weights, kappas, stop)`` for the rebalances in ``rows``, in order:
+    the stacked weights and kappas of the windows up to the first that the
+    public chain would reject, and whether there is one (a masked row or too
+    few rows are rejected before any arithmetic; a window that ``shrinkage``
+    repairs is not). A block holds as many n x n stacks as fit
+    ``_STACK_BYTES``; a block on which a LAPACK call fails is re-stacked in
+    halves, down to single windows, so the weights keep their bits and a
+    single window it fails on is rejected. Never warns or raises on data."""
     n = panel.n_assets
     first = rows[0] - config.window_days
     span = slice(first, rows[-1])
@@ -330,40 +314,38 @@ def _stacked_parts(panel: ReturnPanel, rows: range, config: BacktestConfig):
     lo, hi = pos[ends - config.window_days], pos[ends]
     fits = (hi - lo > n) & (masked[hi] == masked[lo])
     size = max(1, _STACK_BYTES // (8 * n * n))
-    for i in range(0, len(rows), size):
-        j = min(i + size, len(rows))
-        done = i + _leading(fits[i:j])
-        weights, negative = _stacked_weights(kept, lo[i:done], hi[i:done], config)
-        yield weights, negative, rows[i + len(weights) : j]
-
-
-def _chained(panel: ReturnPanel, parts, config: BacktestConfig) -> np.ndarray:
-    """Weights for every rebalance that ``parts`` from :func:`_stacked_parts`
-    cover, one row each. Each part's stacked windows come first, then its
-    rest runs through :func:`_rebalance_weights`, so errors and warnings arise
-    exactly as in a serial run of the public chain. Every negative-kappa
-    warning, stacked or not, comes from one line here, so its source does not
-    depend on where blocks and chunks start."""
-    blocks = []
-    for weights, negative, rest in parts:
-        blocks.append(weights)
-        public = _rebalance_weights(panel, rest, config) if rest else ()
-        for warns, finish in chain(zip(negative.tolist(), repeat(None)), public):
-            if warns:
-                warnings.warn(NEGATIVE_KAPPA)
-            if finish:
-                blocks.append(finish().weights[None])
-    return np.concatenate(blocks)
+    blocks = [range(i, min(i + size, len(rows))) for i in range(0, len(rows), size)][::-1]
+    stacked, stop = [(np.empty((0, n)), np.empty(0))], False  # empty if the first window fails
+    while blocks and not stop:  # the next block is the last
+        block = blocks.pop()
+        a, b = block.start, block.start + _leading(fits[block.start : block.stop])
+        try:
+            stacked.append(_stack(kept, lo[a:b], hi[a:b], config))
+            stop = len(stacked[-1][0]) < len(block)
+        except np.linalg.LinAlgError:  # re-stack in halves, down to single windows
+            stop = len(block) == 1  # the public chain fails on this window too
+            blocks += [block[len(block) // 2 :], block[: len(block) // 2]]
+    return *map(np.concatenate, zip(*stacked)), stop
 
 
 def _all_weights(panel: ReturnPanel, rows: range, config: BacktestConfig) -> np.ndarray:
     """Weights for every rebalance in ``rows``, one row each: chunks of at
     least ``_MIN_CHUNK`` rebalances are stacked in parallel, then this
-    process chains their parts in order."""
-    stacked = fan_out(
-        split(rows, _MIN_CHUNK), lambda chunk: list(_stacked_parts(panel, chunk, config))
-    )
-    return _chained(panel, chain.from_iterable(stacked), config)
+    process takes them in order up to the first window a chunk rejected,
+    warns once per negative kappa, always from one line, and runs the public
+    chain on that window, where it raises as in a serial run."""
+    parts = fan_out(split(rows, _MIN_CHUNK), lambda chunk: _stacked_weights(panel, chunk, config))
+    taken = []
+    for weights, kappas, stop in parts:
+        taken.append((weights, kappas))
+        if stop:
+            break
+    weights, kappas = map(np.concatenate, zip(*taken))
+    for _ in range(np.count_nonzero(kappas < 0.0)):
+        warnings.warn(NEGATIVE_KAPPA)
+    if stop:
+        _rejected(panel, rows[len(weights)], config)
+    return weights
 
 
 def rolling_backtest(panel: ReturnPanel, config: BacktestConfig | None = None) -> BacktestReport:

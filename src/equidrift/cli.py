@@ -113,16 +113,28 @@ def _outdir(args) -> Path:
     return Path(os.environ.get("EQUIDRIFT_OUTPUT_DIR", "."))
 
 
+def _broken_rule(settings: dict):
+    """The first rule across settings that ``settings`` (BacktestConfig
+    fields, plus ``target``) break: the message naming its flags, and for
+    each setting it may blame, the message for that setting's config-file
+    line. None when every rule holds."""
+    method, target = settings.get("factorization"), settings.get("target")
+    if target is not None and method != "rotate":
+        return "--target requires --method rotate", {"target": "requires factorization=rotate"}
+    if target is None and method == "rotate":
+        return "--method rotate requires --target", {"factorization": "rotate requires target"}
+    window = settings.get("window_days", BacktestConfig.window_days)
+    if window <= settings.get("reestimate_every", BacktestConfig.reestimate_every):
+        return "--window must exceed --every", {"window_days": "must exceed reestimate_every",
+                                                 "reestimate_every": "must be below window_days"}
+
+
 def _load_vol(path, method: str, target_path, shrinkage):
     """Covariance file -> VolMatrix, factored per method."""
-    if target_path is not None and method != "rotate":
-        raise ValueError("--target requires --method rotate")
+    if broken := _broken_rule({"factorization": method, "target": target_path}):
+        raise ValueError(broken[0])
     cov = CovMatrix(read_matrix_csv(path), shrinkage=shrinkage)
-    target = None
-    if method == "rotate":
-        if target_path is None:
-            raise ValueError("--method rotate requires --target")
-        target = TargetMatrix(read_matrix_csv(target_path))
+    target = None if target_path is None else TargetMatrix(read_matrix_csv(target_path))
     return factor_covariance(cov, method, target)
 
 
@@ -375,11 +387,13 @@ def _cmd_backtest(args) -> int:
         if value is not None:
             settings[key] = value
     target_path = _pick(args.target, file_values, "target")
+    if broken := _broken_rule({**settings, "target": target_path}):
+        flag_text, file_texts = broken
+        if all(getattr(args, key) is None for key in file_texts):  # the file broke it
+            key = next(key for key in file_texts if key in file_values)
+            raise ParseError(f"{key}: {file_texts[key]}", file_values[key][1])
+        raise ValueError(flag_text)
     if target_path is not None:
-        if settings.get("factorization") != "rotate":
-            if args.target is not None:
-                raise ValueError("--target requires --method rotate")
-            raise ParseError("target: requires factorization=rotate", file_values["target"][1])
         settings["rotation_target"] = read_matrix_csv(target_path)
     config = BacktestConfig(**settings)
 

@@ -74,8 +74,11 @@ def _excess_moments(excess: np.ndarray, min_obs: int) -> tuple[float, float]:
         raise TooFewObservations(
             f"need at least {min_obs} observations, got {t}"
         )
-    mean = float(excess.mean())
-    sd = float(excess.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
+        mean = float(excess.mean())
+        sd = float(excess.std(ddof=1))
+    if not math.isfinite(sd):  # a non-finite mean makes sd non-finite too
+        raise ZeroVariance(f"sample moments overflow: sd {sd:.3e}, mean {mean:.3e}")
     if sd <= ZERO_SD_TOL:
         raise ZeroVariance(
             f"sample standard deviation {sd:.3e} is at or below {ZERO_SD_TOL:.0e}"
@@ -87,7 +90,8 @@ def sharpe(returns, rf_daily: float) -> SharpeResult:
     """Per-period Sharpe ratio: mean(r - rf) / sd(r - rf), sd with ddof 1.
 
     No annualization. Raises TooFewObservations below two points and
-    ZeroVariance when the excess returns are effectively constant.
+    ZeroVariance when the excess returns are effectively constant or their
+    moments overflow.
     """
     r = _as_series(returns, "returns")
     mean, sd = _excess_moments(r - rf_daily, min_obs=2)
@@ -113,11 +117,10 @@ def jobson_korkie_memmel(r1, r2) -> JKTestResult:
     b = _as_series(r2, "r2")
     if a.size != b.size:
         raise LengthMismatch(f"series lengths differ: {a.size} vs {b.size}")
+    (mean_a, sd_a), (mean_b, sd_b) = (_excess_moments(x, min_obs=3) for x in (a, b))
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is judged below
-        mean_a, sd_a = _excess_moments(a, min_obs=3)
-        mean_b, sd_b = _excess_moments(b, min_obs=3)
         cov = float(np.cov(a, b, ddof=1)[0, 1])
-    if not all(map(math.isfinite, (mean_a, mean_b, sd_a, sd_b, cov))):
+    if not math.isfinite(cov):
         raise ZeroVariance(f"sample moments overflow: sd {sd_a:.3e} and {sd_b:.3e}, cov {cov:.3e}")
     t = a.size
 

@@ -128,8 +128,7 @@ def _pi_star(sigma: np.ndarray, exposure: float | None, kappa: np.ndarray | None
 
 
 def _solved(sigma: VolMatrix, exposure: float | None, kappa: np.ndarray | None = None):
-    """:func:`_pi_star` on a batch of one, raising on the verdicts that come
-    before the negative-kappa warning; the rest is for :func:`_weights`."""
+    """:func:`_pi_star` on a batch of one, raising on its verdicts in order."""
     try:
         pi, kappa, residual, unsolved, degenerate, unmet = (
             x[0] for x in _pi_star(sigma.entries[None], exposure, kappa)
@@ -143,11 +142,6 @@ def _solved(sigma: VolMatrix, exposure: float | None, kappa: np.ndarray | None =
             "unnormalized optimal weights sum to ~0; no finite kappa reaches "
             "the requested exposure"
         )
-    return pi, kappa, residual, unmet
-
-
-def _weights(pi: np.ndarray, kappa, residual, unmet) -> WeightVector:
-    """The weights :func:`_solved` left, raising on their last verdict."""
     if unmet:  # non-finite weights give a non-finite residual
         raise SingularMatrix(
             f"driver-exposure residual {residual:.3e} exceeds "
@@ -167,7 +161,7 @@ def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
     """
     if not kappa > 0.0:
         raise ValueError("kappa must be positive")
-    return _weights(*_solved(sigma, None, np.array([float(kappa)])))
+    return _solved(sigma, None, np.array([float(kappa)]))
 
 
 def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
@@ -176,14 +170,15 @@ def pi_star_fully_invested(sigma: VolMatrix, exposure: float) -> WeightVector:
     The total-exposure constraint determines kappa = n * exposure / (1'
     (sigma')^-1 1), so no drift or rate parameters are needed.  Negative
     exposure requests are honored but flagged, since the optimality
-    argument assumes a nonnegative total driver exposure.
+    argument assumes a nonnegative total driver exposure: the weights it
+    returns warn of a negative kappa; weights it rejects raise without one.
     """
     if exposure == 0.0:
         raise ValueError("exposure must be nonzero")
-    pi, kappa, residual, unmet = _solved(sigma, exposure)
-    if kappa < 0.0:
+    weights = _solved(sigma, exposure)
+    if weights.kappa < 0.0:
         warnings.warn(NEGATIVE_KAPPA, stacklevel=2)
-    return _weights(pi, kappa, residual, unmet)
+    return weights
 
 
 def one_over_n(n: int, exposure: float = 1.0) -> WeightVector:

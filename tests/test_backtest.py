@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import HealthCheck, assume, event, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import public_chain
@@ -377,7 +377,7 @@ class TestRollingBacktest:
         def stacked(*args):
             raise AssertionError("a window was stacked")
 
-        monkeypatch.setattr(backtest, "_stacked_parts", stacked)
+        monkeypatch.setattr(backtest, "_stacked_weights", stacked)
         cfg = BacktestConfig(factorization="rotate", rotation_target=np.eye(2), **SMALL)
         with pytest.raises(DimensionMismatch, match="^factor is 3x3 but target is 2x2$"):
             rolling_backtest(gbm_panel(60, seed=0), cfg)
@@ -614,8 +614,8 @@ class TestRebalanceWorkCount:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        weights = backtest._chained(panel, backtest._stacked_parts(panel, rows, cfg), cfg)
-        assert weights.shape == (6, 3)
+        weights, _, stop = backtest._stacked_weights(panel, rows, cfg)
+        assert weights.shape == (6, 3) and not stop
         assert counts == {
             "eigh": blocks,
             "cholesky": blocks * (method != "sym_sqrt"),
@@ -626,19 +626,19 @@ class TestRebalanceWorkCount:
 
 
     def test_negative_kappa_stays_stacked(self, monkeypatch):
-        # a negative kappa only warns, so no block falls back to the public chain
+        # a negative kappa only warns, so no window is left to the public chain
         panel = gbm_panel(60, seed=3)
         cfg = BacktestConfig(exposure=-0.8, **SMALL)
         rows = range(30, 60, 5)
         with pytest.warns(UserWarning, match="negative kappa"):
             want = public_chain(panel, rows, cfg)
 
-        def left(*args, **kwargs):
-            raise AssertionError("a block left the stacked kernels")
+        def rejected(*args, **kwargs):
+            raise AssertionError("a window left the stacked kernels")
 
-        monkeypatch.setattr(backtest, "_rebalance_weights", left)
+        monkeypatch.setattr(backtest, "_rejected", rejected)
         with pytest.warns(UserWarning, match="negative kappa") as record:
-            got = backtest._chained(panel, backtest._stacked_parts(panel, rows, cfg), cfg)
+            got = backtest._all_weights(panel, rows, cfg)
         assert len(record) == len(rows)
         assert got.tobytes() == np.array(want).tobytes()
 
@@ -668,10 +668,10 @@ class TestParallelRebalances:
     def spy_parent_rows(monkeypatch):
         """The chunk lengths this process stacks itself, in call order."""
         parent_rows = []
-        stacked = backtest._stacked_parts
+        stacked = backtest._stacked_weights
         monkeypatch.setattr(
             backtest,
-            "_stacked_parts",
+            "_stacked_weights",
             lambda p, rows, c: parent_rows.append(len(rows)) or stacked(p, rows, c),
         )
         return parent_rows
@@ -760,8 +760,8 @@ class TestParallelRebalances:
     )
 
     def test_rotate_chain_errors_match_serial(self, pin_lanes):
-        # a masked estimation row leaves the first windows to the public
-        # chain, which builds the rotation target before it meets the cell
+        # a masked estimation row rejects the first window, so the public
+        # chain runs there and meets the cell
         panel = self.panel(masked=((5, 1),))
         raised = []
         for lanes in (1, 2):
@@ -771,20 +771,6 @@ class TestParallelRebalances:
         assert raised[1] == raised[0]
         assert raised[0][1:] == (int(panel.dates[5]), panel.assets[1])
 
-    def test_rotate_chain_gives_the_stacked_weights(self, monkeypatch, pin_lanes):
-        # a stacked solve that always fails leaves every window to the public
-        # chain, which must rotate to the same target
-        panel = self.panel()
-        want = self.run_with(pin_lanes, 1, panel, self.ROTATE).weight_history
-
-        def no_stacked_solve(*args):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(backtest, "_pi_star", no_stacked_solve)
-        for lanes in (1, 2):
-            got = self.run_with(pin_lanes, lanes, panel, self.ROTATE).weight_history
-            assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize(
         "stretches, shrinkage, budgets, failing",
         [
@@ -793,8 +779,7 @@ class TestParallelRebalances:
             # 16-window budget puts it mid-block
             (((0, (270, 300)),), 1e-4, (16, None), None),
             # the stacked solve raises LinAlgError on every full block of 50
-            # windows, which falls back to the public chain, while each
-            # chunk's shorter last block stays stacked
+            # windows, which is re-stacked in halves of 25
             ((), None, (50,), 50),
         ],
         ids=["plain", "repaired", "linalg-error"],
@@ -803,20 +788,6 @@ class TestParallelRebalances:
         self, monkeypatch, pin_lanes, stretches, shrinkage, budgets, failing
     ):
         panel = self.panel(stretches)
-        solve, chained = np.linalg.solve, backtest._rebalance_weights
-        fallback = []
-
-        def fails_on_full_blocks(a, b):
-            if len(a) == failing:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
-        def spy(panel, rows, config):
-            fallback.append(len(rows))
-            return chained(panel, rows, config)
-
-        monkeypatch.setattr(np.linalg, "solve", fails_on_full_blocks)
-        monkeypatch.setattr(backtest, "_rebalance_weights", spy)
         cfg = BacktestConfig(
             window_days=30,
             reestimate_every=1,
@@ -824,6 +795,21 @@ class TestParallelRebalances:
             shrinkage=shrinkage,
             exclusion_windows=(),
         )
+        with pytest.warns(UserWarning, match="negative kappa"):
+            want = public_chain(panel, range(30, 510), cfg)
+        solve, failed = np.linalg.solve, []
+
+        def fails_on_full_blocks(a, b):
+            if len(a) == failing:
+                failed.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        def rejected(*args, **kwargs):
+            raise AssertionError("a window left the stacked kernels")
+
+        monkeypatch.setattr(np.linalg, "solve", fails_on_full_blocks)
+        monkeypatch.setattr(backtest, "_rejected", rejected)
         parent_rows = self.spy_parent_rows(monkeypatch)
         default = backtest._STACK_BYTES
         seen = []
@@ -832,12 +818,11 @@ class TestParallelRebalances:
                 backtest, "_STACK_BYTES", default if windows is None else windows * 8 * 3 * 3
             )
             for lanes in self.LANES:
-                fallback.clear()
                 with pytest.warns(UserWarning, match="negative kappa") as record:
-                    self.run_with(pin_lanes, lanes, panel, cfg)
+                    report = self.run_with(pin_lanes, lanes, panel, cfg)
                 seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in record])
-                # blocks of 50 in chunks of 480, 240 and 160 windows
-                assert sum(fallback) == (0 if failing is None else (450, 400, 450)[lanes - 1])
+                assert report.weight_history.tobytes() == np.array(want).tobytes()
+        assert bool(failed) == (failing is not None)
         assert len(seen[0]) == 480
         assert len({(filename, lineno) for *_, filename, lineno in seen[0]}) == 1
         assert all(other == seen[0] for other in seen[1:])
@@ -846,24 +831,24 @@ class TestParallelRebalances:
 
     def test_shrinkage_repairs_stay_stacked(self, monkeypatch, pin_lanes):
         # the window ending at row 300 needs the diagonal repair, which the
-        # stacked kernels make, so no row is left to the public chain
+        # stacked kernels make, so no window is left to the public chain
         panel = self.panel(stretches=((0, (270, 300)),))
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, shrinkage=1e-4, exclusion_windows=()
         )
         monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
 
-        def left(*args, **kwargs):
+        def rejected(*args, **kwargs):
             raise AssertionError("a repaired window left the stacked kernels")
 
-        monkeypatch.setattr(backtest, "_rebalance_weights", left)
+        monkeypatch.setattr(backtest, "_rejected", rejected)
         rows = range(30, 510)
         reports = []
         for lanes in self.LANES:
             reports.append(self.run_with(pin_lanes, lanes, panel, cfg))
             edges = [len(rows) * k // lanes for k in range(lanes + 1)]
             for a, b in zip(edges, edges[1:]):
-                assert all(not rest for *_, rest in backtest._stacked_parts(panel, rows[a:b], cfg))
+                assert not backtest._stacked_weights(panel, rows[a:b], cfg)[2]
         for other in reports[1:]:
             for name in ("weight_history", "strategy_returns", "benchmark_returns"):
                 assert getattr(other, name).tobytes() == getattr(reports[0], name).tobytes()
@@ -876,9 +861,10 @@ class TestParallelRebalances:
 
     def test_worker_only_stacks(self, monkeypatch, tmp_path):
         # every kappa is negative, the window ending at row 100 is not
-        # factorable, a return of 1e200 on row 200 overflows its windows'
-        # covariances and row 350 is masked: the worker still sends its
-        # parts, with no warning and no call to the public chain
+        # factorable, a return of 1e200 on row 200 overflows the covariances
+        # of the windows ending at rows 201-230 and row 350 is masked: a
+        # worker sends its chunk's weights up to the first of these windows,
+        # with no warning and no call to the public chain
         base = self.panel(stretches=((0, (70, 100)),), masked=((350, 2),))
         returns = np.array(base.returns)
         returns[200, 1] = 1e200
@@ -887,37 +873,29 @@ class TestParallelRebalances:
             window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
         )
         monkeypatch.setattr(backtest, "_STACK_BYTES", 16 * 8 * 3 * 3)
+        with pytest.warns(UserWarning, match="negative kappa"):
+            want = public_chain(panel, [*range(30, 100), *range(101, 201), *range(231, 351)], cfg)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the worker ran the public chain")
 
-        for name in (
-            "estimate_covariance",
-            "factor_covariance",
-            "_solved",
-            "_rebalance_weights",
-        ):
+        for name in ("estimate_covariance", "factor_covariance", "_solved", "_rejected"):
             monkeypatch.setattr(backtest, name, forbidden)
-        sent = tmp_path / "sent"
-        rows = range(30, 510)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _fanout._worker(
-                os.open(sent, os.O_WRONLY | os.O_CREAT),
-                lambda chunk: list(backtest._stacked_parts(panel, chunk, cfg)),
-                rows,
-            )
-        parts = pickle.loads(sent.read_bytes())
-        t, left = rows.start, []
-        for weights, negative, rest in parts:
-            assert weights.shape == (len(negative), 3)
-            assert np.all(np.isfinite(weights)) and np.all(negative)
-            assert rest.start == t + len(weights)
-            left += rest
-            t = rest.stop
-        assert t == rows.stop
-        assert {100, *range(201, 231), *range(351, 381)} <= set(left)
-        assert len(left) < len(rows) // 4
+        got = []
+        for rows, stop_row in ((range(30, 510), 100), (range(101, 510), 201), (range(231, 510), 351)):
+            sent = tmp_path / f"sent-{rows.start}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _fanout._worker(
+                    os.open(sent, os.O_WRONLY | os.O_CREAT),
+                    lambda chunk: backtest._stacked_weights(panel, chunk, cfg),
+                    rows,
+                )
+            weights, kappas, stop = pickle.loads(sent.read_bytes())
+            assert stop and len(weights) == len(kappas) == stop_row - rows.start
+            assert np.all(kappas < 0.0)
+            got.append(weights)
+        assert np.concatenate(got).tobytes() == np.array(want).tobytes()
 
     def test_failing_rebalance_warns_once(self, pin_lanes):
         # every rebalance warns (negative kappa) and the one at row 300 then
@@ -988,3 +966,103 @@ class TestParallelRebalances:
             other.join(timeout=10.0)
         assert not other.is_alive()
         assert parent_rows == [480]
+
+
+def _described(exc: BaseException | None):
+    """What two raised errors must share to count as the same."""
+    if exc is None:
+        return None
+    cause = exc.__cause__
+    return (
+        type(exc),
+        str(exc),
+        getattr(exc, "date", None),
+        getattr(exc, "asset", None),
+        type(cause),
+        str(cause),
+    )
+
+
+class TestEngineAgainstPublicChain:
+    """On panels whose failures touch estimation only, the engine returns the
+    public chain's weights bit for bit, or raises what that chain raises first,
+    at any worker count and stack budget."""
+
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        n=st.integers(2, 4),
+        window=st.integers(8, 16),
+        every=st.integers(1, 3),
+        rebalances=st.integers(8, 24),
+        zeroed=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 60), st.integers(1, 20)),
+        masked=st.none() | st.tuples(st.integers(0, 15), st.integers(0, 3)),
+        huge=st.none() | st.tuples(st.integers(0, 80), st.integers(0, 3)),
+        shrinkage=st.sampled_from([None, 1e-4]),
+        method=st.sampled_from(["sym_sqrt", "cholesky", "rotate"]),
+        exposure=st.sampled_from([1.0, -0.8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_or_first_error_match(
+        self, monkeypatch, pin_lanes, n, window, every, rebalances, zeroed, masked, huge,
+        shrinkage, method, exposure, seed,
+    ):
+        days = window + every * rebalances
+        rng = np.random.default_rng(seed)
+        returns = 0.0005 + 0.01 * rng.standard_normal((days, n))
+        mask = np.zeros((days, n), dtype=bool)
+        if zeroed is not None:
+            asset, start, length = zeroed
+            returns[start : start + length, asset % n] = 0.0
+        if masked is not None:  # an estimation row only: accounting starts at row `window`
+            row, asset = masked[0] % window, masked[1] % n
+            returns[row, asset], mask[row, asset] = np.nan, True
+        if huge is not None:
+            returns[huge[0] % days, huge[1] % n] = 1e200
+        panel = ReturnPanel(weekdays(days), tuple(f"A{i}" for i in range(n)), returns, mask)
+        cfg = BacktestConfig(
+            window_days=window,
+            reestimate_every=every,
+            factorization=method,
+            exposure=exposure,
+            exclusion_windows=(),
+            shrinkage=shrinkage,
+            rotation_target=np.eye(n) + 0.5 * np.tril(np.ones((n, n)), -1)
+            if method == "rotate"
+            else None,
+        )
+        rows = range(window, days, every)
+        want, error = [], None
+        with warnings.catch_warnings(record=True) as chain_warned:
+            warnings.simplefilter("always")
+            for t in rows:
+                try:
+                    want += public_chain(panel, [t], cfg)
+                except EquidriftError as exc:
+                    error = exc
+                    break
+        event(type(error).__name__ if error else "weights")
+        expected = _described(error)
+        if isinstance(error, NotPositiveDefinite):
+            try:
+                estimate_covariance(estimation_window(panel, t, cfg), shrinkage=shrinkage)
+            except NotPositiveDefinite:  # the engine names the window of a failed covariance
+                window_error = (
+                    f"estimation window ending before date {int(panel.dates[t])} "
+                    f"is not factorable: {error}"
+                )
+                expected = (SingularCovariance, window_error, None, None, type(error), str(error))
+        monkeypatch.setattr(backtest, "_MIN_CHUNK", 4)  # two lanes from 8 rebalances
+        monkeypatch.setattr(backtest, "_STACK_BYTES", 3 * 8 * n * n)  # blocks of 3 windows
+        for lanes in (1, 2):
+            pin_lanes(lanes)
+            raised = None
+            with warnings.catch_warnings(record=True) as warned:
+                warnings.simplefilter("always")
+                try:
+                    got = rolling_backtest(panel, cfg).weight_history
+                except EquidriftError as exc:
+                    raised = exc
+            assert [str(w.message) for w in warned] == [str(w.message) for w in chain_warned]
+            assert _described(raised) == expected
+            if error is None:
+                assert got.tobytes() == np.array(want).tobytes()

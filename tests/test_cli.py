@@ -427,12 +427,58 @@ class TestExitCodes:
         )
         assert {"sharpe_strategy=nan", "jk_z=nan", "jk_p=nan"} <= set(summary)
 
-    def test_rotate_without_target_is_usage_error(self, cov_csv, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["factor", "weights", "backtest"])
+    def test_rotate_without_target_is_usage_error(
+        self, cov_csv, panel_csv, tmp_path, capsys, command
+    ):
+        # backtest printed the library's "factorization 'rotate' needs rotation_target"
+        argv = {
+            "factor": ["factor", cov_csv],
+            "weights": ["weights", cov_csv],
+            "backtest": ["backtest", panel_csv[0]] + TestBacktestCommand.BASE,
+        }[command]
         out = tmp_path / "o"
-        code, stdout, err = run(capsys, ["--out", str(out), "factor", cov_csv, "--method", "rotate"])
+        code, stdout, err = run(capsys, ["--out", str(out)] + argv + ["--method", "rotate"])
         assert code == 2
         assert err == "error: --method rotate requires --target\n"
         assert stdout == "" and not out.exists()
+
+    def test_config_rotate_without_target_names_its_line(self, panel_csv, tmp_path, capsys):
+        # exited 2 with the library's message, naming no line
+        cfg = tmp_path / "cfg"
+        cfg.write_text("# engine\nfactorization=rotate\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            capsys,
+            ["--out", str(out), "backtest", panel_csv[0], "--config", str(cfg)]
+            + TestBacktestCommand.BASE,
+        )
+        assert code == 3
+        assert err == "error: line 2: factorization: rotate requires target\n"
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, lines, code, want",
+        [
+            (["--window", "20", "--every", "20"], "", 2, "--window must exceed --every"),
+            (["--every", "20"], "window_days=20\n", 2, "--window must exceed --every"),
+            ([], "window_days=20\nreestimate_every=20\n", 3,
+             "line 1: window_days: must exceed reestimate_every"),
+            ([], "reestimate_every=1300\n", 3, "line 1: reestimate_every: must be below window_days"),
+        ],
+        ids=["flags", "flag-and-file", "file", "file-cadence"],
+    )
+    def test_window_not_above_cadence_names_its_flag_or_line(
+        self, panel_csv, tmp_path, capsys, flags, lines, code, want
+    ):
+        # each printed "window_days must exceed reestimate_every" and exited 2
+        cfg = tmp_path / "cfg"
+        cfg.write_text(lines)
+        out = tmp_path / "o"
+        argv = ["--out", str(out), "backtest", panel_csv[0], "--config", str(cfg)]
+        got = run(capsys, argv + flags + ["--no-default-exclusions"])
+        assert got == (code, "", f"error: {want}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["factor", "weights", "backtest"])
     def test_target_without_rotate_is_usage_error(

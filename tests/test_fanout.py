@@ -6,6 +6,7 @@ The lane count is pinned, so runs split whatever the host has, and ``part``
 reports the process that computed it.
 """
 
+import ast
 import contextlib
 import errno
 import os
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from equidrift import _fanout
+from equidrift import _fanout, backtest
 from equidrift._fanout import fan_out, split
 
 ITEMS = range(10, 40)
@@ -211,3 +212,17 @@ def test_only_the_fork_helper_uses_processes_and_pipes():
         and re.search(r"multiprocessing|os\.fork|os\.pipe", path.read_text(encoding="utf-8"))
     ]
     assert users == []
+
+
+def test_only_one_engine_function_calls_the_public_chain():
+    # the stacked kernels are the engine's one source of weights: the public
+    # chain's factor and solve appear once each, in the function that runs
+    # that chain on a rejected window, where it raises
+    tree = ast.parse(Path(backtest.__file__).read_text(encoding="utf-8"))
+    rejected = next(f for f in ast.walk(tree) if getattr(f, "name", None) == "_rejected")
+
+    def uses(node):
+        names = {"factor_covariance", "_solved"}
+        return sorted(n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in names)
+
+    assert uses(tree) == uses(rejected) == ["_solved", "factor_covariance"]

@@ -132,7 +132,7 @@ class TestCovarianceStack:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(backtest, "_covariance", recorded)
             mp.setattr(backtest, "_STACK_BYTES", 16 * 8 * n * n)
-            list(backtest._stacked_parts(w.panel, w.rows, cfg))
+            backtest._stacked_weights(w.panel, w.rows, cfg)
         assert [len(lengths) for lengths, _ in stacks] == [16, 16, 5]
         assert len(set(stacks[0][0].tolist())) > 1
         c = np.concatenate([c for _, c in stacks])
@@ -265,14 +265,13 @@ class TestEngineMatchesPublicChain:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # a negative kappa only warns
-                parts = backtest._stacked_parts(w.panel, w.rows, cfg)
-                got = backtest._chained(w.panel, parts, cfg)
+                got = backtest._all_weights(w.panel, w.rows, cfg)
                 want = public_chain(w.panel, w.rows, cfg)
         finally:
             backtest._STACK_BYTES = stack
         assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
 
-    def test_failed_stacked_lapack_call_falls_back_to_the_public_chain(self, monkeypatch):
+    def test_failed_stacked_lapack_call_restacks_in_halves(self, monkeypatch):
         w = Windows(n=3, batch=37, extra=5, excluded=False, seed=1)
         cfg = BacktestConfig(
             window_days=w.window, reestimate_every=1, factorization="cholesky", exclusion_windows=()
@@ -287,8 +286,12 @@ class TestEngineMatchesPublicChain:
             alone.append(1)
             return real(a)
 
+        def rejected(*args, **kwargs):
+            raise AssertionError("a window left the stacked kernels")
+
+        # the block of 37 fails, then each half, down to single windows
         monkeypatch.setattr(np.linalg, "cholesky", fails_when_stacked)
-        parts = backtest._stacked_parts(w.panel, w.rows, cfg)
-        got = backtest._chained(w.panel, parts, cfg)
+        monkeypatch.setattr(backtest, "_rejected", rejected)
+        got = backtest._all_weights(w.panel, w.rows, cfg)
         assert len(alone) == len(w.rows) == 37
         assert got.tobytes() == np.array(want).tobytes()

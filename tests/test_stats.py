@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestSharpe:
     def test_too_short(self):
         with pytest.raises(TooFewObservations):
             sharpe([0.01], rf_daily=0.0)
+
+    def test_overflowing_moments_rejected(self):
+        # numpy warned of an overflow in square, and the ratio read 0
+        r = np.random.default_rng(4).normal(0.001, 0.01, size=50)
+        r[17] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroVariance, match="^sample moments overflow: sd inf, "):
+                sharpe(r, rf_daily=0.0)
 
 
 class TestNormalUpperTail:
