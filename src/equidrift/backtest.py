@@ -75,15 +75,13 @@ __all__ = [
     "rolling_backtest",
 ]
 
-#: Fewest rebalances worth a worker process of their own. Calibrated on a
-#: 2-CPU Linux host with one BLAS thread under the fork helper's earlier
-#: process library: forking a worker, returning its weights and joining it
-#: cost 7-12 ms, and a stacked rebalance took 0.13-0.15 ms at 10 assets
-#: (daily rotate) and 1 ms at 47. At 10 assets two lanes broke even near 80
-#: rebalances each (160 took 23.6 ms serially and 23.0 ms on 2 lanes) and
-#: gained 20% at 160 each; at 47 assets, 160 took 105 ms, not 168 ms. The
-#: direct fork the helper now uses costs 2-4 ms; the threshold was not
-#: re-measured at that cost.
+#: Fewest rebalances worth a worker process of their own. On a 2-CPU Linux
+#: host with one BLAS thread, a stacked rebalance took 0.12-0.13 ms at 10
+#: assets (daily rotate) and 0.7-1 ms at 47 (sym_sqrt), and two lanes of the
+#: direct fork broke even near 40 rebalances each at 10 assets (80 took 10.6
+#: ms serially, 10.4 ms on two lanes) and 12 each at 47 (24 took 16.9 and
+#: 17.1 ms), in medians of 41 alternated runs. The value of 80 dates from the
+#: earlier helper's 7-12 ms round trip.
 _MIN_CHUNK = 80
 
 #: Bytes of one n x n stack in a block of stacked rebalances: 163 windows at

@@ -312,7 +312,7 @@ _CONFIG_KEYS = {*_SETTINGS, "exclude", "drop", "format", "target"}
 
 
 def _read_config_file(path) -> dict[str, tuple[str, int]]:
-    """Config-file key -> (value text, line number)."""
+    """Config-file key -> (value text, line number); a key may appear once."""
     values: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
@@ -324,6 +324,8 @@ def _read_config_file(path) -> dict[str, tuple[str, int]]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", line_no)
+        if key in values:
+            raise ParseError(f"{key}: repeated; first set on line {values[key][1]}", line_no)
         values[key] = (val.strip(), line_no)
     return values
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import codecs
 import datetime
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -53,12 +53,12 @@ MISSING_CODES = (-99.99, -999.0)
 _READ_BYTES = 1 << 20
 
 #: Fewest cells worth a parse lane of its own. On a 2-CPU Linux host the
-#: blank-cell pass and the grammar took 0.31 us a cell (170 ms for the
-#: 540k cells of a 47-asset, 11,465-day panel), and a two-lane fan-out cost
-#: 7-10 ms, so a lane of 100,000 cells saves about three times its cost.
-#: That panel gets two lanes; a 5,040-day, 11-industry text file (60k
-#: cells) stays serial, since two lanes of 2,520 rows took its load from
-#: 7.8 to 13.2 ms.
+#: blank-cell pass and the grammar took 0.4 us a cell of a 47-asset CSV
+#: panel, and two lanes of the direct fork broke even near 1,200 rows (58k
+#: cells; 23.0 ms either way, medians of 41 alternated runs). Text files
+#: parse at 0.13 us a cell: two lanes took a 5,040-day, 11-industry file
+#: (60k cells) from 7.8 to 9.2 ms. The value dates from the earlier helper's
+#: 7-10 ms round trip; it gives a 47-asset, 11,465-day panel two lanes.
 _MIN_PARSE_CELLS = 100_000
 
 #: Rows one lane passes through the blank-cell pass and the grammar at a
@@ -119,10 +119,11 @@ class DateRange:
 class ReturnPanel:
     """Immutable date-by-asset matrix of daily simple returns.
 
-    ``missing_mask`` is True where no observation exists; masked cells hold
-    NaN and must never reach an estimation window. Unmasked returns are
-    finite decimals (a 1% day is 0.01), converted from percent exactly once
-    at load time.
+    A NaN return is a missing observation, and nothing else is: the
+    read-only ``missing_mask`` is ``np.isnan(returns)``, computed once here,
+    and never reaches an estimation window. The other returns are finite
+    decimals (a 1% day is 0.01), converted from percent exactly once at load
+    time; an infinite return raises ValueError.
 
     ``returns`` is stored asset-major (Fortran order), whatever the layout
     given: each asset's series is contiguous, so the transpose of any run of
@@ -133,12 +134,12 @@ class ReturnPanel:
     dates: np.ndarray
     assets: tuple[str, ...]
     returns: np.ndarray
-    missing_mask: np.ndarray
+    missing_mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         dates = np.asarray(self.dates, dtype=np.int64)
         returns = np.asfortranarray(self.returns, dtype=float)
-        mask = np.asarray(self.missing_mask, dtype=bool)
+        mask = np.isnan(returns)
         assets = tuple(str(a) for a in self.assets)
         for arr in (dates, returns, mask):
             arr.setflags(write=False)
@@ -147,9 +148,7 @@ class ReturnPanel:
         object.__setattr__(self, "returns", returns)
         object.__setattr__(self, "missing_mask", mask)
 
-        if dates.ndim != 1 or returns.ndim != 2 or mask.shape != returns.shape:
-            raise ValueError("panel arrays have inconsistent shapes")
-        if returns.shape[0] != dates.size or returns.shape[1] != len(assets):
+        if dates.ndim != 1 or returns.shape != (dates.size, len(assets)):
             raise ValueError("panel arrays have inconsistent shapes")
         if len(set(assets)) != len(assets):
             raise ValueError("asset names must be unique")
@@ -163,8 +162,8 @@ class ReturnPanel:
         impossible = np.flatnonzero(~_possible_dates(dates))
         if impossible.size:
             _check_yyyymmdd(dates[impossible[0]], "date")  # raises as DateRange would
-        if not np.all(np.isfinite(returns[~mask])):
-            raise ValueError("panel contains non-finite unmasked returns")
+        if np.isinf(returns).any():
+            raise ValueError("panel contains infinite returns")
 
     @property
     def n_dates(self) -> int:
@@ -193,8 +192,8 @@ class ReturnPanel:
         """The rows selected by a slice or boolean mask, without re-validation.
 
         A row subset of a validated panel is valid: dates stay increasing,
-        shapes match and unmasked cells stay finite. Only emptiness can
-        arise, and it raises EmptyPanel as the constructor would.
+        shapes match and no cell is infinite. Only emptiness can arise, and
+        it raises EmptyPanel as the constructor would.
         """
         dates = self.dates[index]
         if dates.size == 0:
@@ -223,7 +222,6 @@ class ReturnPanel:
             dates=self.dates,
             assets=tuple(self.assets[i] for i in keep),
             returns=self.returns[:, keep],
-            missing_mask=self.missing_mask[:, keep],
         )
 
 
@@ -393,6 +391,8 @@ def _dated_rows(rows, line_numbers, delimiter, width, missing_ok=False):
 
 def _asset_names(names: list[str], line_number: int) -> tuple[str, ...]:
     for i, name in enumerate(names):
+        if not name:
+            raise ParseError(f"column {i + 2}: empty asset name", line_number)
         if name in names[:i]:
             raise ParseError(f"asset name {name!r} appears twice", line_number)
     return tuple(names)
@@ -433,11 +433,11 @@ def load_french(path, drop_assets=()) -> ReturnPanel:
     assets = _asset_names(header, above + 1)
 
     dates, values = _dated_rows(lines[first:end], range(first + 1, end + 1), None, n_cols + 1)
-    mask = np.isin(values, MISSING_CODES)
+    missing = np.isin(values, MISSING_CODES)
     returns = np.asfortranarray(values)  # asset-major once: ReturnPanel keeps it
     returns /= 100.0
-    np.copyto(returns, np.nan, where=mask)
-    panel = ReturnPanel(dates=dates, assets=assets, returns=returns, missing_mask=mask)
+    np.copyto(returns, np.nan, where=missing)
+    panel = ReturnPanel(dates=dates, assets=assets, returns=returns)
     if drop_assets:
         panel = panel.drop_assets(drop_assets)
     return panel
@@ -463,10 +463,9 @@ def load_csv(path) -> ReturnPanel:
         raise ParseError("no data rows", max(2, len(lines)))
     rows = [lines[i - 1] for i in numbers]
     dates, values = _dated_rows(rows, numbers, ",", len(header), missing_ok=True)
-    mask = np.isnan(values)
     returns = np.asfortranarray(values)  # asset-major once: ReturnPanel keeps it
-    np.copyto(returns, np.nan, where=mask)  # one NaN for every spelling of a missing cell
-    return ReturnPanel(dates=dates, assets=assets, returns=returns, missing_mask=mask)
+    np.copyto(returns, np.nan, where=np.isnan(returns))  # one NaN for every spelling
+    return ReturnPanel(dates=dates, assets=assets, returns=returns)
 
 
 def write_csv(panel: ReturnPanel, path) -> None:
@@ -527,9 +526,4 @@ def synthetic_panel(params: ModelParams, days: int, seed: int) -> ReturnPanel:
     returns = prices[1:] / prices[:-1] - 1.0
     width = max(2, len(str(params.n)))
     assets = tuple(f"A{i + 1:0{width}d}" for i in range(params.n))
-    return ReturnPanel(
-        dates=_weekday_dates(days, datetime.date(2000, 1, 3)),
-        assets=assets,
-        returns=returns,
-        missing_mask=np.zeros_like(returns, dtype=bool),
-    )
+    return ReturnPanel(_weekday_dates(days, datetime.date(2000, 1, 3)), assets, returns)

@@ -159,25 +159,25 @@ class VolMatrix:
 
     ``VolMatrix(entries)`` takes a caller's matrix (a ``--vol`` file, a
     simulation's sigma): it checks shape, finiteness and, by SVD,
-    non-singularity, and sets ``provenance`` to "user". This module's
-    factorizations build factors with :meth:`_built` instead, which checks
-    nothing and records the method as the provenance.
+    non-singularity. This module's factorizations build factors with
+    :meth:`_built` instead, which checks nothing. Either way the factor
+    holds only its read-only ``entries`` and their size ``dim``.
     """
 
-    __slots__ = ("entries", "dim", "provenance")
+    __slots__ = ("entries", "dim")
 
     def __init__(self, entries):
         a = _as_square(entries, "volatility matrix")
         if _singular(np.linalg.svd(a[None], compute_uv=False))[0]:
             raise SingularMatrix("volatility matrix is singular within tolerance")
-        self.entries, self.dim, self.provenance = a, a.shape[0], "user"
+        self.entries, self.dim = a, a.shape[0]
 
     @classmethod
-    def _built(cls, a: np.ndarray, provenance: str) -> "VolMatrix":
+    def _built(cls, a: np.ndarray) -> "VolMatrix":
         """A factor that the function building it has judged non-singular."""
         vol = cls.__new__(cls)
         a.setflags(write=False)
-        vol.entries, vol.dim, vol.provenance = a, a.shape[0], provenance
+        vol.entries, vol.dim = a, a.shape[0]
         return vol
 
     def cov(self) -> np.ndarray:
@@ -185,7 +185,7 @@ class VolMatrix:
         return self.entries @ self.entries.T
 
     def __repr__(self):
-        return f"VolMatrix(dim={self.dim}, provenance={self.provenance!r})"
+        return f"VolMatrix(dim={self.dim})"
 
 
 class TargetMatrix:
@@ -267,7 +267,7 @@ def procrustes_rotate(factor: VolMatrix, target: TargetMatrix) -> tuple[VolMatri
     """
     _require_target_dim(factor.dim, target)
     rotated, q = (x[0] for x in _rotate(factor.entries[None], target.entries))
-    return VolMatrix._built(rotated, "rotated"), RotationMatrix._built(q)
+    return VolMatrix._built(rotated), RotationMatrix._built(q)
 
 
 def factor_covariance(
@@ -298,7 +298,7 @@ def factor_covariance(
         )
     if singular:
         raise SingularMatrix("volatility matrix is singular within tolerance")
-    return VolMatrix._built(factor, "rotated" if method == "rotate" else method)
+    return VolMatrix._built(factor)
 
 
 def _factors(c: np.ndarray, w: np.ndarray, v: np.ndarray, method: str, target=None):
@@ -336,7 +336,7 @@ def recover_cholesky(vol: VolMatrix) -> VolMatrix:
     """
     r = np.linalg.qr(vol.entries.T, mode="r")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return VolMatrix._built((signs[:, None] * r).T, "cholesky")
+    return VolMatrix._built((signs[:, None] * r).T)
 
 
 def random_rotation(n: int, seed: int) -> RotationMatrix:

@@ -75,11 +75,11 @@ _BLOCK_BYTES = 1 << 20
 
 #: Fewest normal draws (paths x steps x assets) worth a worker process of
 #: their own in the wealth engine. On a 2-CPU Linux host with one BLAS
-#: thread, forking a worker, returning its log-wealth and joining it cost
-#: 5-8 ms, and a path at 5 assets and 252 steps took 55 us (0.22 us a draw),
-#: about 10% more while a second lane ran. Two lanes broke even near 0.8-1M
-#: draws (600-800 paths at 5 assets, 60 at 47); 1,000 paths at 5 assets took
-#: 51 ms, not 56 ms, and 20,000 took 0.58 s, not 1.01 s.
+#: thread, a path at 5 assets and 252 steps took 29 us, and two lanes of the
+#: direct fork broke even near 600 paths (378k draws a lane): 600 took 17.3
+#: ms serially and 17.6 ms on two lanes, 1,600 took 47 and 32 ms (medians of
+#: alternated runs). The value dates from the earlier helper's 5-8 ms round
+#: trip.
 _MIN_LANE_WORK = 500_000
 
 

@@ -45,14 +45,18 @@ class JKTestResult:
     """Sharpe-difference test between two same-length excess return series.
 
     z is oriented as sharpe_1 - sharpe_2, so positive z favors the first
-    series and p_one_sided is the upper-tail probability P(Z > z).
+    series. The p-values are derived from z: p_one_sided is the upper-tail
+    probability P(Z > z) and p_two_sided is P(|Z| > |z|).
     """
 
     z: float
-    p_one_sided: float
     rho: float
     sharpe_1: float
     sharpe_2: float
+
+    @property
+    def p_one_sided(self) -> float:
+        return normal_upper_tail(self.z)
 
     @property
     def p_two_sided(self) -> float:
@@ -131,10 +135,4 @@ def jobson_korkie_memmel(r1, r2) -> JKTestResult:
     s2 = mean_b / sd_b
     theta = (2.0 * (1.0 - rho) + 0.5 * (s1 ** 2 + s2 ** 2 - 2.0 * s1 * s2 * rho ** 2)) / t
     z = 0.0 if theta <= 0.0 else (s1 - s2) / math.sqrt(theta)
-    return JKTestResult(
-        z=z,
-        p_one_sided=normal_upper_tail(z),
-        rho=rho,
-        sharpe_1=s1,
-        sharpe_2=s2,
-    )
+    return JKTestResult(z=z, rho=rho, sharpe_1=s1, sharpe_2=s2)

@@ -49,12 +49,12 @@ class WeightVector:
 
     ``kappa`` is the composite ratio (lambda - r)/(mu - r) associated with
     the weights, or ``None`` for strategies (like 1/n) where the ratio is
-    not applicable.  ``exposure`` is the sum of the weights.
+    not applicable. ``exposure``, the fraction of wealth held in stocks, is
+    derived: the sum of the weights.
     """
 
     weights: np.ndarray
     kappa: float | None
-    exposure: float
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -64,13 +64,14 @@ class WeightVector:
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        scale = max(1.0, float(np.abs(w).sum()))
-        if abs(self.exposure - float(w.sum())) > 1e-12 * scale:
-            raise ValueError("exposure does not equal the sum of the weights")
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
+
+    @property
+    def exposure(self) -> float:
+        return float(self.weights.sum())
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def _solved(sigma: VolMatrix, exposure: float | None, kappa: np.ndarray | None =
             if np.isfinite(residual)
             else f"weights overflow: kappa {kappa:.3e} is too large for this volatility matrix"
         )
-    return WeightVector(weights=pi, kappa=float(kappa), exposure=float(pi.sum()))
+    return WeightVector(weights=pi, kappa=float(kappa))
 
 
 def pi_star(sigma: VolMatrix, kappa: float) -> WeightVector:
@@ -188,8 +189,7 @@ def one_over_n(n: int, exposure: float = 1.0) -> WeightVector:
     """
     if n < 1:
         raise ValueError("asset count must be >= 1")
-    weights = np.full(n, exposure / n)
-    return WeightVector(weights=weights, kappa=None, exposure=float(weights.sum()))
+    return WeightVector(weights=np.full(n, exposure / n), kappa=None)
 
 
 def brownian_exposures(pi: WeightVector, sigma: VolMatrix) -> ExposureVector:

@@ -232,9 +232,7 @@ def test_backtest_weights_exact_and_causal():
         cutoff = 450
         corrupted = base_panel.returns.copy()
         corrupted[cutoff:] = -0.5
-        twin = ReturnPanel(
-            base_panel.dates, base_panel.assets, corrupted, base_panel.missing_mask
-        )
+        twin = ReturnPanel(base_panel.dates, base_panel.assets, corrupted)
         other = rolling_backtest(twin, cfg)
         head = cutoff - cfg.window_days
         causal = causal and np.array_equal(

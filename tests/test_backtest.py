@@ -71,7 +71,6 @@ def zero_panel(days=40, n=2):
         dates=weekdays(days),
         assets=tuple(f"Z{i}" for i in range(n)),
         returns=np.zeros((days, n)),
-        missing_mask=np.zeros((days, n), dtype=bool),
     )
 
 
@@ -168,7 +167,6 @@ class TestEstimateCovariance:
             dates=weekdays(m),
             assets=("A", "B"),
             returns=draws,
-            missing_mask=np.zeros((m, 2), dtype=bool),
         )
         cov = estimate_covariance(panel)
         bound = 5.0 * math.sqrt(2.0 / m) * np.abs(true_cov).max()
@@ -179,7 +177,6 @@ class TestEstimateCovariance:
             dates=[20000103, 20000104, 20000105],
             assets=("A", "B"),
             returns=[[0.01, 0.02], [0.03, 0.02], [0.02, 0.02]],
-            missing_mask=np.zeros((3, 2), dtype=bool),
         )
         with pytest.raises(NotPositiveDefinite):
             estimate_covariance(panel)
@@ -192,7 +189,7 @@ class TestEstimateCovariance:
         panel = gbm_panel(60, seed=0)
         returns = np.array(panel.returns)
         returns[30, 1] = 1e200
-        panel = ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask)
+        panel = ReturnPanel(panel.dates, panel.assets, returns)
         for shrinkage in (None, 1e-4):
             with pytest.raises(NotPositiveDefinite, match="^sample covariance overflows"):
                 estimate_covariance(panel, shrinkage=shrinkage)
@@ -204,7 +201,6 @@ class TestEstimateCovariance:
             dates=weekdays(50),
             assets=("A", "B"),
             returns=np.column_stack([col, 2.0 * col]),
-            missing_mask=np.zeros((50, 2), dtype=bool),
         )
         with pytest.raises(NotPositiveDefinite):
             estimate_covariance(panel)
@@ -215,7 +211,6 @@ class TestEstimateCovariance:
             dates=[20000103, 20000104, 20000105],
             assets=("A", "B"),
             returns=[[0.01, 0.02], [0.03, np.nan], [0.02, 0.01]],
-            missing_mask=[[False, False], [False, True], [False, False]],
         )
         with pytest.raises(MissingData) as exc_info:
             estimate_covariance(panel)
@@ -312,7 +307,6 @@ class TestRollingBacktest:
                 dates=panel.dates,
                 assets=panel.assets,
                 returns=corrupted,
-                missing_mask=panel.missing_mask,
             )
             other = rolling_backtest(twin, cfg)
             head = cutoff - cfg.window_days
@@ -385,11 +379,9 @@ class TestRollingBacktest:
     def test_masked_rows_do_not_count_toward_history(self):
         # 40 rows but 6 are masked: only 34 complete, below window + cadence
         panel = gbm_panel(40, seed=1)
-        mask = np.array(panel.missing_mask)
-        mask[10:16, 0] = True
         returns = np.array(panel.returns)
         returns[10:16, 0] = np.nan
-        holed = ReturnPanel(panel.dates, panel.assets, returns, mask)
+        holed = ReturnPanel(panel.dates, panel.assets, returns)
         with pytest.raises(InsufficientHistory):
             rolling_backtest(holed, BacktestConfig(**SMALL))
 
@@ -417,22 +409,18 @@ class TestRollingBacktest:
 
     def test_masked_cell_in_estimation_window_raises(self):
         panel = gbm_panel(45, seed=4)
-        mask = np.array(panel.missing_mask)
-        mask[5, 1] = True
         returns = np.array(panel.returns)
         returns[5, 1] = np.nan
-        holed = ReturnPanel(panel.dates, panel.assets, returns, mask)
+        holed = ReturnPanel(panel.dates, panel.assets, returns)
         with pytest.raises(MissingData) as exc_info:
             rolling_backtest(holed, BacktestConfig(**SMALL))
         assert exc_info.value.date == int(panel.dates[5])
 
     def test_exclusion_window_steps_over_masked_rows(self):
         panel = gbm_panel(46, seed=4)
-        mask = np.array(panel.missing_mask)
-        mask[5, 1] = True
         returns = np.array(panel.returns)
         returns[5, 1] = np.nan
-        holed = ReturnPanel(panel.dates, panel.assets, returns, mask)
+        holed = ReturnPanel(panel.dates, panel.assets, returns)
         bad_day = int(panel.dates[5])
         cfg = BacktestConfig(
             window_days=30,
@@ -528,7 +516,7 @@ class TestPanelLayout:
         values = np.array(base.returns)
         reports = [
             rolling_backtest(
-                ReturnPanel(base.dates, base.assets, layout(values), base.missing_mask),
+                ReturnPanel(base.dates, base.assets, layout(values)),
                 BacktestConfig(window_days=250, reestimate_every=5, exclusion_windows=()),
             )
             for layout in (np.ascontiguousarray, np.asfortranarray)
@@ -558,7 +546,7 @@ class TestAccounting:
         window = max(n + 2, every + 1)
         days = window + blocks * every + (int(rng.integers(1, every)) if partial else 0)
         base = gbm_panel(days, seed=seed, n=n)
-        panel = ReturnPanel(base.dates, base.assets, layout(np.array(base.returns)), base.missing_mask)
+        panel = ReturnPanel(base.dates, base.assets, layout(np.array(base.returns)))
         cfg = BacktestConfig(
             window_days=window, reestimate_every=every, exposure=exposure, exclusion_windows=()
         )
@@ -656,13 +644,11 @@ class TestParallelRebalances:
         ``masked`` masks single (row, asset) cells."""
         base = gbm_panel(510, seed=12)
         returns = np.array(base.returns)
-        mask = np.array(base.missing_mask)
         for asset, (a, b) in stretches:
             returns[a:b, asset] = 0.0
         for row, asset in masked:
             returns[row, asset] = np.nan
-            mask[row, asset] = True
-        return ReturnPanel(base.dates, base.assets, returns, mask)
+        return ReturnPanel(base.dates, base.assets, returns)
 
     @staticmethod
     def spy_parent_rows(monkeypatch):
@@ -868,7 +854,7 @@ class TestParallelRebalances:
         base = self.panel(stretches=((0, (70, 100)),), masked=((350, 2),))
         returns = np.array(base.returns)
         returns[200, 1] = 1e200
-        panel = ReturnPanel(base.dates, base.assets, returns, base.missing_mask)
+        panel = ReturnPanel(base.dates, base.assets, returns)
         cfg = BacktestConfig(
             window_days=30, reestimate_every=1, exposure=-1.0, exclusion_windows=()
         )
@@ -1009,16 +995,15 @@ class TestEngineAgainstPublicChain:
         days = window + every * rebalances
         rng = np.random.default_rng(seed)
         returns = 0.0005 + 0.01 * rng.standard_normal((days, n))
-        mask = np.zeros((days, n), dtype=bool)
         if zeroed is not None:
             asset, start, length = zeroed
             returns[start : start + length, asset % n] = 0.0
         if masked is not None:  # an estimation row only: accounting starts at row `window`
             row, asset = masked[0] % window, masked[1] % n
-            returns[row, asset], mask[row, asset] = np.nan, True
+            returns[row, asset] = np.nan
         if huge is not None:
             returns[huge[0] % days, huge[1] % n] = 1e200
-        panel = ReturnPanel(weekdays(days), tuple(f"A{i}" for i in range(n)), returns, mask)
+        panel = ReturnPanel(weekdays(days), tuple(f"A{i}" for i in range(n)), returns)
         cfg = BacktestConfig(
             window_days=window,
             reestimate_every=every,

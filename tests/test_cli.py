@@ -391,7 +391,7 @@ class TestExitCodes:
         returns = np.array(panel.returns)
         returns[100, 1] = 1e200
         path = tmp_path / "panel.csv"
-        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns), path)
         out = tmp_path / "o"
         code, stdout, err = run(
             capsys, ["--out", str(out), "backtest", str(path), "--window", "60", "--every", "10"]
@@ -411,7 +411,7 @@ class TestExitCodes:
         returns = np.array(panel.returns)
         returns[195, 0] = 1e200
         path = tmp_path / "panel.csv"
-        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns), path)
         out = tmp_path / "o"
         code, stdout, err = run(
             capsys, ["--out", str(out), "backtest", str(path), "--window", "60", "--every", "10"]
@@ -519,6 +519,34 @@ class TestExitCodes:
             + TestBacktestCommand.BASE,
         )
         assert code == 0 and (out / "summary.txt").is_file()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["exclude=20000110-20000111", "# more", "exclude=20000120-20000121"],
+            ["window_days=30", "", "window_days=20"],
+        ],
+        ids=["exclude", "window_days"],
+    )
+    def test_repeated_config_key_names_both_lines(self, panel_csv, tmp_path, capsys, lines):
+        path, _ = panel_csv
+        key = lines[0].split("=")[0]
+        cfg = tmp_path / "cfg"
+        cfg.write_text("reestimate_every=5\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", path, "--config", str(cfg)])
+        assert code == 3
+        assert err == f"error: line 4: {key}: repeated; first set on line 2\n"
+        assert stdout == "" and not out.exists()
+
+    def test_empty_asset_name_exits_3_naming_its_column(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("date,,B\n20000103,0.01,0.02\n")
+        out = tmp_path / "o"
+        code, stdout, err = run(capsys, ["--out", str(out), "backtest", str(path)])
+        assert code == 3
+        assert err == "error: line 1: column 2: empty asset name\n"
+        assert stdout == "" and not out.exists()
 
     def test_unknown_config_key(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -852,7 +880,7 @@ class TestBacktestCommand:
         returns = panel.returns.copy()
         returns[:, 1] *= scale * (1.0 + 1e-9)
         path = tmp_path / "leveraged.csv"
-        write_csv(ReturnPanel(panel.dates, panel.assets, returns, panel.missing_mask), path)
+        write_csv(ReturnPanel(panel.dates, panel.assets, returns), path)
         out = tmp_path / "report"
         argv = ["backtest", str(path), "--window", "60", "--every", "10", "--method", "cholesky"]
         code, _, err = run(capsys, ["--out", str(out)] + argv)

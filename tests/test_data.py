@@ -151,7 +151,6 @@ class TestReturnPanel:
             dates=[19870101, 19870102, 19870105],
             assets=("A", "B"),
             returns=[[0.01, 0.02], [0.03, np.nan], [0.0, -0.01]],
-            missing_mask=[[False, False], [False, True], [False, False]],
         )
 
     def test_out_of_order_dates_rejected(self):
@@ -160,7 +159,6 @@ class TestReturnPanel:
                 dates=[19870101, 19870105, 19870102],
                 assets=("A",),
                 returns=[[0.0], [0.0], [0.0]],
-                missing_mask=np.zeros((3, 1), dtype=bool),
             )
 
     def test_duplicate_dates_rejected(self):
@@ -169,7 +167,6 @@ class TestReturnPanel:
                 dates=[19870101, 19870101],
                 assets=("A",),
                 returns=[[0.0], [0.0]],
-                missing_mask=np.zeros((2, 1), dtype=bool),
             )
 
     @pytest.mark.parametrize(
@@ -186,17 +183,18 @@ class TestReturnPanel:
                 dates=dates,
                 assets=("A",),
                 returns=np.zeros((len(dates), 1)),
-                missing_mask=np.zeros((len(dates), 1), dtype=bool),
             )
 
-    def test_unmasked_nan_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            ReturnPanel(
-                dates=[19870101],
-                assets=("A",),
-                returns=[[np.nan]],
-                missing_mask=[[False]],
-            )
+    def test_nan_is_missing_and_inf_rejected(self):
+        panel = ReturnPanel(dates=[19870101], assets=("A", "B"), returns=[[np.nan, 0.5]])
+        assert panel.missing_mask.tolist() == [[True, False]]
+        for value in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="^panel contains infinite returns$"):
+                ReturnPanel(dates=[19870101], assets=("A", "B"), returns=[[np.nan, value]])
+
+    def test_missing_mask_is_derived(self):
+        with pytest.raises(TypeError):
+            ReturnPanel([19870101], ("A",), [[0.0]], missing_mask=[[True]])
 
     def test_slice_inclusive_and_single_day(self):
         panel = self.make()
@@ -228,8 +226,9 @@ class TestReturnPanel:
 
     def test_arrays_are_read_only(self):
         panel = self.make()
-        with pytest.raises(ValueError):
-            panel.returns[0, 0] = 1.0
+        for arr in (panel.dates, panel.returns, panel.missing_mask):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_row_subsets_are_read_only(self):
         panel = self.make()
@@ -331,7 +330,6 @@ class TestCsvRoundTrip:
             dates=[20000103 + i for i in range(7)],
             assets=("AAA", "BBB", "CCC"),
             returns=returns,
-            missing_mask=mask,
         )
         path = tmp_path / "panel.csv"
         write_csv(panel, path)
@@ -485,6 +483,15 @@ class TestValueGrammar:
         with pytest.raises(ParseError, match=f"line {line}: asset name 'A.*' appears twice"):
             loader(write(tmp_path, "f.txt", text))
 
+    @pytest.mark.parametrize(
+        "header, column", [("date,,B", 2), ("date,A, ", 3), ("date,A,B,", 4)]
+    )
+    def test_empty_asset_name_names_its_line_and_column(self, tmp_path, header, column):
+        text = header + "\n20000103" + ",0.01" * header.count(",") + "\n"
+        with pytest.raises(ParseError) as exc_info:
+            load_csv(write(tmp_path, "p.csv", text))
+        assert str(exc_info.value) == f"line 1: column {column}: empty asset name"
+
 
 #: Finite doubles, with the ones a decimal round-trip gets wrong most easily.
 FINITE = st.one_of(
@@ -497,15 +504,23 @@ class TestRoundTripProperties:
     @settings(max_examples=150)
     @given(data=st.data(), n=st.integers(1, 12), rows=st.integers(1, 25))
     def test_csv_round_trip_is_bitwise(self, tmp_path_factory, data, n, rows):
-        values = np.array(data.draw(st.lists(FINITE, min_size=n * rows, max_size=n * rows)))
-        mask = np.array(data.draw(st.lists(st.booleans(), min_size=n * rows, max_size=n * rows)))
-        values, mask = values.reshape(rows, n), mask.reshape(rows, n)
-        panel = ReturnPanel(
-            dates=[20000101 + i for i in range(rows)],
-            assets=tuple(f"A{j}" for j in range(n)),
-            returns=np.where(mask, np.nan, values),
-            missing_mask=mask,
-        )
+        # the panel contract: a NaN return is a missing cell, an infinite
+        # one is rejected, and any other panel round-trips with its bits
+        cells = st.lists(FINITE | st.just(math.nan), min_size=n * rows, max_size=n * rows)
+        returns = np.array(data.draw(cells)).reshape(rows, n)
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, n - 1))
+        for (i, j), value in data.draw(
+            st.lists(st.tuples(cell, st.sampled_from([math.inf, -math.inf])), max_size=2)
+        ):
+            returns[i, j] = value
+        dates, assets = [20000101 + i for i in range(rows)], tuple(f"A{j}" for j in range(n))
+        if np.isinf(returns).any():
+            with pytest.raises(ValueError, match="^panel contains infinite returns$"):
+                ReturnPanel(dates, assets, returns)
+            return
+        panel = ReturnPanel(dates, assets, returns)
+        assert not panel.missing_mask.flags.writeable
+        assert panel.missing_mask.tobytes() == np.isnan(returns).tobytes()
         path = tmp_path_factory.mktemp("csv") / "p.csv"
         write_csv(panel, path)
         back = load_csv(path)

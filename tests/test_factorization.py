@@ -81,17 +81,18 @@ class TestVolMatrix:
 
     def test_public_constructor_takes_entries_only(self):
         vol = VolMatrix(np.eye(2))
-        assert vol.provenance == "user"
         assert not vol.entries.flags.writeable
+        assert repr(vol) == "VolMatrix(dim=2)"
         with pytest.raises(TypeError):
             VolMatrix(np.eye(2), provenance="cholesky")
+        with pytest.raises(TypeError):
+            VolMatrix._built(np.eye(2), "cholesky")
 
 
 class TestCholesky:
     def test_reference_two_asset(self):
         vol = cholesky(CovMatrix(TWO_ASSET))
         np.testing.assert_array_equal(vol.entries, [[2.0, 0.0], [1.0, 2.0]])
-        assert vol.provenance == "cholesky"
 
     def test_identity(self):
         vol = cholesky(CovMatrix(np.eye(3)))
@@ -355,7 +356,6 @@ class TestFactorRoundTripProperties:
     @given(cov=covariances)
     def test_cholesky(self, cov):
         vol = cholesky(cov)
-        assert vol.provenance == "cholesky"
         assert not vol.entries.flags.writeable
         assert _round_trip(vol, cov) <= 1e-9
 
@@ -363,7 +363,6 @@ class TestFactorRoundTripProperties:
     @given(cov=covariances)
     def test_sym_sqrt(self, cov):
         vol = sym_sqrt(cov)
-        assert vol.provenance == "sym_sqrt"
         assert not vol.entries.flags.writeable
         assert _round_trip(vol, cov) <= 1e-9
 
@@ -372,7 +371,6 @@ class TestFactorRoundTripProperties:
     def test_rotate_toward_random_target(self, cov, seed):
         target = TargetMatrix(np.random.default_rng(seed).standard_normal((cov.dim, cov.dim)))
         rotated, q = procrustes_rotate(cholesky(cov), target)
-        assert rotated.provenance == "rotated"
         assert not rotated.entries.flags.writeable
         assert _round_trip(rotated, cov) <= 1e-9
         _assert_orthogonal(q)
@@ -384,7 +382,6 @@ class TestFactorRoundTripProperties:
         q = random_rotation(cov.dim, seed)
         _assert_orthogonal(q)
         out = recover_cholesky(VolMatrix(cholesky(cov).entries @ q.entries))
-        assert out.provenance == "cholesky"
         assert _round_trip(out, cov) <= 1e-9
         assert np.all(np.diag(out.entries) > 0.0)
         assert np.all(np.triu(out.entries, 1) == 0.0)

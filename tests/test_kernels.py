@@ -43,9 +43,7 @@ class Windows:
         start = datetime.date(2001, 1, 1)
         dates = [int((start + datetime.timedelta(i)).strftime("%Y%m%d")) for i in range(days)]
         returns = 0.01 * rng.standard_normal((days, n)) + 0.001 * rng.standard_normal(n)
-        self.panel = ReturnPanel(
-            dates, tuple(f"A{i}" for i in range(n)), returns, np.zeros((days, n), dtype=bool)
-        )
+        self.panel = ReturnPanel(dates, tuple(f"A{i}" for i in range(n)), returns)
         exclusions = ()
         if excluded:
             a = int(rng.integers(0, days - 5))

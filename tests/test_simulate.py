@@ -38,7 +38,7 @@ class TestSimulatePaths:
         # all wealth in the one asset tracks its price, S(t) / S(0), so
         # E[W(t)] = W(0) exp(mu_c t) with mu_c = 0.03 + 0.17 * 0.2
         params = ModelParams(sigma=VolMatrix([[0.2]]), mu=0.2, r=0.03)
-        all_in = WeightVector(weights=[1.0], kappa=None, exposure=1.0)
+        all_in = WeightVector(weights=[1.0], kappa=None)
         ratios = simulate_terminal_wealth(params, all_in, 1.0, 1, 100_000, 5, 1.0)
         se = ratios.std(ddof=1) / math.sqrt(ratios.size)
         assert abs(ratios.mean() - math.exp(0.064)) <= 4 * se
@@ -70,7 +70,7 @@ class TestSimulatePaths:
         monkeypatch.setattr(simulate, "_MIN_LANE_WORK", 1)
         pin_lanes(lanes)
         params = ModelParams(sigma=VolMatrix([[50.0]]), mu=0.2, r=0.03)
-        small = WeightVector(weights=[0.01], kappa=None, exposure=0.01)
+        small = WeightVector(weights=[0.01], kappa=None)
         assert np.all(simulate_terminal_wealth(params, small, 1.0, 1, 3, 0, 1.0) > 0.0)
         for _ in range(2):
             with pytest.raises(ValueError, match="prices must be strictly positive"):
@@ -83,7 +83,7 @@ class TestSimulatePaths:
 
         monkeypatch.setattr(simulate, "_per_path_increments", no_noise)
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
+        cash = WeightVector(weights=[0.0, 0.0], kappa=None)
         for horizon, steps, n_paths in (
             (0.0, 2, 2),
             (math.nan, 2, 2),
@@ -110,13 +110,13 @@ class TestReplayWealth:
         want = simulate_terminal_wealth(params, policy, 1.5, 9, 23, 31, 2.0)
         assert replay_wealth(paths, policy, params, 2.0).tobytes() == want.tobytes()
         other = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
+        cash = WeightVector(weights=[0.0, 0.0], kappa=None)
         with pytest.raises(DimensionMismatch):
             replay_wealth(paths, cash, other, 1.0)
 
     def test_all_cash_grows_at_r_exactly(self):
         params = ModelParams(sigma=VolMatrix(0.5 * np.eye(2)), mu=0.2, r=0.03)
-        cash = WeightVector(weights=[0.0, 0.0], kappa=None, exposure=0.0)
+        cash = WeightVector(weights=[0.0, 0.0], kappa=None)
         wealth = simulate_terminal_wealth(params, cash, 1.0, 8, 20, 2, w0=2.0)
         np.testing.assert_array_equal(wealth, np.full(20, 2.0 * math.exp(0.03)))
 
@@ -137,13 +137,13 @@ class TestReplayWealth:
 
     def test_wealth_strictly_positive_under_leverage(self):
         params = ModelParams(sigma=VolMatrix(0.4 * np.eye(3)), mu=0.2, r=0.03)
-        heavy = WeightVector(weights=[3.0, -1.0, 2.0], kappa=None, exposure=4.0)
+        heavy = WeightVector(weights=[3.0, -1.0, 2.0], kappa=None)
         wealth = simulate_terminal_wealth(params, heavy, 2.0, 40, 500, 21, w0=1.0)
         assert np.all(wealth > 0.0)
 
     def test_dimension_mismatch(self):
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        wrong = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None, exposure=1.0)
+        wrong = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None)
         with pytest.raises(DimensionMismatch):
             simulate_terminal_wealth(params, wrong, 1.0, 2, 2, 0, 1.0)
 
@@ -151,7 +151,7 @@ class TestReplayWealth:
         # the weights are held for the whole horizon; a per-step callable
         # or a bare array is refused
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        half = WeightVector(weights=[0.5, 0.5], kappa=None, exposure=1.0)
+        half = WeightVector(weights=[0.5, 0.5], kappa=None)
         for policy in (lambda step: half, half.weights):
             with pytest.raises(TypeError, match="policy must be a WeightVector"):
                 simulate_terminal_wealth(params, policy, 1.0, 2, 2, 0, 1.0)
@@ -171,7 +171,7 @@ class TestReplayWealth:
             p = rng.normal(loc=kappa / n, scale=0.3, size=n)
             p += (kappa - p.sum()) / n
             pi = np.linalg.solve(sigma.entries.T, p)
-            wv = WeightVector(weights=pi, kappa=None, exposure=float(pi.sum()))
+            wv = WeightVector(weights=pi, kappa=None)
             wealth = simulate_terminal_wealth(params, wv, 1.0, 8, 30_000, 13, 1.0)
             var_hat = wealth.var(ddof=1)
             centered = wealth - wealth.mean()
@@ -183,7 +183,7 @@ class TestReplayWealth:
     def test_rejects_nonpositive_initial_wealth(self, monkeypatch):
         # a non-finite w0 is rejected too: inf gave inf wealth, nan gave nan
         params = ModelParams(sigma=VolMatrix(np.eye(2)), mu=0.2, r=0.03)
-        policy = WeightVector([0.5, 0.5], None, 1.0)
+        policy = WeightVector([0.5, 0.5], None)
 
         def no_noise(*args):
             raise AssertionError("noise drawn before the inputs were checked")

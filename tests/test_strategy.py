@@ -38,12 +38,14 @@ def ill_conditioned() -> VolMatrix:
 
 
 class TestWeightVector:
-    def test_exposure_must_match_sum(self):
-        with pytest.raises(ValueError):
-            WeightVector(weights=[0.5, 0.5], kappa=1.0, exposure=0.9)
+    def test_exposure_is_the_sum_of_the_weights(self):
+        wv = WeightVector(weights=[1.5, -0.9, 0.4], kappa=1.0)
+        assert wv.exposure == float(np.sum([1.5, -0.9, 0.4]))
+        with pytest.raises(TypeError):
+            WeightVector(weights=[0.5, 0.5], kappa=1.0, exposure=1.0)
 
     def test_kappa_sentinel_allows_none(self):
-        wv = WeightVector(weights=[0.5, 0.5], kappa=None, exposure=1.0)
+        wv = WeightVector(weights=[0.5, 0.5], kappa=None)
         assert wv.kappa is None
 
 
@@ -286,7 +288,7 @@ class TestBrownianExposures:
         np.testing.assert_array_equal(p, np.array([4.0 / 3.0, 4.0 / 3.0]))
 
     def test_unit_weight_identity(self):
-        wv = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None, exposure=1.0)
+        wv = WeightVector(weights=[1.0, 0.0, 0.0], kappa=None)
         p = brownian_exposures(wv, VolMatrix(np.eye(3))).p
         np.testing.assert_array_equal(p, [1.0, 0.0, 0.0])
 
@@ -311,5 +313,5 @@ class TestBrownianExposures:
 
 class TestOversizedPositions:
     def test_flags_but_never_alters(self):
-        wv = WeightVector(weights=[1.5, -0.9, 0.4], kappa=None, exposure=1.0)
+        wv = WeightVector(weights=[1.5, -0.9, 0.4], kappa=None)
         np.testing.assert_array_equal(wv.weights, [1.5, -0.9, 0.4])
